@@ -8,7 +8,6 @@ that cross-validates the analytics.
 
 from .adiabatic import (
     AdiabaticParams,
-    ESDTime,
     adiabatic_concurrence,
     esd_time_dephasing,
     esd_time_optimal,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .states import EWLParams, critical_purity
 
 __all__ = [
     "AdiabaticParams",
-    "ESDTime",
+    "ESDResult",
     "spa_kernel",
     "spa_coherence_modulus",
     "adiabatic_k",
@@ -124,15 +125,19 @@ def adiabatic_concurrence(
 
 
 @dataclass(frozen=True)
-class ESDTime:
-    """Disentanglement time of a closed form.
+class ESDResult:
+    """Disentanglement (or level-crossing) time of a concurrence curve.
 
-    ``time is None`` marks a concurrence that stays positive at every finite
-    time; ``never_entangled`` marks an initial state that is already
-    separable (time 0).
+    ``time is None`` means the concurrence never reaches the target: by
+    t_max for a search, at any finite time for a closed form.
+    ``never_entangled`` marks an initial state that is already separable
+    (time 0). ``method`` is "closed_form", "bisection" or "grid";
+    ``bracket`` encloses a searched root and is None for closed forms.
     """
 
     time: float | None
+    bracket: tuple[float, float] | None
+    method: str
     never_entangled: bool = False
     note: str = ""
 
@@ -141,7 +146,10 @@ class ESDTime:
         return self.time is None
 
 
-def esd_time_optimal(state: EWLParams, sigma: float, omega: float) -> ESDTime:
+_closed_form = partial(ESDResult, bracket=None, method="closed_form")
+
+
+def esd_time_optimal(state: EWLParams, sigma: float, omega: float) -> ESDResult:
     """Closed-form disentanglement time for two identical qubits at theta=pi/2.
 
     ``t = (omega / sigma^2) sqrt(16 |ab|^2 r^2 / (1-r)^2 - 1)``. Pure states
@@ -154,7 +162,7 @@ def esd_time_optimal(state: EWLParams, sigma: float, omega: float) -> ESDTime:
                             lambda ratio: 16.0 * ratio**2 - 1.0)
 
 
-def esd_time_dephasing(state: EWLParams, sigma: float) -> ESDTime:
+def esd_time_dephasing(state: EWLParams, sigma: float) -> ESDResult:
     """Closed-form disentanglement time for two identical qubits at theta=0.
 
     ``t = sqrt(ln(4 |ab| r / (1-r))) / sigma``, finite when the log argument
@@ -166,19 +174,19 @@ def esd_time_dephasing(state: EWLParams, sigma: float) -> ESDTime:
                             lambda ratio: 4.0 * ratio - 1.0)
 
 
-def _esd_closed_form(state: EWLParams, formula, radicand) -> ESDTime:
+def _esd_closed_form(state: EWLParams, formula, radicand) -> ESDResult:
     # Both closed forms share the same regime logic; `ratio` is
     # |ab| r / (1 - r), and `radicand` must be positive for a finite root.
     r = state.r
     if r >= 1.0:
-        return ESDTime(time=None, note="pure state: concurrence stays positive")
+        return _closed_form(time=None, note="pure state: concurrence stays positive")
     r_star = critical_purity(state.a)
     ratio = state.ab_mod * r / (1.0 - r)
     if r <= r_star or state.ab_mod == 0.0:
-        return ESDTime(time=0.0, never_entangled=True,
-                       note=f"r <= critical purity {r_star:.6g}")
+        return _closed_form(time=0.0, never_entangled=True,
+                            note=f"r <= critical purity {r_star:.6g}")
     if radicand(ratio) < 0.0:
         # unreachable for r > r*; kept as a guard against rounding at the
         # separability boundary
-        return ESDTime(time=None, note="radicand negative at the separability boundary")
-    return ESDTime(time=formula(ratio))
+        return _closed_form(time=None, note="radicand negative at the separability boundary")
+    return _closed_form(time=formula(ratio))

@@ -16,6 +16,7 @@ import numpy as np
 
 from .adiabatic import (
     AdiabaticParams,
+    ESDResult,
     adiabatic_concurrence,
     esd_time_dephasing,
     esd_time_optimal,
@@ -23,7 +24,7 @@ from .adiabatic import (
 from .constants import BELL_VIOLATION_THRESHOLD, ESD_RELATIVE_TOL
 from .errors import ParameterError
 from .markov import QuantumNoiseParams, interplay_concurrence
-from .states import EWLParams
+from .states import EWLParams, ewl_state
 
 __all__ = [
     "ConcurrenceCurve",
@@ -56,24 +57,6 @@ class ConcurrenceCurve:
             raise ParameterError("times must be strictly increasing")
         if values.min() < -1e-9 or values.max() > 1.0 + 1e-9:
             raise ParameterError("concurrence samples must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ESDResult:
-    """Outcome of a zero/level search on a concurrence curve.
-
-    ``time is None`` means the curve never reaches the target by t_max.
-    """
-
-    time: float | None
-    bracket: tuple[float, float] | None
-    method: str
-    never_entangled: bool = False
-    note: str = ""
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.time is None
 
 
 def _evaluate(c, grid: np.ndarray) -> np.ndarray:
@@ -227,18 +210,10 @@ def _adiabatic_closed_form(state, ad_a, ad_b) -> ESDResult | None:
     if not symmetric:
         return None
     if abs(ad_a.theta - math.pi / 2.0) <= 1e-12:
-        closed = esd_time_optimal(state, ad_a.sigma, ad_a.omega)
-    elif ad_a.theta == 0.0:
-        closed = esd_time_dephasing(state, ad_a.sigma)
-    else:
-        return None
-    return ESDResult(
-        time=closed.time,
-        bracket=None,
-        method="closed_form",
-        never_entangled=closed.never_entangled,
-        note=closed.note,
-    )
+        return esd_time_optimal(state, ad_a.sigma, ad_a.omega)
+    if ad_a.theta == 0.0:
+        return esd_time_dephasing(state, ad_a.sigma)
+    return None
 
 
 def sweep(
@@ -285,44 +260,18 @@ def sweep(
             )
             bell = find_crossing_time(curve_fn, t_max, BELL_VIOLATION_THRESHOLD)
             rows.append(SweepRow(value, esd, esd, bell, bell))
-        elif channel == "interplay":
-            results = {}
-            for flavor in ("phi", "psi"):
-                sf = replace(s, flavor=flavor)
-                fn = lambda t, sf=sf: interplay_concurrence(t, sf, ad_a, ad_b, qn)
-                results[flavor] = (
-                    find_esd_time(fn, t_max),
-                    find_crossing_time(fn, t_max, BELL_VIOLATION_THRESHOLD),
-                )
-            rows.append(
-                SweepRow(
-                    value,
-                    results["phi"][0],
-                    results["psi"][0],
-                    results["phi"][1],
-                    results["psi"][1],
-                )
-            )
-        else:
-            from .states import ewl_state
-            from .stochastic import monte_carlo_concurrence
+            continue
+        esd, bell = {}, {}
+        for flavor in ("phi", "psi"):
+            sf = replace(s, flavor=flavor)
+            if channel == "interplay":
+                c = lambda t, sf=sf: interplay_concurrence(t, sf, ad_a, ad_b, qn)
+            else:
+                from .stochastic import monte_carlo_concurrence
 
-            results = {}
-            for flavor in ("phi", "psi"):
-                sf = replace(s, flavor=flavor)
                 mc = monte_carlo_concurrence(ewl_state(sf), sim, n_workers=n_workers)
-                curve = ConcurrenceCurve(mc.times, mc.concurrence, mc.stderr)
-                results[flavor] = (
-                    find_esd_time(curve, t_max),
-                    find_crossing_time(curve, t_max, BELL_VIOLATION_THRESHOLD),
-                )
-            rows.append(
-                SweepRow(
-                    value,
-                    results["phi"][0],
-                    results["psi"][0],
-                    results["phi"][1],
-                    results["psi"][1],
-                )
-            )
+                c = ConcurrenceCurve(mc.times, mc.concurrence, mc.stderr)
+            esd[flavor] = find_esd_time(c, t_max)
+            bell[flavor] = find_crossing_time(c, t_max, BELL_VIOLATION_THRESHOLD)
+        rows.append(SweepRow(value, esd["phi"], esd["psi"], bell["phi"], bell["psi"]))
     return rows

@@ -17,14 +17,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .adiabatic import AdiabaticParams, adiabatic_concurrence
-from .analysis import ConcurrenceCurve, find_crossing_time, find_esd_time, sweep
-from .constants import BELL_VIOLATION_THRESHOLD
+from .analysis import sweep
 from .errors import EsdlabError, ParameterError
 from .markov import QuantumNoiseParams, interplay_concurrence
 from .states import EWLParams, ewl_state
@@ -228,12 +228,12 @@ def _quantum_from(cfg: dict) -> QuantumNoiseParams | None:
     return QuantumNoiseParams(s_white=q["s_white_per_s"], temperature=q["temperature_k"])
 
 
-def _sim_from(cfg: dict, qubit_b: AdiabaticParams | None = None) -> SimConfig:
+def _sim_from(cfg: dict) -> SimConfig:
     sim = cfg["sim"]
     omega_a = cfg["qubit_a"]["omega_rad_s"]
     return SimConfig(
         qubit_a=_qubit_from(cfg, "a"),
-        qubit_b=qubit_b if qubit_b is not None else _qubit_from(cfg, "b"),
+        qubit_b=_qubit_from(cfg, "b"),
         n_trajectories=sim["trajectories"],
         t_max=sim["t_max_omega"] / omega_a,
         n_samples=sim["samples"],
@@ -263,7 +263,8 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)  # shortest decimal that round-trips
+        # float() keeps numpy's type name out; repr is the shortest round trip
+        return repr(float(value))
     return str(value)
 
 
@@ -359,18 +360,13 @@ def cmd_esd(args) -> int:
         raise ConfigError("the esd table needs quantum.enabled = true")
     omega = ad_a.omega
     t_max = cfg["sim"]["t_max_omega"] / omega
-    quiet = dict(sigma=0.0)
-    ad_a_quiet = AdiabaticParams(omega=ad_a.omega, theta=ad_a.theta,
-                                 gamma_min=ad_a.gamma_min, gamma_max=ad_a.gamma_max, **quiet)
-    ad_b_quiet = AdiabaticParams(omega=ad_b.omega, theta=ad_b.theta,
-                                 gamma_min=ad_b.gamma_min, gamma_max=ad_b.gamma_max, **quiet)
-
     combined = sweep(args.sweep, grid, state, ad_a, ad_b, qn, "interplay", t_max)
     adiabatic_rows = sweep(args.sweep, grid, state, ad_a, ad_b, None, "adiabatic", t_max)
     # quantum-only: same channel with the low-frequency noise switched off;
-    # flavor psi is the one relaxation drives (see README)
+    # flavor psi is the one relaxation drives
     quantum_rows = sweep(
-        args.sweep, grid, state, ad_a_quiet, ad_b_quiet, qn, "interplay", t_max
+        args.sweep, grid, state, replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0),
+        qn, "interplay", t_max,
     )
 
     header = [
@@ -434,11 +430,6 @@ def cmd_psd(args) -> int:
     return 0
 
 
-def _figure_concurrence_grid(cfg, channel_values, omega):
-    omega_t = np.linspace(0.0, cfg["sim"]["t_max_omega"], cfg["sim"]["samples"])
-    return omega_t, omega_t / omega
-
-
 def cmd_figure(args) -> int:
     name = args.name
     cfg = load_config(name, args.config, {})
@@ -475,10 +466,7 @@ def cmd_figure(args) -> int:
         t_max = cfg["sim"]["t_max_omega"] / omega
         grid = np.linspace(0.4, 0.99, 60).tolist()
         st = _state_from(cfg)
-        quiet_a = AdiabaticParams(omega=ad_a.omega, theta=ad_a.theta, sigma=0.0,
-                                  gamma_min=ad_a.gamma_min, gamma_max=ad_a.gamma_max)
-        quiet_b = AdiabaticParams(omega=ad_b.omega, theta=ad_b.theta, sigma=0.0,
-                                  gamma_min=ad_b.gamma_min, gamma_max=ad_b.gamma_max)
+        quiet_a, quiet_b = replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0)
         combined = sweep("r", grid, st, ad_a, ad_b, qn, "interplay", t_max)
         adia = sweep("r", grid, st, ad_a, ad_b, None, "adiabatic", t_max)
         quant = sweep("r", grid, st, quiet_a, quiet_b, qn, "interplay", t_max)
@@ -507,10 +495,7 @@ def cmd_figure(args) -> int:
         )
     elif name == "fig3":
         qn = _quantum_from(cfg)
-        quiet_a = AdiabaticParams(omega=ad_a.omega, theta=ad_a.theta, sigma=0.0,
-                                  gamma_min=ad_a.gamma_min, gamma_max=ad_a.gamma_max)
-        quiet_b = AdiabaticParams(omega=ad_b.omega, theta=ad_b.theta, sigma=0.0,
-                                  gamma_min=ad_b.gamma_min, gamma_max=ad_b.gamma_max)
+        quiet_a, quiet_b = replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0)
         cols = {"omega_t": omega_t.tolist()}
         for flavor in ("phi", "psi"):
             st = _state_from(cfg, flavor)
@@ -524,32 +509,19 @@ def cmd_figure(args) -> int:
                 interplay_concurrence(times, st, ad_a, ad_b, qn)
             ).tolist()
         emit("fig3.csv", list(cols), zip(*cols.values()))
-    elif name in ("fig4a", "fig4b"):
+    else:  # fig4a, fig4b
         st = _state_from(cfg)
         rho0 = ewl_state(st)
-        detuned_b = AdiabaticParams(
-            omega=_DETUNE_FACTOR * ad_a.omega,
-            theta=ad_a.theta,
-            sigma=_DETUNE_FACTOR * ad_a.sigma,
-            gamma_min=ad_a.gamma_min,
-            gamma_max=ad_a.gamma_max,
+        detuned_b = replace(
+            ad_a, omega=_DETUNE_FACTOR * ad_a.omega, sigma=_DETUNE_FACTOR * ad_a.sigma
         )
         workers = _n_workers()
-        base = {"qubit_b": None}  # filled per curve
+        sim = _sim_from(cfg)
 
         def run(qubit_b, g):
-            sim = _sim_from(cfg, qubit_b=qubit_b)
-            sim = SimConfig(
-                qubit_a=sim.qubit_a,
-                qubit_b=qubit_b,
-                n_trajectories=sim.n_trajectories,
-                t_max=sim.t_max,
-                n_samples=sim.n_samples,
-                seed=sim.seed,
-                coupling_g=g,
-                n_fluctuators=sim.n_fluctuators,
+            return monte_carlo_concurrence(
+                rho0, replace(sim, qubit_b=qubit_b, coupling_g=g), n_workers=workers
             )
-            return monte_carlo_concurrence(rho0, sim, n_workers=workers)
 
         if name == "fig4a":
             res = run(ad_a, 0.0)
@@ -603,8 +575,6 @@ def cmd_figure(args) -> int:
                     resonant.stderr.tolist(),
                 ),
             )
-    else:
-        raise ConfigError(f"unknown figure {name!r}")
 
     manifest = {
         "figure": name,
@@ -669,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_psd)
 
     p = sub.add_parser("figure", help="reproduce a preset figure as CSV + manifest")
-    p.add_argument("name", choices=["fig1a", "fig1b", "fig2", "fig3", "fig4a", "fig4b"])
+    p.add_argument("name", choices=sorted(PRESETS))
     p.add_argument("--config", help="JSON scenario file overriding the preset")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_figure)

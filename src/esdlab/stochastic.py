@@ -30,22 +30,10 @@ from scipy import signal as _signal
 from .adiabatic import AdiabaticParams
 from .constants import ENSEMBLE_VARIANCE_RTOL
 from .errors import ParameterError
-from .markov import QuantumNoiseParams
 from .qmath import SIGMA_X, SIGMA_Z, wootters_concurrence
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
+# no compiled PSD engine exists; perfbench/run.py:408 records this flag
+HAVE_NUMBA = False
 
 __all__ = [
     "FluctuatorEnsemble",
@@ -216,7 +204,6 @@ class SimConfig:
     seed: int
     coupling_g: float = 0.0
     n_fluctuators: int = 250
-    quantum: QuantumNoiseParams | None = None
 
     def __post_init__(self) -> None:
         if self.n_trajectories < 1:
@@ -388,11 +375,6 @@ def monte_carlo_concurrence(
     Identical (seed, config) give bit-identical results for any
     ``n_workers``.
     """
-    if cfg.quantum is not None:
-        raise ParameterError(
-            "the trajectory engine simulates low-frequency noise only; "
-            "combine with the analytic quantum-noise channel instead"
-        )
     rho0 = np.asarray(rho0, dtype=complex)
     ens_a = sample_ensemble(
         cfg.n_fluctuators,
@@ -442,45 +424,8 @@ def monte_carlo_concurrence(
 # ---------------------------------------------------------------------------
 # spectral estimation
 
-# The acceptance-scale workload (N=250 over six decades, hundreds of
-# periodogram averages) processes ~1e9 switch events; the jitted kernel keeps
-# that inside the runtime budget. The numpy twin below draws from the same
-# distributions and serves as fallback and cross-check.
 
-
-@njit(cache=True)
-def _sampled_sum_kernel(rates, couplings, dt, n_samples, seed):  # pragma: no cover
-    np.random.seed(seed)
-    delta = np.zeros(n_samples)
-    base = 0.0
-    inv_dt = 1.0 / dt
-    horizon = (n_samples - 1) * dt
-    for j in range(rates.shape[0]):
-        gamma = rates[j]
-        x = couplings[j] if np.random.random() < 0.5 else -couplings[j]
-        base += x
-        if gamma <= 0.0:
-            continue
-        scale = 1.0 / gamma
-        # waiting times drawn inline (-log u is ~2x faster than the
-        # library exponential here, and this loop sees ~1e9 events)
-        t = -np.log(1.0 - np.random.random()) * scale
-        while t <= horizon:
-            b = int(t * inv_dt) + 1
-            if b >= n_samples:
-                break
-            x = -x
-            delta[b] += 2.0 * x
-            t += -np.log(1.0 - np.random.random()) * scale
-    out = np.empty(n_samples)
-    acc = base
-    for k in range(n_samples):
-        acc += delta[k]
-        out[k] = acc
-    return out
-
-
-def _sampled_sum_numpy(rates, couplings, dt, n_samples, rng):
+def _sampled_sum(rates, couplings, dt, n_samples, rng):
     delta = np.zeros(n_samples)
     base = 0.0
     horizon = (n_samples - 1) * dt
@@ -524,7 +469,6 @@ def psd_estimate(
     n_realizations: int,
     rng_seed,
     sample_hz: float = 2.0e6,
-    engine: str = "auto",
 ) -> PsdEstimate:
     """Estimate the ensemble power spectrum by periodogram averaging.
 
@@ -545,16 +489,11 @@ def psd_estimate(
     sample_hz : float
         Sampling rate. Choose at least ~2x the fastest switching rate so
         aliased tail power stays negligible in the band of interest.
-    engine : {"auto", "numba", "numpy"}
-        Signal generator. "auto" prefers the jitted kernel.
     """
     if n_realizations < 100:
         raise ParameterError("need at least 100 realizations for a stable average")
     if t_max <= 0.0 or sample_hz <= 0.0:
         raise ParameterError("t_max and sample_hz must be positive")
-    if engine not in ("auto", "numba", "numpy"):
-        raise ParameterError(f"unknown engine {engine!r}")
-    use_numba = engine == "numba" or (engine == "auto" and HAVE_NUMBA)
     dt = 1.0 / sample_hz
     # round the segment up to an FFT-friendly length; awkward sizes cost
     # more in the transform than in the signal generation
@@ -567,13 +506,9 @@ def psd_estimate(
     acc = None
     freqs = None
     for child in children:
-        if use_numba:
-            seed = int(child.generate_state(1, dtype=np.uint32)[0])
-            x = _sampled_sum_kernel(ens.rates, ens.couplings, dt, n_samples, seed)
-        else:
-            x = _sampled_sum_numpy(
-                ens.rates, ens.couplings, dt, n_samples, np.random.default_rng(child)
-            )
+        x = _sampled_sum(
+            ens.rates, ens.couplings, dt, n_samples, np.random.default_rng(child)
+        )
         f, pxx = _signal.periodogram(
             x, fs=sample_hz, window="hann", detrend="constant", scaling="density"
         )

@@ -18,7 +18,8 @@ from esdlab.analysis import (
 from esdlab.constants import BELL_VIOLATION_THRESHOLD
 from esdlab.errors import ParameterError
 from esdlab.markov import QuantumNoiseParams
-from esdlab.states import EWLParams
+from esdlab.states import EWLParams, ewl_state
+from esdlab.stochastic import SimConfig, monte_carlo_concurrence
 
 OMEGA = 1.0e11
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -165,6 +166,28 @@ class TestSweep:
             t_max=1.0e6 / OMEGA,
         )
         assert rows[0].bell_phi.time < rows[0].esd_phi.time
+
+    def test_monte_carlo_rows_match_direct_runs(self):
+        p = qubit(math.pi / 2)
+        sim = SimConfig(
+            qubit_a=p, qubit_b=p, n_trajectories=32, t_max=2.0e4 / OMEGA,
+            n_samples=41, seed=3, n_fluctuators=20,
+        )
+        rows = sweep(
+            "r", [0.6], EWLParams(0.9, INV_SQRT2), p, p, None, "monte_carlo",
+            t_max=sim.t_max, sim=sim,
+        )
+        assert [row.value for row in rows] == [0.6]
+        row = rows[0]
+        for flavor, esd, bell in (
+            ("phi", row.esd_phi, row.bell_phi),
+            ("psi", row.esd_psi, row.bell_psi),
+        ):
+            mc = monte_carlo_concurrence(ewl_state(EWLParams(0.6, INV_SQRT2, flavor)), sim)
+            curve = ConcurrenceCurve(mc.times, mc.concurrence, mc.stderr)
+            assert esd == find_esd_time(curve, sim.t_max)
+            assert bell == find_crossing_time(curve, sim.t_max, BELL_VIOLATION_THRESHOLD)
+            assert esd.method == "grid" and not esd.is_infinite
 
     def test_monte_carlo_needs_sim(self):
         p = qubit(math.pi / 2)

@@ -8,7 +8,6 @@ from scipy import stats
 from esdlab.adiabatic import AdiabaticParams
 from esdlab.constants import UNITARITY_TOL
 from esdlab.errors import ParameterError
-from esdlab.markov import QuantumNoiseParams
 from esdlab.states import EWLParams, ewl_state
 from esdlab.stochastic import (
     FluctuatorEnsemble,
@@ -308,19 +307,6 @@ class TestMonteCarlo:
         assert herm <= 1e-12
         assert np.all((mc.concurrence >= 0.0) & (mc.concurrence <= 1.0))
 
-    def test_quantum_noise_rejected(self):
-        cfg = SimConfig(
-            qubit_a=quiet_qubit(),
-            qubit_b=quiet_qubit(),
-            n_trajectories=1,
-            t_max=1.0 / OMEGA,
-            n_samples=4,
-            seed=0,
-            quantum=QuantumNoiseParams(s_white=2e6, temperature=0.04),
-        )
-        with pytest.raises(ParameterError, match="quantum"):
-            monte_carlo_concurrence(np.eye(4, dtype=complex) / 4.0, cfg)
-
 
 class TestPsdEstimate:
     def test_single_fluctuator_lorentzian(self):
@@ -346,14 +332,22 @@ class TestPsdEstimate:
         b = psd_estimate(loud, 0.05, 100, 9, sample_hz=4.0e5)
         assert np.allclose(b.s_estimated, 4.0 * a.s_estimated, rtol=1e-12, atol=0.0)
 
-    def test_engines_agree_statistically(self):
+    def test_seed_pinned_regression(self):
+        # values recorded from the signal generator as it stood when it
+        # became the only PSD engine; any change to its random stream or
+        # arithmetic shows here
         ens = sample_ensemble(30, 10.0, 1.0e5, 1.0, 21)
-        a = psd_estimate(ens, 0.05, 120, 3, sample_hz=4.0e5, engine="numpy")
-        b = psd_estimate(ens, 0.05, 120, 4, sample_hz=4.0e5, engine="numba")
-        band = (a.omega > 2.0 * math.pi * 100.0) & (a.omega < 2.0 * math.pi * 1.0e4)
-        ra = a.s_estimated[band].mean()
-        rb = b.s_estimated[band].mean()
-        assert abs(ra / rb - 1.0) < 0.25
+        est = psd_estimate(ens, 0.01, 100, 3, sample_hz=1.0e5)
+        assert est.s_estimated.size == 500
+        pinned = {  # index: (omega, s_estimated)
+            0: (628.3185307179587, 0.0003798348919454534),
+            9: (6283.185307179586, 5.9844228598924104e-05),
+            99: (62831.853071795864, 4.1887837909169575e-06),
+            499: (314159.2653589793, 5.54843905516889e-07),
+        }
+        for i, (omega, s_est) in pinned.items():
+            assert est.omega[i] == omega
+            assert est.s_estimated[i] == s_est
 
     def test_small_ensemble_one_over_f_shape(self):
         sigma = 1.0
