@@ -95,8 +95,8 @@ def find_crossing_time(
     Callables are scanned on a dense logarithmic grid (plus t=0) and the
     first sign-change bracket is refined by bisection to relative tolerance
     ``tol``; sampled curves are interpolated linearly, with the
-    mean +/- 2 stderr crossings reported as the bracket when errors are
-    available.
+    mean +/- 2 stderr crossings reported as the bracket when finite errors
+    are available, and the enclosing grid interval otherwise.
     """
     if isinstance(c, ConcurrenceCurve):
         return _crossing_from_curve(c, level)
@@ -165,7 +165,8 @@ def _crossing_from_curve(curve: ConcurrenceCurve, level: float) -> ESDResult:
             method="grid",
             never_entangled=level == 0.0,
         )
-    if curve.stderr is not None:
+    # a single Monte Carlo trajectory has no error bar (nan): use the grid
+    if curve.stderr is not None and np.all(np.isfinite(curve.stderr)):
         lo = _interp_crossing(curve.times, curve.values - 2.0 * curve.stderr, level)
         hi = _interp_crossing(curve.times, curve.values + 2.0 * curve.stderr, level)
         bracket = (

@@ -29,6 +29,7 @@ from .errors import EsdlabError, ParameterError
 from .markov import QuantumNoiseParams, interplay_concurrence
 from .states import EWLParams, ewl_state
 from .stochastic import (
+    STREAM_VERSION,
     SimConfig,
     fit_one_over_f,
     monte_carlo_concurrence,
@@ -440,6 +441,12 @@ def cmd_figure(args) -> int:
     omega_t = np.linspace(0.0, cfg["sim"]["t_max_omega"], cfg["sim"]["samples"])
     times = omega_t / omega
     outputs: list[str] = []
+    manifest = {
+        "figure": name,
+        "version": f"esdlab {__version__}",
+        "parameters": cfg,
+        "outputs": outputs,
+    }
 
     def emit(fname: str, header, rows):
         write_csv(outdir / fname, header, rows)
@@ -517,6 +524,8 @@ def cmd_figure(args) -> int:
         )
         workers = _n_workers()
         sim = _sim_from(cfg)
+        # what it takes to regenerate the curves bit for bit
+        manifest["monte_carlo"] = {"seed": sim.seed, "stream_version": STREAM_VERSION}
 
         def run(qubit_b, g):
             return monte_carlo_concurrence(
@@ -576,12 +585,6 @@ def cmd_figure(args) -> int:
                 ),
             )
 
-    manifest = {
-        "figure": name,
-        "version": f"esdlab {__version__}",
-        "parameters": cfg,
-        "outputs": outputs,
-    }
     with open(outdir / f"{name}_manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return 0

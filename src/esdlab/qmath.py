@@ -101,7 +101,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1]
 
 
-def wootters_concurrence(rho: np.ndarray, validate: bool = True) -> float:
+def wootters_concurrence(rho: np.ndarray, validate: bool = True) -> float | np.ndarray:
     """Two-qubit concurrence C(rho), the exact oracle for every fast path.
 
     Computes ``C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4))`` where
@@ -113,24 +113,32 @@ def wootters_concurrence(rho: np.ndarray, validate: bool = True) -> float:
     Parameters
     ----------
     rho : array_like
-        4x4 density matrix in the computational basis.
+        4x4 density matrix in the computational basis, or a stack of them
+        with shape ``(n, 4, 4)``. Each matrix of a stack gets exactly the
+        value it gets on its own.
     validate : bool
         Check the density-matrix invariants first (default True).
 
     Returns
     -------
-    float
-        Concurrence clamped to [0, 1].
+    float or ndarray
+        Concurrence clamped to [0, 1]; an array of ``n`` values for a stack.
     """
-    rho = validate_density_matrix(rho) if validate else np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    stacked = rho.ndim == 3
+    if validate:
+        for r in rho if stacked else (rho,):
+            validate_density_matrix(r)
     rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    sqrt_rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    lam = np.linalg.eigvalsh(sqrt_rho @ rho_tilde @ sqrt_rho)[::-1]
+    vals, vecs = np.linalg.eigh(0.5 * (rho + np.swapaxes(rho.conj(), -1, -2)))
+    sqrt_rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ np.swapaxes(
+        vecs.conj(), -1, -2
+    )
+    lam = np.linalg.eigvalsh(sqrt_rho @ rho_tilde @ sqrt_rho)[..., ::-1]
     # floating-point noise makes tiny eigenvalues dip below zero
     lam = np.sqrt(np.clip(lam, 0.0, None))
-    c = lam[0] - lam[1] - lam[2] - lam[3]
-    return float(min(max(c, 0.0), 1.0))
+    c = np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
+    return c if stacked else float(c)
 
 
 def is_x_state(rho: np.ndarray, tol: float = XSTATE_TOL) -> bool:

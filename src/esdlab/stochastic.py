@@ -14,8 +14,9 @@ statistical.
 
 Determinism: every random quantity derives from a root seed through
 ``numpy.random.SeedSequence`` spawn keys indexed by trajectory (or
-realization) number, and reductions run over fixed-size chunks in index
-order, so results are bit-identical regardless of worker count.
+realization) number, and reductions run over chunks fixed by the
+configuration, in index order, so results are bit-identical regardless of
+worker count. ``STREAM_VERSION`` names the layout of those streams.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal as _signal
 
 from .adiabatic import AdiabaticParams
 from .constants import ENSEMBLE_VARIANCE_RTOL
@@ -53,12 +53,22 @@ __all__ = [
     "fit_one_over_f",
 ]
 
-# Trajectories are reduced in fixed chunks of this size; the chunk grid is a
-# property of the configuration, not of the execution, which is what makes
+# Trajectories are reduced in chunks of at most this size; the chunk grid is
+# a property of the configuration, not of the execution, which is what makes
 # the averages independent of the worker count.
 CHUNK_SIZE = 32
 
+# Layout of the random stream behind a Monte Carlo run. Version 2 draws every
+# Poisson switch count of a path in one call, then all of its switch times.
+STREAM_VERSION = 2
+
 _EYE2 = np.eye(2, dtype=complex)
+# the one-qubit Pauli operators embedded in the two-qubit space
+_ZI, _XI = np.kron(SIGMA_Z, _EYE2), np.kron(SIGMA_X, _EYE2)
+_IZ, _IX = np.kron(_EYE2, SIGMA_Z), np.kron(_EYE2, SIGMA_X)
+# shared by every fluctuator that does not switch; read-only
+_NO_SWITCHES = np.empty(0)
+_NO_SWITCHES.flags.writeable = False
 
 
 def _rng(seed) -> np.random.Generator:
@@ -148,10 +158,16 @@ def rtn_paths(ens: FluctuatorEnsemble, t_max: float, rng_seed) -> RtnPaths:
     if t_max <= 0.0:
         raise ParameterError(f"t_max must be positive, got {t_max}")
     rng = _rng(rng_seed)
-    times = []
-    for gamma in ens.rates:
-        k = rng.poisson(gamma * t_max)
-        times.append(np.sort(rng.random(k)) * t_max if k else np.empty(0))
+    counts = rng.poisson(ens.rates * t_max)
+    # all switch times of the path in one draw, fluctuator by fluctuator
+    flat = rng.random(int(counts.sum())) * t_max
+    times = [_NO_SWITCHES] * ens.n
+    start = 0
+    for i in np.flatnonzero(counts).tolist():
+        stop = start + int(counts[i])
+        times[i] = flat[start:stop]
+        times[i].sort()
+        start = stop
     return RtnPaths(ensemble=ens, t_max=t_max, switch_times=tuple(times))
 
 
@@ -165,13 +181,16 @@ def noise_segments(paths: RtnPaths) -> tuple[np.ndarray, np.ndarray]:
     x0 = float(np.sum(ens.couplings * ens.initial_states))
     t_all = []
     jump_all = []
-    for v, s0, times in zip(ens.couplings, ens.initial_states, paths.switch_times):
+    for i, times in enumerate(paths.switch_times):
         if times.size == 0:
             continue
         # value after the i-th switch is v*s0*(-1)^i, so the i-th jump is
         # 2*v*s0*(-1)^i
         t_all.append(times)
-        jump_all.append(2.0 * v * s0 * (-1.0) ** np.arange(1, times.size + 1))
+        jump_all.append(
+            2.0 * ens.couplings[i] * ens.initial_states[i]
+            * (-1.0) ** np.arange(1, times.size + 1)
+        )
     if not t_all:
         return np.array([0.0]), np.array([x0])
     t_merged = np.concatenate(t_all)
@@ -229,21 +248,32 @@ class TrajectoryResult:
         return float(np.abs(uu - np.eye(4)).max())
 
 
-def _pauli_step(w: float, v: float, taus: np.ndarray) -> np.ndarray:
-    """Batched exp(-i (w sz + v sx) tau / 2), exactly unitary."""
-    d = math.hypot(w, v)
-    if d == 0.0:
-        return np.broadcast_to(_EYE2, (taus.size, 2, 2)).copy()
+def _pauli_axes(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation rates d = |(w, v)| and unit axes (w sz + v sx) / d, per entry.
+
+    A zero rate gets a zero axis, so its steps are the identity.
+    """
+    d = np.hypot(w, v)
+    scale = np.where(d > 0.0, d, 1.0)[:, None, None]
+    return d, (w[:, None, None] * SIGMA_Z + v[:, None, None] * SIGMA_X) / scale
+
+
+def _pauli_step(d: np.ndarray, axis: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Batched exp(-i d tau axis / 2), exactly unitary; the inputs align."""
     half = 0.5 * d * taus
-    axis = (w * SIGMA_Z + v * SIGMA_X) / d
     return (
         np.cos(half)[:, None, None] * _EYE2
         - 1j * np.sin(half)[:, None, None] * axis
     )
 
 
-def _segment_values(edges: np.ndarray, values: np.ndarray, t: float) -> float:
-    return float(values[np.searchsorted(edges, t, side="right") - 1])
+def _segment_starts(steps: np.ndarray) -> np.ndarray:
+    """Propagator at the start of each segment, from the per-segment steps."""
+    acc = np.empty_like(steps)
+    acc[0] = np.eye(steps.shape[-1])
+    for i in range(1, len(steps)):
+        acc[i] = steps[i - 1] @ acc[i - 1]
+    return acc
 
 
 def evolve_trajectory(
@@ -254,70 +284,59 @@ def evolve_trajectory(
     The noise is piecewise constant, so between switch events the propagator
     is an exact matrix exponential: a tensor product of 2x2 rotations when
     the qubits are uncoupled, a diagonalized 4x4 exponential otherwise.
+    Every segment's step is built in one batch; only the running product
+    over segments is sequential. Uncoupled qubits are propagated as their
+    2x2 factors, whose tensor product is formed once for all samples.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     times = np.linspace(0.0, cfg.t_max, cfg.n_samples)
     edges_a, vals_a = noise_segments(paths_a)
     edges_b, vals_b = noise_segments(paths_b)
+    # segment i is [brk[i], brk[i+1]); the last one also holds t_max
     brk = np.unique(np.concatenate([edges_a, edges_b, [0.0, cfg.t_max]]))
     brk = brk[brk <= cfg.t_max]
-    if brk[-1] < cfg.t_max:
-        brk = np.append(brk, cfg.t_max)
+    mids = 0.5 * (brk[:-1] + brk[1:])
+    xa = vals_a[np.searchsorted(edges_a, mids, side="right") - 1]
+    xb = vals_b[np.searchsorted(edges_b, mids, side="right") - 1]
+    first = np.searchsorted(times, brk, side="left")
+    first[0], first[-1] = 0, cfg.n_samples
+    seg = np.repeat(np.arange(brk.size - 1), np.diff(first))
+    taus = times - brk[seg]
+    dts = np.diff(brk)
 
     qa, qb = cfg.qubit_a, cfg.qubit_b
     ca, sa = math.cos(qa.theta), math.sin(qa.theta)
     cb, sb = math.cos(qb.theta), math.sin(qb.theta)
-    out = np.empty((cfg.n_samples, 4, 4), dtype=complex)
+    wa, va = qa.omega + ca * xa, sa * xa
+    wb, vb = qb.omega + cb * xb, sb * xb
 
-    coupled = cfg.coupling_g != 0.0
-    if coupled:
+    if cfg.coupling_g != 0.0:
         # the bath couples along the laboratory z axis; in each qubit's
         # eigenbasis that axis reads sin(theta) sx + cos(theta) sz
         axis_a = sa * SIGMA_X + ca * SIGMA_Z
         axis_b = sb * SIGMA_X + cb * SIGMA_Z
         h_int = -0.5 * cfg.coupling_g * np.kron(axis_a, axis_b)
-        u_acc = np.eye(4, dtype=complex)
-    else:
-        ua_acc = _EYE2.copy()
-        ub_acc = _EYE2.copy()
-
-    for i in range(brk.size - 1):
-        t0, t1 = brk[i], brk[i + 1]
-        mid = 0.5 * (t0 + t1)
-        xa = _segment_values(edges_a, vals_a, mid)
-        xb = _segment_values(edges_b, vals_b, mid)
-        k0 = int(np.searchsorted(times, t0, side="left")) if i else 0
-        k1 = cfg.n_samples if i == brk.size - 2 else int(
-            np.searchsorted(times, t1, side="left")
+        h = (
+            0.5 * (wa[:, None, None] * _ZI + va[:, None, None] * _XI)
+            + 0.5 * (wb[:, None, None] * _IZ + vb[:, None, None] * _IX)
+            + h_int
         )
-        taus = times[k0:k1] - t0
-        wa, va = qa.omega + ca * xa, sa * xa
-        wb, vb = qb.omega + cb * xb, sb * xb
-        if coupled:
-            h = (
-                0.5 * np.kron(wa * SIGMA_Z + va * SIGMA_X, _EYE2)
-                + 0.5 * np.kron(_EYE2, wb * SIGMA_Z + vb * SIGMA_X)
-                + h_int
-            )
-            lam, vec = np.linalg.eigh(h)
-            if k1 > k0:
-                phases = np.exp(-1j * lam[None, :] * taus[:, None])
-                seg = (vec[None, :, :] * phases[:, None, :]) @ vec.conj().T
-                out[k0:k1] = seg @ u_acc
-            step = (vec * np.exp(-1j * lam * (t1 - t0))) @ vec.conj().T
-            u_acc = step @ u_acc
-        else:
-            if k1 > k0:
-                seg_a = _pauli_step(wa, va, taus) @ ua_acc
-                seg_b = _pauli_step(wb, vb, taus) @ ub_acc
-                out[k0:k1] = np.einsum("kab,kcd->kacbd", seg_a, seg_b).reshape(
-                    -1, 4, 4
-                )
-            dt = np.array([t1 - t0])
-            ua_acc = _pauli_step(wa, va, dt)[0] @ ua_acc
-            ub_acc = _pauli_step(wb, vb, dt)[0] @ ub_acc
+        lam, vec = np.linalg.eigh(h)
+        vec_h = vec.conj().transpose(0, 2, 1)
+        steps = (vec * np.exp(-1j * lam * dts[:, None])[:, None, :]) @ vec_h
+        starts = _segment_starts(steps)
+        phases = np.exp(-1j * lam[seg] * taus[:, None])
+        out = (vec[seg] * phases[:, None, :]) @ vec_h[seg] @ starts[seg]
+    else:
+        factors = []
+        for w, v in ((wa, va), (wb, vb)):
+            d, axis = _pauli_axes(w, v)
+            starts = _segment_starts(_pauli_step(d, axis, dts))
+            factors.append(_pauli_step(d[seg], axis[seg], taus) @ starts[seg])
+        out = np.einsum("kab,kcd->kacbd", *factors).reshape(-1, 4, 4)
 
-    states = out @ rho0 @ out.conj().transpose(0, 2, 1)
+    # one (n*4, 4) product applies rho0 to every sample at once
+    states = (out.reshape(-1, 4) @ rho0).reshape(out.shape) @ out.conj().transpose(0, 2, 1)
     return TrajectoryResult(times=times, unitaries=out, states=states)
 
 
@@ -352,11 +371,15 @@ def _run_chunk(payload):
         a = rtn_paths(_resample_signs(ens_a, rng), cfg.t_max, rng)
         b = rtn_paths(_resample_signs(ens_b, rng), cfg.t_max, rng)
         rho_sum += evolve_trajectory(rho0, a, b, cfg).states
-    chunk_mean = rho_sum / (stop - start)
-    conc = np.array(
-        [wootters_concurrence(r, validate=False) for r in chunk_mean]
-    )
-    return rho_sum, conc
+    return rho_sum, wootters_concurrence(rho_sum / (stop - start), validate=False)
+
+
+def _chunk_bounds(n_trajectories: int) -> list[int]:
+    """Reduction chunks: at most CHUNK_SIZE trajectories, sizes differing by
+    at most one, and at least two chunks once there are two trajectories, so
+    that batch means always give an error bar."""
+    n_chunks = max(min(2, n_trajectories), -(-n_trajectories // CHUNK_SIZE))
+    return [k * n_trajectories // n_chunks for k in range(n_chunks + 1)]
 
 
 def monte_carlo_concurrence(
@@ -368,7 +391,7 @@ def monte_carlo_concurrence(
     linear in rho); the reported curve is the concurrence of the averaged
     state, computed with the exact Wootters formula because finite averages
     retain small off-X residuals. ``stderr`` comes from batch means over the
-    fixed reduction chunks.
+    reduction chunks; it is nan for a single trajectory.
 
     Fluctuator rates are drawn once from the configuration seed (a device
     realization); switch times and initial signs are redrawn per trajectory.
@@ -390,7 +413,7 @@ def monte_carlo_concurrence(
         cfg.qubit_b.sigma,
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)),
     )
-    bounds = list(range(0, cfg.n_trajectories, CHUNK_SIZE)) + [cfg.n_trajectories]
+    bounds = _chunk_bounds(cfg.n_trajectories)
     payloads = [
         (rho0, cfg, ens_a, ens_b, bounds[i], bounds[i + 1])
         for i in range(len(bounds) - 1)
@@ -405,12 +428,12 @@ def monte_carlo_concurrence(
     for rho_sum, _ in parts:  # fixed chunk order
         rho_total += rho_sum
     rho_mean = rho_total / cfg.n_trajectories
-    conc = np.array([wootters_concurrence(r, validate=False) for r in rho_mean])
+    conc = wootters_concurrence(rho_mean, validate=False)
     chunk_conc = np.stack([c for _, c in parts])
     if chunk_conc.shape[0] > 1:
         stderr = chunk_conc.std(axis=0, ddof=1) / math.sqrt(chunk_conc.shape[0])
-    else:
-        stderr = np.zeros(cfg.n_samples)
+    else:  # a single trajectory has no spread to estimate
+        stderr = np.full(cfg.n_samples, math.nan)
     times = np.linspace(0.0, cfg.t_max, cfg.n_samples)
     return MonteCarloResult(
         times=times,
@@ -497,6 +520,7 @@ def psd_estimate(
     dt = 1.0 / sample_hz
     # round the segment up to an FFT-friendly length; awkward sizes cost
     # more in the transform than in the signal generation
+    from scipy import signal as _signal  # slow to import; only this needs it
     from scipy.fft import next_fast_len
 
     n_samples = next_fast_len(max(4, int(round(t_max * sample_hz))))

@@ -84,6 +84,15 @@ class TestFindEsdTime:
         assert hi == times[-1]
         assert lo < res.time < hi
 
+    def test_curve_without_finite_stderr_uses_grid_bracket(self):
+        # a single Monte Carlo trajectory reports nan error bars
+        times = np.linspace(0.0, 2.0, 201)
+        values = np.clip(1.0 - times, 0.0, 1.0)
+        err = np.full_like(times, np.nan)
+        res = find_esd_time(ConcurrenceCurve(times, values, err), t_max=2.0)
+        assert res.bracket == (times[99], times[100])
+        assert res.bracket[0] <= res.time <= res.bracket[1]
+
     def test_threshold_crossing(self):
         p = qubit(math.pi / 2)
         s = EWLParams(1.0, INV_SQRT2)
@@ -188,6 +197,8 @@ class TestSweep:
             assert esd == find_esd_time(curve, sim.t_max)
             assert bell == find_crossing_time(curve, sim.t_max, BELL_VIOLATION_THRESHOLD)
             assert esd.method == "grid" and not esd.is_infinite
+            # 32 trajectories make two batches, so the error bar has a width
+            assert esd.bracket[0] < esd.time < esd.bracket[1]
 
     def test_monte_carlo_needs_sim(self):
         p = qubit(math.pi / 2)

@@ -116,6 +116,13 @@ class TestFigure:
         assert manifest["figure"] == name
         assert manifest["outputs"] == [f"{name}.csv"]
         assert manifest["parameters"]["sim"]["samples"] == 5
+        if name.startswith("fig4"):
+            assert manifest["monte_carlo"] == {
+                "seed": manifest["parameters"]["sim"]["seed"],
+                "stream_version": 2,
+            }
+        else:
+            assert "monte_carlo" not in manifest
 
 
 class TestConfigErrors:

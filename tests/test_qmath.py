@@ -89,6 +89,28 @@ class TestWoottersConcurrence:
         with pytest.raises(InvalidStateError):
             wootters_concurrence(np.eye(4))  # trace 4
 
+    def test_stack_matches_per_matrix_bit_for_bit(self, rng):
+        states = []
+        for _ in range(500):
+            # mix a random pure state into a random mixed one, so that both
+            # entangled and separable states occur
+            psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            psi /= np.linalg.norm(psi)
+            p = rng.random()
+            states.append(p * np.outer(psi, psi.conj()) + (1.0 - p) * random_density_matrix(rng))
+        stack = np.stack(states)
+        got = wootters_concurrence(stack)
+        want = np.array([wootters_concurrence(rho) for rho in states])
+        assert got.shape == (500,)
+        assert np.array_equal(got, want)
+        assert (got > 0.0).sum() > 50 and (got == 0.0).sum() > 50
+
+    def test_stack_validates_every_matrix(self):
+        stack = np.stack([bell_state(1, 2), np.eye(4)])  # the second has trace 4
+        with pytest.raises(InvalidStateError):
+            wootters_concurrence(stack)
+        assert wootters_concurrence(stack, validate=False).shape == (2,)
+
 
 class TestIsXState:
     def test_diagonal_is_x(self):

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from esdlab.adiabatic import AdiabaticParams
+from esdlab.adiabatic import AdiabaticParams, adiabatic_concurrence
 from esdlab.constants import UNITARITY_TOL
 from esdlab.errors import ParameterError
 from esdlab.states import EWLParams, ewl_state
 from esdlab.stochastic import (
+    CHUNK_SIZE,
     FluctuatorEnsemble,
     SimConfig,
     evolve_trajectory,
@@ -146,6 +147,15 @@ class TestRtnPaths:
         edges, values = noise_segments(paths)
         assert np.array_equal(values, [0.0])
         assert np.array_equal(sampled_noise(paths, np.linspace(0, 1, 5)), np.zeros(5))
+
+    def test_switch_times_sorted_inside_the_window(self):
+        ens = sample_ensemble(250, 1.0, 1e6, 1.0, 12)
+        paths = rtn_paths(ens, 1.0e-4, 13)
+        assert len(paths.switch_times) == ens.n
+        assert sum(t.size for t in paths.switch_times) > 100
+        for times in paths.switch_times:
+            assert np.all(np.diff(times) >= 0.0)
+            assert np.all((times >= 0.0) & (times < 1.0e-4))
 
     def test_segments_alternate_fluctuator_value(self):
         ens = single_fluctuator(50.0, v=2.0)
@@ -289,6 +299,23 @@ class TestMonteCarlo:
         assert np.array_equal(serial.rho_mean, parallel.rho_mean)
         assert np.array_equal(serial.stderr, parallel.stderr)
 
+    def test_two_trajectories_get_an_error_bar(self):
+        # fewer trajectories than CHUNK_SIZE still split into two batches
+        cfg = SimConfig(
+            qubit_a=noisy_qubit(),
+            qubit_b=noisy_qubit(),
+            n_trajectories=CHUNK_SIZE,
+            t_max=3.0e3 / OMEGA,
+            n_samples=9,
+            seed=4,
+            n_fluctuators=25,
+        )
+        rho0 = ewl_state(EWLParams(1.0, INV_SQRT2, "psi"))
+        mc = monte_carlo_concurrence(rho0, cfg)
+        assert np.all(mc.stderr[1:] > 0.0)
+        single = monte_carlo_concurrence(rho0, replace(cfg, n_trajectories=1))
+        assert np.all(np.isnan(single.stderr))
+
     def test_average_state_invariants(self):
         cfg = SimConfig(
             qubit_a=noisy_qubit(),
@@ -306,6 +333,25 @@ class TestMonteCarlo:
         herm = np.abs(mc.rho_mean - mc.rho_mean.conj().transpose(0, 2, 1)).max()
         assert herm <= 1e-12
         assert np.all((mc.concurrence >= 0.0) & (mc.concurrence <= 1.0))
+
+    def test_matches_static_path_average(self):
+        # fig4a's resonant curve: the telegraph bath is quasi-static over
+        # the record (gamma t <= 0.04), so the ensemble average must agree
+        # with the closed-form static-path average within its error bar
+        qubit = AdiabaticParams(omega=OMEGA, theta=math.pi / 2, sigma=0.02 * OMEGA)
+        cfg = SimConfig(
+            qubit_a=qubit,
+            qubit_b=qubit,
+            n_trajectories=2000,
+            t_max=4.0e3 / OMEGA,
+            n_samples=5,
+            seed=20110,
+        )
+        state = EWLParams(1.0, INV_SQRT2, "psi")
+        mc = monte_carlo_concurrence(ewl_state(state), cfg)
+        spa = adiabatic_concurrence(mc.times, qubit, qubit, state)
+        z = (mc.concurrence[1:] - spa[1:]) / mc.stderr[1:]
+        assert np.all(np.abs(z) <= 3.0), z
 
 
 class TestPsdEstimate:
