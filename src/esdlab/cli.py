@@ -5,6 +5,11 @@ qubit A times seconds); seconds appear only inside the library. CSV files
 are RFC-4180, LF, UTF-8, with shortest-round-trip floats, so re-parsing
 reproduces the exact values written.
 
+The presets are the ``FIGURES`` table: each paper figure is a set of config
+overrides plus the builder of its CSV table, and ``--preset NAME`` applies
+the overrides to any subcommand. ``quantum.s_white_per_s: 0`` switches the
+quantum noise off (infinite T1); the static-noise figures set it so.
+
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
@@ -19,6 +24,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,7 +77,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "s_white_per_s": {"type": "number", "minimum": 0},
                 "temperature_k": {"type": "number", "exclusiveMinimum": 0},
-                "enabled": {"type": "boolean"},
             },
         },
         "coupling": {
@@ -110,7 +115,7 @@ DEFAULT_CONFIG = {
         "gamma_min_hz": 1.0,
         "gamma_max_hz": 1.0e6,
     },
-    "quantum": {"s_white_per_s": 2.0e6, "temperature_k": 0.04, "enabled": True},
+    "quantum": {"s_white_per_s": 2.0e6, "temperature_k": 0.04},
     "coupling": {"g_rad_s": 0.0},
     "sim": {
         "trajectories": 2000,
@@ -118,38 +123,6 @@ DEFAULT_CONFIG = {
         "samples": 201,
         "seed": 20110,
         "fluctuators": 250,
-    },
-}
-
-PRESETS: dict[str, dict] = {
-    "fig1a": {
-        "state": {"r": 0.9},
-        "quantum": {"enabled": False},
-        "sim": {"t_max_omega": 6.0e4, "samples": 601},
-    },
-    "fig1b": {
-        "state": {"a2": 0.5},
-        "quantum": {"enabled": False},
-        "sim": {"t_max_omega": 1.0e5, "samples": 601},
-    },
-    "fig2": {
-        "state": {"a2": 0.5},
-        "sim": {"t_max_omega": 2.0e7},
-    },
-    "fig3": {
-        "state": {"r": 0.95},
-        "sim": {"t_max_omega": 2.5e4, "samples": 501},
-    },
-    "fig4a": {
-        "state": {"flavor": "psi", "r": 1.0},
-        "quantum": {"enabled": False},
-        "sim": {"t_max_omega": 5.0e3, "samples": 201},
-    },
-    "fig4b": {
-        "state": {"flavor": "psi", "r": 1.0},
-        "quantum": {"enabled": False},
-        "coupling": {"g_rad_s": 1.0e9},
-        "sim": {"t_max_omega": 5.0e3, "samples": 201},
     },
 }
 
@@ -175,12 +148,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
 def load_config(preset: str | None, config_path: str | None, overrides: dict) -> dict:
     """defaults < preset < --config file < flags; validated against the schema."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
-            )
-        cfg = _deep_merge(cfg, PRESETS[preset])
+    if preset is not None:  # argparse has checked it against FIGURES
+        cfg = _deep_merge(cfg, FIGURES[preset].preset)
     if config_path is not None:
         try:
             with open(config_path, encoding="utf-8") as fh:
@@ -198,6 +167,14 @@ def load_config(preset: str | None, config_path: str | None, overrides: dict) ->
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"invalid config at {path}: {exc.message}") from exc
+    # JSON admits NaN and Infinity (and reads 1e999 as inf); no field means them.
+    # The schema has just checked that every section is an object of scalars.
+    for section, fields in cfg.items():
+        for key, value in fields.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(
+                    f"invalid config at {section}/{key}: {value!r} is not a finite number"
+                )
     return cfg
 
 
@@ -222,10 +199,8 @@ def _qubit_from(cfg: dict, which: str) -> AdiabaticParams:
     )
 
 
-def _quantum_from(cfg: dict) -> QuantumNoiseParams | None:
+def _quantum_from(cfg: dict) -> QuantumNoiseParams:
     q = cfg["quantum"]
-    if not q["enabled"]:
-        return None
     return QuantumNoiseParams(s_white=q["s_white_per_s"], temperature=q["temperature_k"])
 
 
@@ -269,13 +244,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _esd_value(result) -> float:
-    if result.is_infinite:
-        return math.inf
-    return result.time
-
-
-def _write_gnuplot(out: Path, columns: list[str]) -> Path:
+def _write_gnuplot(out: Path, columns: list[str]) -> None:
     script = out.with_suffix(".gp")
     lines = [
         "set datafile separator ','",
@@ -288,55 +257,194 @@ def _write_gnuplot(out: Path, columns: list[str]) -> Path:
         ),
     ]
     script.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return script
+
+
+def _time_grid(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Sample grid in omega_t and the same instants in seconds."""
+    omega_t = np.linspace(0.0, cfg["sim"]["t_max_omega"], cfg["sim"]["samples"])
+    return omega_t, omega_t / cfg["qubit_a"]["omega_rad_s"]
+
+
+def _column(values) -> list:
+    return np.atleast_1d(values).tolist()
+
+
+# ---------------------------------------------------------------------------
+# figure builders: each takes the merged config and returns (header, rows)
+
+
+def _static_family(over: str, values: list[float]):
+    """Fig. 1: static-path concurrence, one curve per value of ``over``."""
+
+    def build(cfg: dict):
+        ad_a, ad_b = _qubit_from(cfg, "a"), _qubit_from(cfg, "b")
+        omega_t, times = _time_grid(cfg)
+        rows = []
+        for value in values:
+            st = _state_from({"state": {**cfg["state"], over: value}})
+            c = adiabatic_concurrence(times, ad_a, ad_b, st)
+            rows.extend([value, wt, cv] for wt, cv in zip(omega_t.tolist(), c.tolist()))
+        return [over, "omega_t", "concurrence"], rows
+
+    return build
+
+
+def _esd_rows(over: str, grid: list[float], cfg: dict) -> list[list[float]]:
+    """ESD times in omega_t over ``grid``, one row per value: the value, then
+    interplay (phi, psi), static noise only, and quantum noise only (phi, psi)."""
+    state = _state_from(cfg)
+    ad_a, ad_b = _qubit_from(cfg, "a"), _qubit_from(cfg, "b")
+    qn = _quantum_from(cfg)
+    omega = ad_a.omega
+    t_max = cfg["sim"]["t_max_omega"] / omega
+    combined = sweep(over, grid, state, ad_a, ad_b, qn, "interplay", t_max)
+    static = sweep(over, grid, state, ad_a, ad_b, None, "adiabatic", t_max)
+    # quantum noise only: the same channel with the low-frequency noise off
+    quantum = sweep(
+        over, grid, state, replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0),
+        qn, "interplay", t_max,
+    )
+    return [
+        [c.value] + [
+            (math.inf if e.is_infinite else e.time) * omega
+            for e in (c.esd_phi, c.esd_psi, s.esd_phi, q.esd_phi, q.esd_psi)
+        ]
+        for c, s, q in zip(combined, static, quantum)
+    ]
+
+
+def _fig2(cfg: dict):
+    header = ["r", "omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic",
+              "omega_t_esd_quantum_phi", "omega_t_esd_quantum_psi"]
+    return header, _esd_rows("r", np.linspace(0.4, 0.99, 60).tolist(), cfg)
+
+
+def _fig3(cfg: dict):
+    """Concurrence of both flavors under static, quantum and both noises."""
+    ad_a, ad_b = _qubit_from(cfg, "a"), _qubit_from(cfg, "b")
+    quiet_a, quiet_b = replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0)
+    qn = _quantum_from(cfg)
+    omega_t, times = _time_grid(cfg)
+    cols = {"omega_t": omega_t.tolist()}
+    for flavor in ("phi", "psi"):
+        st = _state_from(cfg, flavor)
+        cols[f"{flavor}_adiabatic"] = _column(adiabatic_concurrence(times, ad_a, ad_b, st))
+        cols[f"{flavor}_quantum"] = _column(interplay_concurrence(times, st, quiet_a, quiet_b, qn))
+        cols[f"{flavor}_interplay"] = _column(interplay_concurrence(times, st, ad_a, ad_b, qn))
+    return list(cols), zip(*cols.values())
+
+
+def _monte_carlo_family(curves, spa_curves):
+    """Fig. 4: a Monte Carlo curve and its stderr per ``(label, detuned,
+    coupled)`` in ``curves``, then the static-path average per ``(label,
+    detuned)`` in ``spa_curves``. Coupled curves use coupling.g_rad_s, the
+    others no coupling."""
+
+    def build(cfg: dict):
+        st = _state_from(cfg)
+        rho0 = ewl_state(st)
+        ad_a = _qubit_from(cfg, "a")
+        # qubit B by "detuned?": resonant with qubit A, or _DETUNE_FACTOR above it
+        qubit_b = {False: ad_a, True: replace(
+            ad_a, omega=_DETUNE_FACTOR * ad_a.omega, sigma=_DETUNE_FACTOR * ad_a.sigma
+        )}
+        workers = _n_workers()
+        sim = _sim_from(cfg)
+        omega_t, times = _time_grid(cfg)
+        header, cols = ["omega_t"], [omega_t.tolist()]
+        for label, detuned, coupled in curves:
+            g = cfg["coupling"]["g_rad_s"] if coupled else 0.0
+            run = replace(sim, qubit_b=qubit_b[detuned], coupling_g=g)
+            mc = monte_carlo_concurrence(rho0, run, n_workers=workers)
+            header += [f"mc_{label}", f"stderr_{label}"]
+            cols += [mc.concurrence.tolist(), mc.stderr.tolist()]
+        for label, detuned in spa_curves:
+            header.append(f"spa_{label}")
+            cols.append(_column(adiabatic_concurrence(times, ad_a, qubit_b[detuned], st)))
+        return header, zip(*cols)
+
+    return build
+
+
+class Figure(NamedTuple):
+    preset: dict  # config overrides, also applied by --preset
+    build: Callable[[dict], tuple]  # merged config -> (header, rows)
+    monte_carlo: bool = False  # the manifest records the seed and stream
+
+
+# the static-noise figures read no quantum noise; the manifest says so
+_NO_QUANTUM = {"s_white_per_s": 0.0}
+
+FIGURES: dict[str, Figure] = {
+    "fig1a": Figure(
+        {"state": {"r": 0.9}, "quantum": _NO_QUANTUM,
+         "sim": {"t_max_omega": 6.0e4, "samples": 601}},
+        _static_family("a2", [round(0.1 * k, 1) for k in range(1, 10)]),
+    ),
+    "fig1b": Figure(
+        {"state": {"a2": 0.5}, "quantum": _NO_QUANTUM,
+         "sim": {"t_max_omega": 1.0e5, "samples": 601}},
+        _static_family("r", [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0]),
+    ),
+    "fig2": Figure({"state": {"a2": 0.5}, "sim": {"t_max_omega": 2.0e7}}, _fig2),
+    "fig3": Figure({"state": {"r": 0.95}, "sim": {"t_max_omega": 2.5e4, "samples": 501}}, _fig3),
+    "fig4a": Figure(
+        {"state": {"flavor": "psi", "r": 1.0}, "quantum": _NO_QUANTUM,
+         "sim": {"t_max_omega": 5.0e3, "samples": 201}},
+        _monte_carlo_family(
+            [("resonant", False, False), ("detuned", True, False)],
+            [("resonant", False), ("detuned", True)],
+        ),
+        monte_carlo=True,
+    ),
+    "fig4b": Figure(
+        {"state": {"flavor": "psi", "r": 1.0}, "quantum": _NO_QUANTUM,
+         "coupling": {"g_rad_s": 1.0e9}, "sim": {"t_max_omega": 5.0e3, "samples": 201}},
+        _monte_carlo_family(
+            [("coupled_detuned", True, True), ("uncoupled_detuned", True, False),
+             ("uncoupled_resonant", False, False)],
+            [],
+        ),
+        monte_carlo=True,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_concurrence(args) -> int:
-    overrides: dict = {"state": {}, "sim": {}}
-    if args.flavor:
-        overrides["state"]["flavor"] = args.flavor
-    if args.r is not None:
-        overrides["state"]["r"] = args.r
-    if args.a2 is not None:
-        overrides["state"]["a2"] = args.a2
-    if args.t_max_omega is not None:
-        overrides["sim"]["t_max_omega"] = args.t_max_omega
-    if args.samples is not None:
-        overrides["sim"]["samples"] = args.samples
-    if args.seed is not None:
-        overrides["sim"]["seed"] = args.seed
-    cfg = load_config(args.preset, args.config, overrides)
+def _config_from(args, flags: dict[str, str]) -> dict:
+    """The config of --preset and --config, with --seed and the given flags
+    (argparse dest -> "section/key") on top wherever they were passed."""
+    overrides: dict = {}
+    for dest, path in {"seed": "sim/seed", **flags}.items():
+        if getattr(args, dest) is not None:
+            section, key = path.split("/")
+            overrides.setdefault(section, {})[key] = getattr(args, dest)
+    return load_config(args.preset, args.config, overrides)
 
+
+def cmd_concurrence(args) -> int:
+    cfg = _config_from(args, {
+        "flavor": "state/flavor", "r": "state/r", "a2": "state/a2",
+        "t_max_omega": "sim/t_max_omega", "samples": "sim/samples",
+    })
     state = _state_from(cfg)
     ad_a, ad_b = _qubit_from(cfg, "a"), _qubit_from(cfg, "b")
-    omega = ad_a.omega
-    omega_t = np.linspace(0.0, cfg["sim"]["t_max_omega"], cfg["sim"]["samples"])
-    times = omega_t / omega
+    omega_t, times = _time_grid(cfg)
 
-    if args.channel == "adiabatic":
-        values = adiabatic_concurrence(times, ad_a, ad_b, state)
-        header = ["omega_t", "concurrence"]
-        rows = zip(omega_t.tolist(), np.atleast_1d(values).tolist())
-    elif args.channel == "interplay":
-        qn = _quantum_from(cfg)
-        if qn is None:
-            raise ConfigError("interplay channel requires quantum.enabled = true")
-        values = interplay_concurrence(times, state, ad_a, ad_b, qn)
-        header = ["omega_t", "concurrence"]
-        rows = zip(omega_t.tolist(), np.atleast_1d(values).tolist())
-    else:  # montecarlo
-        sim = _sim_from(cfg)
-        mc = monte_carlo_concurrence(ewl_state(state), sim, n_workers=_n_workers())
+    if args.channel == "montecarlo":
+        mc = monte_carlo_concurrence(ewl_state(state), _sim_from(cfg), n_workers=_n_workers())
         header = ["omega_t", "concurrence", "stderr"]
-        rows = zip(
-            (mc.times * omega).tolist(),
-            mc.concurrence.tolist(),
-            mc.stderr.tolist(),
-        )
+        rows = zip((mc.times * ad_a.omega).tolist(), mc.concurrence.tolist(), mc.stderr.tolist())
+    else:
+        if args.channel == "adiabatic":
+            values = adiabatic_concurrence(times, ad_a, ad_b, state)
+        else:
+            values = interplay_concurrence(times, state, ad_a, ad_b, _quantum_from(cfg))
+        header = ["omega_t", "concurrence"]
+        rows = zip(omega_t.tolist(), _column(values))
 
     out = Path(args.out)
     write_csv(out, header, rows)
@@ -346,59 +454,20 @@ def cmd_concurrence(args) -> int:
 
 
 def cmd_esd(args) -> int:
-    overrides: dict = {"sim": {}}
-    if args.seed is not None:
-        overrides["sim"]["seed"] = args.seed
-    cfg = load_config(args.preset, args.config, overrides)
+    cfg = _config_from(args, {})
     if args.points < 1:
         raise ConfigError("--points must be at least 1")
     grid = np.linspace(args.sweep_from, args.sweep_to, args.points).tolist()
-
-    state = _state_from(cfg)
-    ad_a, ad_b = _qubit_from(cfg, "a"), _qubit_from(cfg, "b")
-    qn = _quantum_from(cfg)
-    if qn is None:
-        raise ConfigError("the esd table needs quantum.enabled = true")
-    omega = ad_a.omega
-    t_max = cfg["sim"]["t_max_omega"] / omega
-    combined = sweep(args.sweep, grid, state, ad_a, ad_b, qn, "interplay", t_max)
-    adiabatic_rows = sweep(args.sweep, grid, state, ad_a, ad_b, None, "adiabatic", t_max)
-    # quantum-only: same channel with the low-frequency noise switched off;
-    # flavor psi is the one relaxation drives
-    quantum_rows = sweep(
-        args.sweep, grid, state, replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0),
-        qn, "interplay", t_max,
-    )
-
-    header = [
-        "sweep_value",
-        "omega_t_esd_phi",
-        "omega_t_esd_psi",
-        "omega_t_esd_adiabatic",
-        "omega_t_esd_quantum",
-    ]
-    rows = []
-    for comb, adia, quant in zip(combined, adiabatic_rows, quantum_rows):
-        rows.append(
-            [
-                comb.value,
-                _esd_value(comb.esd_phi) * omega,
-                _esd_value(comb.esd_psi) * omega,
-                _esd_value(adia.esd_phi) * omega,
-                _esd_value(quant.esd_psi) * omega,
-            ]
-        )
+    header = ["sweep_value", "omega_t_esd_phi", "omega_t_esd_psi",
+              "omega_t_esd_adiabatic", "omega_t_esd_quantum"]
+    # the quantum-only column keeps flavor psi, the one relaxation drives
+    rows = [row[:4] + row[5:] for row in _esd_rows(args.sweep, grid, cfg)]
     write_csv(Path(args.out), header, rows)
     return 0
 
 
 def cmd_psd(args) -> int:
-    overrides: dict = {"sim": {}}
-    if args.seed is not None:
-        overrides["sim"]["seed"] = args.seed
-    if args.fluctuators is not None:
-        overrides["sim"]["fluctuators"] = args.fluctuators
-    cfg = load_config(args.preset, args.config, overrides)
+    cfg = _config_from(args, {"fluctuators": "sim/fluctuators"})
     qa = _qubit_from(cfg, "a")
     ens = sample_ensemble(
         cfg["sim"]["fluctuators"],
@@ -433,158 +502,20 @@ def cmd_psd(args) -> int:
 
 def cmd_figure(args) -> int:
     name = args.name
+    figure = FIGURES[name]
     cfg = load_config(name, args.config, {})
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    ad_a, ad_b = _qubit_from(cfg, "a"), _qubit_from(cfg, "b")
-    omega = ad_a.omega
-    omega_t = np.linspace(0.0, cfg["sim"]["t_max_omega"], cfg["sim"]["samples"])
-    times = omega_t / omega
-    outputs: list[str] = []
+    header, rows = figure.build(cfg)
+    write_csv(outdir / f"{name}.csv", header, rows)
     manifest = {
         "figure": name,
         "version": f"esdlab {__version__}",
         "parameters": cfg,
-        "outputs": outputs,
+        "outputs": [f"{name}.csv"],
     }
-
-    def emit(fname: str, header, rows):
-        write_csv(outdir / fname, header, rows)
-        outputs.append(fname)
-
-    if name == "fig1a":
-        a2_grid = [round(0.1 * k, 1) for k in range(1, 10)]
-        rows = []
-        for a2 in a2_grid:
-            st = EWLParams(r=cfg["state"]["r"], a=math.sqrt(a2))
-            c = adiabatic_concurrence(times, ad_a, ad_b, st)
-            rows.extend([a2, wt, cv] for wt, cv in zip(omega_t.tolist(), c.tolist()))
-        emit("fig1a.csv", ["a2", "omega_t", "concurrence"], rows)
-    elif name == "fig1b":
-        r_grid = [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0]
-        rows = []
-        for r in r_grid:
-            st = EWLParams(r=r, a=math.sqrt(cfg["state"]["a2"]))
-            c = adiabatic_concurrence(times, ad_a, ad_b, st)
-            rows.extend([r, wt, cv] for wt, cv in zip(omega_t.tolist(), c.tolist()))
-        emit("fig1b.csv", ["r", "omega_t", "concurrence"], rows)
-    elif name == "fig2":
-        qn = _quantum_from(cfg)
-        t_max = cfg["sim"]["t_max_omega"] / omega
-        grid = np.linspace(0.4, 0.99, 60).tolist()
-        st = _state_from(cfg)
-        quiet_a, quiet_b = replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0)
-        combined = sweep("r", grid, st, ad_a, ad_b, qn, "interplay", t_max)
-        adia = sweep("r", grid, st, ad_a, ad_b, None, "adiabatic", t_max)
-        quant = sweep("r", grid, st, quiet_a, quiet_b, qn, "interplay", t_max)
-        rows = [
-            [
-                c.value,
-                _esd_value(c.esd_phi) * omega,
-                _esd_value(c.esd_psi) * omega,
-                _esd_value(a.esd_phi) * omega,
-                _esd_value(q.esd_phi) * omega,
-                _esd_value(q.esd_psi) * omega,
-            ]
-            for c, a, q in zip(combined, adia, quant)
-        ]
-        emit(
-            "fig2.csv",
-            [
-                "r",
-                "omega_t_esd_phi",
-                "omega_t_esd_psi",
-                "omega_t_esd_adiabatic",
-                "omega_t_esd_quantum_phi",
-                "omega_t_esd_quantum_psi",
-            ],
-            rows,
-        )
-    elif name == "fig3":
-        qn = _quantum_from(cfg)
-        quiet_a, quiet_b = replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0)
-        cols = {"omega_t": omega_t.tolist()}
-        for flavor in ("phi", "psi"):
-            st = _state_from(cfg, flavor)
-            cols[f"{flavor}_adiabatic"] = np.atleast_1d(
-                adiabatic_concurrence(times, ad_a, ad_b, st)
-            ).tolist()
-            cols[f"{flavor}_quantum"] = np.atleast_1d(
-                interplay_concurrence(times, st, quiet_a, quiet_b, qn)
-            ).tolist()
-            cols[f"{flavor}_interplay"] = np.atleast_1d(
-                interplay_concurrence(times, st, ad_a, ad_b, qn)
-            ).tolist()
-        emit("fig3.csv", list(cols), zip(*cols.values()))
-    else:  # fig4a, fig4b
-        st = _state_from(cfg)
-        rho0 = ewl_state(st)
-        detuned_b = replace(
-            ad_a, omega=_DETUNE_FACTOR * ad_a.omega, sigma=_DETUNE_FACTOR * ad_a.sigma
-        )
-        workers = _n_workers()
-        sim = _sim_from(cfg)
+    if figure.monte_carlo:
         # what it takes to regenerate the curves bit for bit
-        manifest["monte_carlo"] = {"seed": sim.seed, "stream_version": STREAM_VERSION}
-
-        def run(qubit_b, g):
-            return monte_carlo_concurrence(
-                rho0, replace(sim, qubit_b=qubit_b, coupling_g=g), n_workers=workers
-            )
-
-        if name == "fig4a":
-            res = run(ad_a, 0.0)
-            det = run(detuned_b, 0.0)
-            spa_res = adiabatic_concurrence(times, ad_a, ad_a, st)
-            spa_det = adiabatic_concurrence(times, ad_a, detuned_b, st)
-            emit(
-                "fig4a.csv",
-                [
-                    "omega_t",
-                    "mc_resonant",
-                    "stderr_resonant",
-                    "mc_detuned",
-                    "stderr_detuned",
-                    "spa_resonant",
-                    "spa_detuned",
-                ],
-                zip(
-                    omega_t.tolist(),
-                    res.concurrence.tolist(),
-                    res.stderr.tolist(),
-                    det.concurrence.tolist(),
-                    det.stderr.tolist(),
-                    np.atleast_1d(spa_res).tolist(),
-                    np.atleast_1d(spa_det).tolist(),
-                ),
-            )
-        else:
-            g = cfg["coupling"]["g_rad_s"]
-            coupled = run(detuned_b, g)
-            uncoupled = run(detuned_b, 0.0)
-            resonant = run(ad_a, 0.0)
-            emit(
-                "fig4b.csv",
-                [
-                    "omega_t",
-                    "mc_coupled_detuned",
-                    "stderr_coupled_detuned",
-                    "mc_uncoupled_detuned",
-                    "stderr_uncoupled_detuned",
-                    "mc_uncoupled_resonant",
-                    "stderr_uncoupled_resonant",
-                ],
-                zip(
-                    omega_t.tolist(),
-                    coupled.concurrence.tolist(),
-                    coupled.stderr.tolist(),
-                    uncoupled.concurrence.tolist(),
-                    uncoupled.stderr.tolist(),
-                    resonant.concurrence.tolist(),
-                    resonant.stderr.tolist(),
-                ),
-            )
-
+        manifest["monte_carlo"] = {"seed": cfg["sim"]["seed"], "stream_version": STREAM_VERSION}
     with open(outdir / f"{name}_manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return 0
@@ -592,6 +523,16 @@ def cmd_figure(args) -> int:
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -603,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--preset", choices=sorted(PRESETS), help="figure preset")
+        p.add_argument("--preset", choices=sorted(FIGURES), help="figure preset")
         p.add_argument("--config", help="JSON scenario file (flags win)")
         p.add_argument("--seed", type=int, help="override sim.seed")
 
@@ -615,9 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="interplay",
     )
     p.add_argument("--flavor", choices=["phi", "psi"])
-    p.add_argument("--r", type=float, help="purity override")
-    p.add_argument("--a2", type=float, help="|a|^2 override")
-    p.add_argument("--t-max-omega", type=float, dest="t_max_omega")
+    p.add_argument("--r", type=_finite_float, help="purity override")
+    p.add_argument("--a2", type=_finite_float, help="|a|^2 override")
+    p.add_argument("--t-max-omega", type=_finite_float, dest="t_max_omega")
     p.add_argument("--samples", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--gnuplot", action="store_true", help="emit a gnuplot sidecar")
@@ -626,8 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("esd", help="disentanglement-time table as CSV")
     common(p)
     p.add_argument("--sweep", choices=["r", "a2"], required=True)
-    p.add_argument("--from", type=float, dest="sweep_from", required=True)
-    p.add_argument("--to", type=float, dest="sweep_to", required=True)
+    p.add_argument("--from", type=_finite_float, dest="sweep_from", required=True)
+    p.add_argument("--to", type=_finite_float, dest="sweep_to", required=True)
     p.add_argument("--points", type=int, default=60)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_esd)
@@ -635,14 +576,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psd", help="ensemble spectrum vs the 1/f law as CSV")
     common(p)
     p.add_argument("--realizations", type=int, default=200)
-    p.add_argument("--t-max-s", type=float, default=0.2, dest="t_max_s")
-    p.add_argument("--sample-hz", type=float, default=2.0e6, dest="sample_hz")
+    p.add_argument("--t-max-s", type=_finite_float, default=0.2, dest="t_max_s")
+    p.add_argument("--sample-hz", type=_finite_float, default=2.0e6, dest="sample_hz")
     p.add_argument("--fluctuators", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_psd)
 
     p = sub.add_parser("figure", help="reproduce a preset figure as CSV + manifest")
-    p.add_argument("name", choices=sorted(PRESETS))
+    p.add_argument("name", choices=sorted(FIGURES))
     p.add_argument("--config", help="JSON scenario file overriding the preset")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_figure)
@@ -654,14 +595,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # finite inputs far outside the physical range can still overflow;
+        # that must stop the run, not leave inf or nan in the output
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except (ConfigError, ParameterError) as exc:
         print(f"esdlab: config error: {exc}", file=sys.stderr)
         return 2
-    except EsdlabError as exc:
-        print(f"esdlab: error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except ArithmeticError as exc:
+        print(f"esdlab: config error: the parameters overflow float arithmetic ({exc})",
+              file=sys.stderr)
+        return 2
+    except (EsdlabError, OSError) as exc:
         print(f"esdlab: error: {exc}", file=sys.stderr)
         return 3
 

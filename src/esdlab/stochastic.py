@@ -515,8 +515,8 @@ def psd_estimate(
     """
     if n_realizations < 100:
         raise ParameterError("need at least 100 realizations for a stable average")
-    if t_max <= 0.0 or sample_hz <= 0.0:
-        raise ParameterError("t_max and sample_hz must be positive")
+    if not (0.0 < t_max < math.inf and 0.0 < sample_hz < math.inf):
+        raise ParameterError("t_max and sample_hz must be positive and finite")
     dt = 1.0 / sample_hz
     # round the segment up to an FFT-friendly length; awkward sizes cost
     # more in the transform than in the signal generation

@@ -2,11 +2,17 @@
 
 import csv
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from esdlab.cli import main
+from esdlab.cli import CONFIG_SCHEMA, main
+from esdlab.constants import ESD_RELATIVE_TOL
 
 SMALL_MC = {"sim": {"trajectories": 8, "samples": 5, "fluctuators": 5}}
 
@@ -77,6 +83,39 @@ class TestEsd:
         assert any(cell != "inf" for row in rows for cell in row[1:])
 
 
+class TestQuantumNoiseOff:
+    """``quantum.s_white_per_s = 0`` is how a config switches quantum noise off."""
+
+    CFG = {"quantum": {"s_white_per_s": 0.0}, "sim": {"samples": 5}}
+
+    def test_fig3(self, tmp_path):
+        outdir = tmp_path / "out"
+        argv = ["figure", "fig3", "--config", write_config(tmp_path, self.CFG),
+                "--outdir", str(outdir)]
+        assert main(argv) == 0
+        header, rows = read_csv(outdir / "fig3.csv")
+        cols = dict(zip(header, np.array(rows, dtype=float).T))
+        for flavor in ("phi", "psi"):
+            # the quiet qubits then see no noise at all
+            quantum = cols[f"{flavor}_quantum"]
+            assert quantum == pytest.approx(np.full(5, quantum[0]), rel=1e-12)
+            assert cols[f"{flavor}_interplay"] == pytest.approx(
+                cols[f"{flavor}_adiabatic"], rel=1e-12
+            )
+
+    def test_esd(self, tmp_path):
+        out = tmp_path / "esd.csv"
+        argv = ["esd", "--preset", "fig2", "--config", write_config(tmp_path, self.CFG),
+                "--sweep", "r", "--from", "0.5", "--to", "0.99", "--points", "3",
+                "--out", str(out)]
+        assert main(argv) == 0
+        _, rows = read_csv(out)
+        for _, phi, psi, static, quantum in np.array(rows, dtype=float):
+            assert psi == pytest.approx(phi, rel=ESD_RELATIVE_TOL)
+            assert static == pytest.approx(phi, rel=ESD_RELATIVE_TOL)
+            assert quantum == math.inf
+
+
 def test_psd(tmp_path, capsys):
     out = tmp_path / "psd.csv"
     argv = ["psd", "--realizations", "100", "--t-max-s", "0.002",
@@ -99,6 +138,22 @@ class TestFigure:
                 SMALL_MC,
                 ["omega_t", "mc_resonant", "stderr_resonant", "mc_detuned",
                  "stderr_detuned", "spa_resonant", "spa_detuned"],
+                5,
+            ),
+            ("fig1b", {"sim": {"samples": 5}}, ["r", "omega_t", "concurrence"], 8 * 5),
+            (
+                "fig3",
+                {"sim": {"samples": 5}},
+                ["omega_t", "phi_adiabatic", "phi_quantum", "phi_interplay",
+                 "psi_adiabatic", "psi_quantum", "psi_interplay"],
+                5,
+            ),
+            (
+                "fig4b",
+                SMALL_MC,
+                ["omega_t", "mc_coupled_detuned", "stderr_coupled_detuned",
+                 "mc_uncoupled_detuned", "stderr_uncoupled_detuned",
+                 "mc_uncoupled_resonant", "stderr_uncoupled_resonant"],
                 5,
             ),
         ],
@@ -143,9 +198,81 @@ class TestConfigErrors:
         assert self.run(tmp_path, write_config(tmp_path, {"sim": {"samples": 1}})) == 2
         assert "invalid config at sim/samples" in capsys.readouterr().err
 
+    def test_removed_quantum_enabled_knob(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"quantum": {"enabled": False}, "sim": {"samples": 5}})
+        argv = ["figure", "fig3", "--config", cfg, "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "invalid config at quantum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ('{"qubit_a": {"sigma_rad_s": NaN}}', "qubit_a/sigma_rad_s"),
+            ('{"sim": {"t_max_omega": Infinity}}', "sim/t_max_omega"),
+            ('{"sim": {"t_max_omega": 1e999}}', "sim/t_max_omega"),  # json reads inf
+        ],
+    )
+    def test_non_finite_config_value(self, tmp_path, capsys, text, path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text, encoding="utf-8")
+        argv = ["concurrence", "--channel", "interplay", "--config", str(cfg),
+                "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == 2
+        assert f"invalid config at {path}" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_flag(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["psd", "--t-max-s", value, "--out", str(tmp_path / "psd.csv")])
+        assert exc.value.code == 2
+        assert "is not a finite number" in capsys.readouterr().err
+
     def test_non_integer_threads(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ESDLAB_THREADS", "two")
         argv = ["concurrence", "--channel", "montecarlo", "--out", str(tmp_path / "c.csv")]
         assert main(argv) == 2
         assert "ESDLAB_THREADS must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# config contract: any override config exits 0 with clean cells, or exits 2
+
+
+def _leaf(schema):
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    if schema["type"] == "integer":
+        return st.integers()
+    bounds = [schema[k] for k in ("minimum", "maximum", "exclusiveMinimum") if k in schema]
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, *bounds]
+    return st.one_of(st.sampled_from(specials), st.floats())
+
+
+OVERRIDE_CONFIGS = st.fixed_dictionaries({}, optional={
+    section: st.fixed_dictionaries(
+        {}, optional={key: _leaf(leaf) for key, leaf in schema["properties"].items()}
+    )
+    for section, schema in CONFIG_SCHEMA["properties"].items()
+})
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(cfg=OVERRIDE_CONFIGS, channel=st.sampled_from(["adiabatic", "interplay"]))
+# finite values whose arithmetic overflows: exit 1 and nan cells before
+@example(cfg={"qubit_a": {"omega_rad_s": 1.3407807929942597e154}}, channel="interplay")
+@example(cfg={"qubit_a": {"omega_rad_s": 5.649018429865733e-226}}, channel="adiabatic")
+@example(cfg={"sim": {"t_max_omega": 4.877273908913626e262}}, channel="adiabatic")
+def test_config_contract(cfg, channel):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "c.csv"
+        argv = ["concurrence", "--channel", channel, "--samples", "3",
+                "--config", write_config(Path(tmp), cfg), "--out", str(out)]
+        code = main(argv)
+        assert code in (0, 2)
+        if code == 0:
+            _, rows = read_csv(out)
+            assert len(rows) == 3
+            assert_cells_round_trip(rows)
+            assert not any(math.isnan(float(cell)) for row in rows for cell in row)

@@ -1,4 +1,4 @@
-"""Every declared runtime dependency must import: none may be missing quietly.
+"""Every declared runtime and test dependency must import: none may be missing quietly.
 The CLI must start without the modules that only one subcommand needs."""
 
 import importlib
@@ -13,7 +13,8 @@ import pytest
 tomllib = pytest.importorskip("tomllib")
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-DEPENDENCIES = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["dependencies"]
+PROJECT = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+DEPENDENCIES = PROJECT["dependencies"] + PROJECT["optional-dependencies"]["test"]
 
 
 @pytest.mark.parametrize("requirement", DEPENDENCIES)

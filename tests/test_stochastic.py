@@ -413,3 +413,12 @@ class TestPsdEstimate:
         ens = single_fluctuator(100.0)
         with pytest.raises(ParameterError, match="realizations"):
             psd_estimate(ens, 0.1, 10, 1)
+
+    @pytest.mark.parametrize(
+        "t_max, sample_hz",
+        [(math.inf, 1.0e4), (math.nan, 1.0e4), (0.1, math.inf), (0.1, math.nan), (0.0, 1.0e4)],
+    )
+    def test_segment_must_be_positive_and_finite(self, t_max, sample_hz):
+        ens = single_fluctuator(100.0)
+        with pytest.raises(ParameterError, match="positive and finite"):
+            psd_estimate(ens, t_max, 100, 1, sample_hz=sample_hz)
