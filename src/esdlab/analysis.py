@@ -21,7 +21,7 @@ from .adiabatic import (
     esd_time_dephasing,
     esd_time_optimal,
 )
-from .constants import BELL_VIOLATION_THRESHOLD, ESD_RELATIVE_TOL
+from .constants import ESD_RELATIVE_TOL
 from .errors import ParameterError
 from .markov import QuantumNoiseParams, interplay_concurrence
 from .states import EWLParams, ewl_state
@@ -185,13 +185,11 @@ def _crossing_from_curve(curve: ConcurrenceCurve, level: float) -> ESDResult:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """Disentanglement and Bell-threshold times for one grid value."""
+    """Disentanglement times of both flavors for one grid value."""
 
     value: float
     esd_phi: ESDResult
     esd_psi: ESDResult
-    bell_phi: ESDResult
-    bell_psi: ESDResult
 
 
 def _with_value(state: EWLParams, over: str, value: float) -> EWLParams:
@@ -229,7 +227,7 @@ def sweep(
     sim=None,
     n_workers: int = 1,
 ) -> list[SweepRow]:
-    """ESD and Bell-threshold (C = 1/sqrt2) times over a parameter grid.
+    """Disentanglement times over a parameter grid.
 
     ``over`` selects the swept quantity ("r" or "a2"); all other parameters
     stay fixed. ``channel`` is "adiabatic" (low-frequency noise only,
@@ -255,14 +253,12 @@ def sweep(
     for value in grid:
         s = _with_value(state, over, value)
         if channel == "adiabatic":
-            curve_fn = lambda t, s=s: adiabatic_concurrence(t, ad_a, ad_b, s)
             esd = _adiabatic_closed_form(s, ad_a, ad_b) or find_esd_time(
-                curve_fn, t_max
+                lambda t, s=s: adiabatic_concurrence(t, ad_a, ad_b, s), t_max
             )
-            bell = find_crossing_time(curve_fn, t_max, BELL_VIOLATION_THRESHOLD)
-            rows.append(SweepRow(value, esd, esd, bell, bell))
+            rows.append(SweepRow(value, esd, esd))
             continue
-        esd, bell = {}, {}
+        esd = {}
         for flavor in ("phi", "psi"):
             sf = replace(s, flavor=flavor)
             if channel == "interplay":
@@ -273,6 +269,5 @@ def sweep(
                 mc = monte_carlo_concurrence(ewl_state(sf), sim, n_workers=n_workers)
                 c = ConcurrenceCurve(mc.times, mc.concurrence, mc.stderr)
             esd[flavor] = find_esd_time(c, t_max)
-            bell[flavor] = find_crossing_time(c, t_max, BELL_VIOLATION_THRESHOLD)
-        rows.append(SweepRow(value, esd["phi"], esd["psi"], bell["phi"], bell["psi"]))
+        rows.append(SweepRow(value, esd["phi"], esd["psi"]))
     return rows

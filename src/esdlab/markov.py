@@ -25,7 +25,7 @@ from .adiabatic import AdiabaticParams, spa_kernel
 from .constants import HBAR, K_B
 from .errors import ParameterError
 from .qmath import validate_density_matrix, validate_single_qubit_map
-from .states import EWLParams, ewl_state, xstate_k
+from .states import EWLParams, ewl_state
 
 __all__ = [
     "QuantumNoiseParams",

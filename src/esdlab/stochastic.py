@@ -16,7 +16,9 @@ Determinism: every random quantity derives from a root seed through
 ``numpy.random.SeedSequence`` spawn keys indexed by trajectory (or
 realization) number, and reductions run over chunks fixed by the
 configuration, in index order, so results are bit-identical regardless of
-worker count. ``STREAM_VERSION`` names the layout of those streams.
+worker count. ``STREAM_VERSION`` names the layout of those streams. PSD
+realization k uses spawn key (k,) and draws like one Monte Carlo path,
+through ``_resample_signs`` and :func:`rtn_paths`.
 """
 
 from __future__ import annotations
@@ -171,6 +173,18 @@ def rtn_paths(ens: FluctuatorEnsemble, t_max: float, rng_seed) -> RtnPaths:
     return RtnPaths(ensemble=ens, t_max=t_max, switch_times=tuple(times))
 
 
+def _switch_jumps(paths: RtnPaths):
+    """(switch times, jumps) of each fluctuator that switches: starting at
+    v*s0, its k-th switch (k = 1, 2, ...) jumps by 2*v*s0*(-1)^k."""
+    ens = paths.ensemble
+    for i, times in enumerate(paths.switch_times):
+        if times.size:
+            jump = 2.0 * ens.couplings[i] * ens.initial_states[i]
+            jumps = np.full(times.size, jump)
+            jumps[::2] = -jump
+            yield times, jumps
+
+
 def noise_segments(paths: RtnPaths) -> tuple[np.ndarray, np.ndarray]:
     """Piecewise-constant X(t) as (edges, values).
 
@@ -179,20 +193,10 @@ def noise_segments(paths: RtnPaths) -> tuple[np.ndarray, np.ndarray]:
     """
     ens = paths.ensemble
     x0 = float(np.sum(ens.couplings * ens.initial_states))
-    t_all = []
-    jump_all = []
-    for i, times in enumerate(paths.switch_times):
-        if times.size == 0:
-            continue
-        # value after the i-th switch is v*s0*(-1)^i, so the i-th jump is
-        # 2*v*s0*(-1)^i
-        t_all.append(times)
-        jump_all.append(
-            2.0 * ens.couplings[i] * ens.initial_states[i]
-            * (-1.0) ** np.arange(1, times.size + 1)
-        )
-    if not t_all:
+    switches = list(_switch_jumps(paths))
+    if not switches:
         return np.array([0.0]), np.array([x0])
+    t_all, jump_all = zip(*switches)
     t_merged = np.concatenate(t_all)
     order = np.argsort(t_merged, kind="stable")
     edges = np.concatenate([[0.0], t_merged[order]])
@@ -200,11 +204,19 @@ def noise_segments(paths: RtnPaths) -> tuple[np.ndarray, np.ndarray]:
     return edges, values
 
 
-def sampled_noise(paths: RtnPaths, times) -> np.ndarray:
-    """Evaluate X(t) on a grid of sample times."""
-    edges, values = noise_segments(paths)
-    idx = np.searchsorted(edges, np.asarray(times, dtype=float), side="right") - 1
-    return values[idx]
+def sampled_noise(paths: RtnPaths, n_samples: int) -> np.ndarray:
+    """X(t) on ``np.linspace(0, paths.t_max, n_samples)``, the grid of
+    :func:`evolve_trajectory`. Jumps are binned fluctuator by fluctuator
+    (no array holds every switch of the path) at the first sample at or
+    after their switch time."""
+    ens = paths.ensemble
+    # a spare bin takes a switch that rounding puts past the last sample
+    delta = np.zeros(n_samples + 1)
+    delta[0] = np.sum(ens.couplings * ens.initial_states)
+    scale = (n_samples - 1) / paths.t_max
+    for times, jumps in _switch_jumps(paths):
+        np.add.at(delta, np.ceil(times * scale).astype(np.intp), jumps)
+    return np.cumsum(delta[:n_samples])
 
 
 # ---------------------------------------------------------------------------
@@ -448,24 +460,6 @@ def monte_carlo_concurrence(
 # spectral estimation
 
 
-def _sampled_sum(rates, couplings, dt, n_samples, rng):
-    delta = np.zeros(n_samples)
-    base = 0.0
-    horizon = (n_samples - 1) * dt
-    for gamma, v in zip(rates, couplings):
-        x = v if rng.random() < 0.5 else -v
-        base += x
-        k = rng.poisson(gamma * horizon)
-        if not k:
-            continue
-        tau = np.sort(rng.random(k)) * horizon
-        bins = np.ceil(tau / dt).astype(np.int64)
-        jumps = 2.0 * x * (-1.0) ** np.arange(1, k + 1)
-        keep = bins < n_samples
-        np.add.at(delta, bins[keep], jumps[keep])
-    return base + np.cumsum(delta)
-
-
 @dataclass(frozen=True)
 class PsdEstimate:
     """Averaged periodogram of the summed telegraph signal.
@@ -496,8 +490,10 @@ def psd_estimate(
     """Estimate the ensemble power spectrum by periodogram averaging.
 
     Each realization redraws initial signs and switch times (quenched rates,
-    stationary initial conditions), samples the summed signal at
-    ``sample_hz`` and accumulates a Hann-windowed, mean-removed periodogram.
+    stationary initial conditions) exactly as one Monte Carlo path does,
+    through ``_resample_signs`` and :func:`rtn_paths`, samples the summed
+    signal at ``sample_hz`` with :func:`sampled_noise` and accumulates a
+    Hann-windowed, mean-removed periodogram.
 
     Parameters
     ----------
@@ -508,7 +504,8 @@ def psd_estimate(
     n_realizations : int
         Number of averaged periodograms; at least 100.
     rng_seed : int or SeedSequence
-        Root seed; realization k derives its stream from spawn key (k,).
+        Root seed; realization k draws its signs, then all Poisson switch
+        counts, then all switch times from spawn key (k,).
     sample_hz : float
         Sampling rate. Choose at least ~2x the fastest switching rate so
         aliased tail power stays negligible in the band of interest.
@@ -524,22 +521,16 @@ def psd_estimate(
     from scipy.fft import next_fast_len
 
     n_samples = next_fast_len(max(4, int(round(t_max * sample_hz))))
+    horizon = (n_samples - 1) * dt  # the last sample's time
     t_max = n_samples * dt
-    root = np.random.SeedSequence(rng_seed)
-    children = root.spawn(n_realizations)
-    acc = None
-    freqs = None
-    for child in children:
-        x = _sampled_sum(
-            ens.rates, ens.couplings, dt, n_samples, np.random.default_rng(child)
-        )
-        f, pxx = _signal.periodogram(
+    acc = 0.0
+    for child in np.random.SeedSequence(rng_seed).spawn(n_realizations):
+        rng = np.random.default_rng(child)
+        x = sampled_noise(rtn_paths(_resample_signs(ens, rng), horizon, rng), n_samples)
+        freqs, pxx = _signal.periodogram(
             x, fs=sample_hz, window="hann", detrend="constant", scaling="density"
         )
-        if acc is None:
-            freqs, acc = f, pxx
-        else:
-            acc += pxx
+        acc += pxx
     acc /= n_realizations
     keep = freqs > 0.0
     omega = 2.0 * math.pi * freqs[keep]

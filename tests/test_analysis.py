@@ -17,7 +17,7 @@ from esdlab.analysis import (
 )
 from esdlab.constants import BELL_VIOLATION_THRESHOLD
 from esdlab.errors import ParameterError
-from esdlab.markov import QuantumNoiseParams
+from esdlab.markov import QuantumNoiseParams, interplay_concurrence
 from esdlab.states import EWLParams, ewl_state
 from esdlab.stochastic import SimConfig, monte_carlo_concurrence
 
@@ -170,11 +170,14 @@ class TestSweep:
 
     def test_bell_threshold_marker_present(self):
         p = qubit(math.pi / 2)
+        t_max = 1.0e6 / OMEGA
         rows = sweep(
-            "r", [0.95], EWLParams(0.9, INV_SQRT2), p, p, QN, "interplay",
-            t_max=1.0e6 / OMEGA,
+            "r", [0.95], EWLParams(0.9, INV_SQRT2), p, p, QN, "interplay", t_max=t_max,
         )
-        assert rows[0].bell_phi.time < rows[0].esd_phi.time
+        state = EWLParams(0.95, INV_SQRT2, "phi")
+        curve = lambda t: interplay_concurrence(t, state, p, p, QN)
+        bell = find_crossing_time(curve, t_max, BELL_VIOLATION_THRESHOLD)
+        assert bell.time < rows[0].esd_phi.time
 
     def test_monte_carlo_rows_match_direct_runs(self):
         p = qubit(math.pi / 2)
@@ -188,14 +191,10 @@ class TestSweep:
         )
         assert [row.value for row in rows] == [0.6]
         row = rows[0]
-        for flavor, esd, bell in (
-            ("phi", row.esd_phi, row.bell_phi),
-            ("psi", row.esd_psi, row.bell_psi),
-        ):
+        for flavor, esd in (("phi", row.esd_phi), ("psi", row.esd_psi)):
             mc = monte_carlo_concurrence(ewl_state(EWLParams(0.6, INV_SQRT2, flavor)), sim)
             curve = ConcurrenceCurve(mc.times, mc.concurrence, mc.stderr)
             assert esd == find_esd_time(curve, sim.t_max)
-            assert bell == find_crossing_time(curve, sim.t_max, BELL_VIOLATION_THRESHOLD)
             assert esd.method == "grid" and not esd.is_infinite
             # 32 trajectories make two batches, so the error bar has a width
             assert esd.bracket[0] < esd.time < esd.bracket[1]

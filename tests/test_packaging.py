@@ -1,6 +1,8 @@
 """Every declared runtime and test dependency must import: none may be missing quietly.
-The CLI must start without the modules that only one subcommand needs."""
+The CLI must start without the modules that only one subcommand needs, and no
+module may import a name it never uses."""
 
+import ast
 import importlib
 import os
 import re
@@ -13,6 +15,7 @@ import pytest
 tomllib = pytest.importorskip("tomllib")
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE = PYPROJECT.parent / "src" / "esdlab"
 PROJECT = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
 DEPENDENCIES = PROJECT["dependencies"] + PROJECT["optional-dependencies"]["test"]
 
@@ -32,3 +35,29 @@ def test_cli_import_leaves_scipy_signal_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert done.stdout.strip() == "False"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))  # re-exported names
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    # __init__.py imports only to re-export
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {p.name: names for p in modules if (names := _unused_imports(p))}
+    assert unused == {}

@@ -125,8 +125,8 @@ class TestRtnPaths:
         n_lags, n_real = 20, 1000
         acc = np.zeros(n_lags)
         for seed in range(n_real):
-            paths = rtn_paths(_stationary(ens, seed), t_max, 10_000 + seed)
-            x = sampled_noise(paths, grid)
+            paths = rtn_paths(_stationary(ens, seed), grid[-1], 10_000 + seed)
+            x = sampled_noise(paths, grid.size)
             for k in range(n_lags):
                 acc[k] += np.mean(x[: x.size - k] * x[k:])
         corr = acc / n_real
@@ -146,7 +146,7 @@ class TestRtnPaths:
         paths = rtn_paths(empty, 1.0, 0)
         edges, values = noise_segments(paths)
         assert np.array_equal(values, [0.0])
-        assert np.array_equal(sampled_noise(paths, np.linspace(0, 1, 5)), np.zeros(5))
+        assert np.array_equal(sampled_noise(paths, 5), np.zeros(5))
 
     def test_switch_times_sorted_inside_the_window(self):
         ens = sample_ensemble(250, 1.0, 1e6, 1.0, 12)
@@ -164,6 +164,26 @@ class TestRtnPaths:
         n_switch = paths.switch_times[0].size
         assert values.size == n_switch + 1
         assert np.allclose(values, 2.0 * (-1.0) ** np.arange(n_switch + 1))
+
+
+class TestSampledNoise:
+    @pytest.mark.parametrize(
+        "n, gamma_max, t_max, n_samples, switches",
+        [
+            (5, 10.0, 1.0e-6, 7, (0, 0)),
+            (10, 1.0e3, 1.0e-2, 101, (5, 50)),
+            # the bath of the psd_1f benchmark: 250 fluctuators, 1 Hz-1 MHz, 25 ms
+            (250, 1.0e6, 2.5e-2, 50_000, (200_000, 1_000_000)),
+        ],
+    )
+    def test_matches_segment_lookup(self, n, gamma_max, t_max, n_samples, switches):
+        sigma = 2.0
+        paths = rtn_paths(sample_ensemble(n, 1.0, gamma_max, sigma, 31), t_max, 32)
+        assert switches[0] <= sum(t.size for t in paths.switch_times) <= switches[1]
+        edges, values = noise_segments(paths)
+        grid = np.linspace(0.0, t_max, n_samples)
+        want = values[np.searchsorted(edges, grid, "right") - 1]
+        assert np.abs(sampled_noise(paths, n_samples) - want).max() <= 1e-12 * sigma
 
 
 def _stationary(ens: FluctuatorEnsemble, seed: int) -> FluctuatorEnsemble:
@@ -379,17 +399,17 @@ class TestPsdEstimate:
         assert np.allclose(b.s_estimated, 4.0 * a.s_estimated, rtol=1e-12, atol=0.0)
 
     def test_seed_pinned_regression(self):
-        # values recorded from the signal generator as it stood when it
-        # became the only PSD engine; any change to its random stream or
+        # values recorded when the PSD began to draw its signal through
+        # rtn_paths and sampled_noise; any change to its random stream or
         # arithmetic shows here
         ens = sample_ensemble(30, 10.0, 1.0e5, 1.0, 21)
         est = psd_estimate(ens, 0.01, 100, 3, sample_hz=1.0e5)
         assert est.s_estimated.size == 500
         pinned = {  # index: (omega, s_estimated)
-            0: (628.3185307179587, 0.0003798348919454534),
-            9: (6283.185307179586, 5.9844228598924104e-05),
-            99: (62831.853071795864, 4.1887837909169575e-06),
-            499: (314159.2653589793, 5.54843905516889e-07),
+            0: (628.3185307179587, 0.0004353239714612944),
+            9: (6283.185307179586, 7.279566116209713e-05),
+            99: (62831.853071795864, 4.245575437117806e-06),
+            499: (314159.2653589793, 3.499157863238435e-07),
         }
         for i, (omega, s_est) in pinned.items():
             assert est.omega[i] == omega
