@@ -10,6 +10,12 @@ overrides plus the builder of its CSV table, and ``--preset NAME`` applies
 the overrides to any subcommand. ``quantum.s_white_per_s: 0`` switches the
 quantum noise off (infinite T1); the static-noise figures set it so.
 
+Config contract: a scenario has exactly the sections and fields of
+``DEFAULT_CONFIG``. Each field takes its default's type (an ``int`` default
+makes an integer field; ``state.flavor`` is "phi" or "psi"), a finite value
+and the range ``_BOUNDS`` gives it. Any violation, from a file or a flag,
+exits 2 with ``invalid config at <path>: ...``.
+
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
 
@@ -43,78 +49,18 @@ from .stochastic import (
     sample_ensemble,
 )
 
-_QUBIT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "omega_rad_s": {"type": "number", "exclusiveMinimum": 0},
-        "theta_rad": {"type": "number"},
-        "sigma_rad_s": {"type": "number", "minimum": 0},
-        "gamma_min_hz": {"type": "number", "exclusiveMinimum": 0},
-        "gamma_max_hz": {"type": "number", "exclusiveMinimum": 0},
-    },
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "state": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "flavor": {"enum": ["phi", "psi"]},
-                "r": {"type": "number", "minimum": 0, "maximum": 1},
-                "a2": {"type": "number", "minimum": 0, "maximum": 1},
-                "phase": {"type": "number"},
-            },
-        },
-        "qubit_a": _QUBIT_SCHEMA,
-        "qubit_b": _QUBIT_SCHEMA,
-        "quantum": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "s_white_per_s": {"type": "number", "minimum": 0},
-                "temperature_k": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "coupling": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"g_rad_s": {"type": "number"}},
-        },
-        "sim": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "trajectories": {"type": "integer", "minimum": 1},
-                "t_max_omega": {"type": "number", "exclusiveMinimum": 0},
-                "samples": {"type": "integer", "minimum": 2},
-                "seed": {"type": "integer"},
-                "fluctuators": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
-
 _OMEGA = 1.0e11
+_QUBIT = {  # both qubits default to the same one
+    "omega_rad_s": _OMEGA,
+    "theta_rad": math.pi / 2,
+    "sigma_rad_s": 0.02 * _OMEGA,
+    "gamma_min_hz": 1.0,
+    "gamma_max_hz": 1.0e6,
+}
 DEFAULT_CONFIG = {
     "state": {"flavor": "phi", "r": 0.91, "a2": 0.5, "phase": 0.0},
-    "qubit_a": {
-        "omega_rad_s": _OMEGA,
-        "theta_rad": math.pi / 2,
-        "sigma_rad_s": 0.02 * _OMEGA,
-        "gamma_min_hz": 1.0,
-        "gamma_max_hz": 1.0e6,
-    },
-    "qubit_b": {
-        "omega_rad_s": _OMEGA,
-        "theta_rad": math.pi / 2,
-        "sigma_rad_s": 0.02 * _OMEGA,
-        "gamma_min_hz": 1.0,
-        "gamma_max_hz": 1.0e6,
-    },
+    "qubit_a": _QUBIT,
+    "qubit_b": dict(_QUBIT),
     "quantum": {"s_white_per_s": 2.0e6, "temperature_k": 0.04},
     "coupling": {"g_rad_s": 0.0},
     "sim": {
@@ -124,6 +70,23 @@ DEFAULT_CONFIG = {
         "seed": 20110,
         "fluctuators": 250,
     },
+}
+
+# (lower bound, lower bound excluded?, upper bound) of each bounded field
+_BOUNDS = {
+    "r": (0, False, 1),
+    "a2": (0, False, 1),
+    "omega_rad_s": (0, True, math.inf),
+    "sigma_rad_s": (0, False, math.inf),
+    "gamma_min_hz": (0, True, math.inf),
+    "gamma_max_hz": (0, True, math.inf),
+    "s_white_per_s": (0, False, math.inf),
+    "temperature_k": (0, True, math.inf),
+    "trajectories": (1, False, math.inf),
+    "t_max_omega": (0, True, math.inf),
+    "samples": (2, False, math.inf),
+    "seed": (0, False, math.inf),  # numpy's SeedSequence takes no negative seed
+    "fluctuators": (1, False, math.inf),
 }
 
 # Caption geometry for the detuned panels: qubit B 20% above qubit A with
@@ -145,8 +108,39 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _check_field(path: str, value, default) -> None:
+    """Raise ConfigError unless ``value`` can stand where DEFAULT_CONFIG holds
+    ``default``: structure, then type, finiteness and the field's _BOUNDS."""
+    where = f"invalid config at {path or '<root>'}"
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where}: {value!r} is not an object")
+        unknown = [key for key in value if key not in default]
+        if unknown:
+            raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
+        for key, item in value.items():
+            _check_field(f"{path}/{key}" if path else key, item, default[key])
+        return
+    if isinstance(default, str):  # state/flavor, the one text field
+        if value not in ("phi", "psi"):
+            raise ConfigError(f"{where}: {value!r} is not 'phi' or 'psi'")
+        return
+    # an int default makes an integer field; JSON's true/false and 5.0 are not integers
+    integer = isinstance(default, int)
+    if type(value) not in ((int,) if integer else (int, float)):
+        raise ConfigError(f"{where}: {value!r} is not {'an integer' if integer else 'a number'}")
+    # JSON admits NaN and Infinity (and reads 1e999 as inf); no field means them
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}: {value!r} is not a finite number")
+    low, low_excluded, high = _BOUNDS.get(path.rsplit("/", 1)[-1], (-math.inf, False, math.inf))
+    if value < low or (low_excluded and value == low) or value > high:
+        raise ConfigError(
+            f"{where}: {value!r} is not in {'(' if low_excluded else '['}{low}, {high}]"
+        )
+
+
 def load_config(preset: str | None, config_path: str | None, overrides: dict) -> dict:
-    """defaults < preset < --config file < flags; validated against the schema."""
+    """defaults < preset < --config file < flags; every field checked by _check_field."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if preset is not None:  # argparse has checked it against FIGURES
         cfg = _deep_merge(cfg, FIGURES[preset].preset)
@@ -158,23 +152,11 @@ def load_config(preset: str | None, config_path: str | None, overrides: dict) ->
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(user, dict):  # _deep_merge merges objects only
+            raise ConfigError(f"invalid config at <root>: {user!r} is not an object")
         cfg = _deep_merge(cfg, user)
     cfg = _deep_merge(cfg, overrides)
-    import jsonschema
-
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"invalid config at {path}: {exc.message}") from exc
-    # JSON admits NaN and Infinity (and reads 1e999 as inf); no field means them.
-    # The schema has just checked that every section is an object of scalars.
-    for section, fields in cfg.items():
-        for key, value in fields.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(
-                    f"invalid config at {section}/{key}: {value!r} is not a finite number"
-                )
+    _check_field("", cfg, DEFAULT_CONFIG)
     return cfg
 
 
@@ -220,12 +202,10 @@ def _sim_from(cfg: dict) -> SimConfig:
 
 
 def _n_workers() -> int:
-    env = os.environ.get("ESDLAB_THREADS", "")
-    try:
-        cap = int(env) if env else 1
-    except ValueError:
-        raise ConfigError(f"ESDLAB_THREADS must be an integer, got {env!r}")
-    return max(1, cap)
+    env = os.environ.get("ESDLAB_THREADS") or "1"
+    if not env.isdecimal() or int(env) < 1:
+        raise ConfigError(f"ESDLAB_THREADS must be an integer of at least 1, got {env!r}")
+    return int(env)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from esdlab.cli import CONFIG_SCHEMA, main
+from esdlab.cli import _BOUNDS, DEFAULT_CONFIG, main
 from esdlab.constants import ESD_RELATIVE_TOL
 
 SMALL_MC = {"sim": {"trajectories": 8, "samples": 5, "fluctuators": 5}}
@@ -235,26 +235,79 @@ class TestConfigErrors:
         assert "ESDLAB_THREADS must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, tmp_path, monkeypatch, capsys, threads):
+        monkeypatch.setenv("ESDLAB_THREADS", threads)
+        argv = ["concurrence", "--channel", "montecarlo", "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == 2
+        assert "ESDLAB_THREADS must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize(
+        "cfg, path",
+        [
+            ({"sim": {"samples": 5.0}}, "sim/samples"),  # integral floats are no integers
+            ({"sim": {"trajectories": 32.0}}, "sim/trajectories"),
+            ({"sim": {"seed": True}}, "sim/seed"),
+            ({"qubit_a": {"gamma_min_hz": "1"}}, "qubit_a/gamma_min_hz"),
+            ({"sim": {"seed": -1}}, "sim/seed"),
+            ({"sim": 5}, "sim"),
+            ({"noise": {}}, "<root>"),
+        ],
+    )
+    def test_invalid_field(self, tmp_path, capsys, cfg, path):
+        argv = ["concurrence", "--channel", "montecarlo", "--config",
+                write_config(tmp_path, cfg), "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == 2
+        assert f"invalid config at {path}:" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        assert main(["psd", "--seed", "-1", "--out", str(tmp_path / "psd.csv")]) == 2
+        assert "invalid config at sim/seed:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", "5", "null"])
+    def test_top_level_not_an_object(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        assert self.run(tmp_path, str(path)) == 2
+        assert "invalid config at <root>:" in capsys.readouterr().err
+
+    def test_number_field_takes_an_integer(self, tmp_path):
+        cfg = {"qubit_a": {"gamma_min_hz": 1}, "sim": {"samples": 5}}
+        assert self.run(tmp_path, write_config(tmp_path, cfg)) == 0
+
+
+def test_bounds_name_config_fields():
+    fields = {(section, key) for section, keys in DEFAULT_CONFIG.items() for key in keys}
+    assert set(_BOUNDS) <= {key for _, key in fields}
+    # an int default makes an integer field, so 1 written for 1.0 would narrow a field
+    integer = {f"{section}/{key}" for section, key in fields
+               if isinstance(DEFAULT_CONFIG[section][key], int)}
+    assert integer == {"sim/trajectories", "sim/samples", "sim/seed", "sim/fluctuators"}
+
 
 # ---------------------------------------------------------------------------
 # config contract: any override config exits 0 with clean cells, or exits 2
 
 
-def _leaf(schema):
-    if "enum" in schema:
-        return st.sampled_from(schema["enum"])
-    if schema["type"] == "integer":
-        return st.integers()
-    bounds = [schema[k] for k in ("minimum", "maximum", "exclusiveMinimum") if k in schema]
+def _leaf(key, default):
+    if isinstance(default, str):
+        return st.sampled_from(["phi", "psi"])
+    if isinstance(default, int):
+        # integral floats too: JSON's 5.0 is no integer
+        return st.one_of(st.integers(), st.integers(-2**53, 2**53).map(float))
+    low, _, high = _BOUNDS.get(key, (-math.inf, False, math.inf))
+    bounds = [b for b in (low, high) if math.isfinite(b)]
     specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, *bounds]
     return st.one_of(st.sampled_from(specials), st.floats())
 
 
 OVERRIDE_CONFIGS = st.fixed_dictionaries({}, optional={
     section: st.fixed_dictionaries(
-        {}, optional={key: _leaf(leaf) for key, leaf in schema["properties"].items()}
+        {}, optional={key: _leaf(key, default) for key, default in fields.items()}
     )
-    for section, schema in CONFIG_SCHEMA["properties"].items()
+    for section, fields in DEFAULT_CONFIG.items()
 })
 
 

@@ -1,6 +1,7 @@
 """Every declared runtime and test dependency must import: none may be missing quietly.
-The CLI must start without the modules that only one subcommand needs, and no
-module may import a name it never uses."""
+Every package the library imports must be declared. The CLI must start without
+the modules that only one subcommand needs, and no module may import a name it
+never uses."""
 
 import ast
 import importlib
@@ -61,3 +62,18 @@ def test_no_unused_imports():
     assert modules
     unused = {p.name: names for p in modules if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def test_imports_are_declared():
+    # the converse of test_declared_dependency_imports: an undeclared import
+    # passes that test wherever the package happens to be installed
+    declared = {re.match(r"[A-Za-z0-9_.-]+", r).group(0).replace("-", "_")
+                for r in PROJECT["dependencies"]}
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - declared - set(sys.stdlib_module_names) - {"esdlab"} == set()
