@@ -139,7 +139,6 @@ class ESDResult:
     bracket: tuple[float, float] | None
     method: str
     never_entangled: bool = False
-    note: str = ""
 
     @property
     def is_infinite(self) -> bool:
@@ -178,15 +177,14 @@ def _esd_closed_form(state: EWLParams, formula, radicand) -> ESDResult:
     # Both closed forms share the same regime logic; `ratio` is
     # |ab| r / (1 - r), and `radicand` must be positive for a finite root.
     r = state.r
-    if r >= 1.0:
-        return _closed_form(time=None, note="pure state: concurrence stays positive")
+    if r >= 1.0:  # a pure state's concurrence stays positive
+        return _closed_form(time=None)
     r_star = critical_purity(state.a)
     ratio = state.ab_mod * r / (1.0 - r)
     if r <= r_star or state.ab_mod == 0.0:
-        return _closed_form(time=0.0, never_entangled=True,
-                            note=f"r <= critical purity {r_star:.6g}")
+        return _closed_form(time=0.0, never_entangled=True)
     if radicand(ratio) < 0.0:
         # unreachable for r > r*; kept as a guard against rounding at the
         # separability boundary
-        return _closed_form(time=None, note="radicand negative at the separability boundary")
+        return _closed_form(time=None)
     return _closed_form(time=formula(ratio))

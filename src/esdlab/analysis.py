@@ -59,20 +59,10 @@ class ConcurrenceCurve:
             raise ParameterError("concurrence samples must lie in [0, 1]")
 
 
-def _evaluate(c, grid: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(c(grid), dtype=float)
-        if vals.shape == grid.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(c(t)) for t in grid])
-
-
-def _bisect_first_zero(c, lo: float, hi: float, tol: float) -> tuple[float, float, float]:
+def _bisect_first_zero(c, lo: float, hi: float) -> tuple[float, float, float]:
     # invariant: c(lo) > 0 >= c(hi); the curve is clamped at zero past the
     # root, so standard bisection homes in on the first touch point
-    while hi - lo > tol * hi:
+    while hi - lo > ESD_RELATIVE_TOL * hi:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -83,18 +73,13 @@ def _bisect_first_zero(c, lo: float, hi: float, tol: float) -> tuple[float, floa
     return 0.5 * (lo + hi), lo, hi
 
 
-def find_crossing_time(
-    c,
-    t_max: float,
-    level: float = 0.0,
-    tol: float = ESD_RELATIVE_TOL,
-    n_grid: int = 10_000,
-) -> ESDResult:
+def find_crossing_time(c, t_max: float, level: float = 0.0) -> ESDResult:
     """First time a concurrence function or curve drops to ``level``.
 
-    Callables are scanned on a dense logarithmic grid (plus t=0) and the
-    first sign-change bracket is refined by bisection to relative tolerance
-    ``tol``; sampled curves are interpolated linearly, with the
+    Callables must map an array of times to an array of values. They are
+    scanned on a logarithmic grid of 10^4 points (plus t=0) and the first
+    sign-change bracket is refined by bisection to relative tolerance
+    ``ESD_RELATIVE_TOL``; sampled curves are interpolated linearly, with the
     mean +/- 2 stderr crossings reported as the bracket when finite errors
     are available, and the enclosing grid interval otherwise.
     """
@@ -108,21 +93,19 @@ def find_crossing_time(
         raise ParameterError("concurrence must start non-negative")
     if v0 <= 0.0:
         return ESDResult(
-            time=0.0,
-            bracket=(0.0, 0.0),
-            method="bisection",
-            never_entangled=level == 0.0,
-            note="" if level == 0.0 else "starts at or below the level",
+            time=0.0, bracket=(0.0, 0.0), method="bisection", never_entangled=level == 0.0
         )
-    grid = np.concatenate([[0.0], np.geomspace(t_max * 1e-12, t_max, n_grid)])
-    vals = _evaluate(g, grid)
+    grid = np.concatenate([[0.0], np.geomspace(t_max * 1e-12, t_max, 10_000)])
+    vals = np.asarray(g(grid), dtype=float)
+    if vals.shape != grid.shape:
+        raise ParameterError("a concurrence function must map an array of times to an array")
     below = np.nonzero(vals <= 0.0)[0]
     if below.size == 0:
         return ESDResult(time=None, bracket=None, method="bisection")
     i = int(below[0])
-    root, lo, hi = _bisect_first_zero(g, grid[i - 1], grid[i], tol)
+    root, lo, hi = _bisect_first_zero(g, grid[i - 1], grid[i])
     if level == 0.0:
-        probe = min(t_max, root * (1.0 + 1e3 * tol))
+        probe = min(t_max, root * (1.0 + 1e3 * ESD_RELATIVE_TOL))
         if probe > hi and float(np.asarray(g(probe))) > 0.0:
             warnings.warn(
                 "concurrence recovers right after its first zero; reported "
@@ -132,12 +115,10 @@ def find_crossing_time(
     return ESDResult(time=root, bracket=(lo, hi), method="bisection")
 
 
-def find_esd_time(
-    c, t_max: float, tol: float = ESD_RELATIVE_TOL, n_grid: int = 10_000
-) -> ESDResult:
+def find_esd_time(c, t_max: float) -> ESDResult:
     """Disentanglement time: first zero of the concurrence. See
     :func:`find_crossing_time`."""
-    return find_crossing_time(c, t_max, level=0.0, tol=tol, n_grid=n_grid)
+    return find_crossing_time(c, t_max)
 
 
 def _interp_crossing(times, vals, level) -> float | None:
@@ -221,11 +202,10 @@ def sweep(
     state: EWLParams,
     ad_a: AdiabaticParams,
     ad_b: AdiabaticParams,
-    qn: QuantumNoiseParams | None = None,
-    channel: str = "adiabatic",
-    t_max: float = 0.0,
+    qn: QuantumNoiseParams | None,
+    channel: str,
+    t_max: float,
     sim=None,
-    n_workers: int = 1,
 ) -> list[SweepRow]:
     """Disentanglement times over a parameter grid.
 
@@ -266,7 +246,7 @@ def sweep(
             else:
                 from .stochastic import monte_carlo_concurrence
 
-                mc = monte_carlo_concurrence(ewl_state(sf), sim, n_workers=n_workers)
+                mc = monte_carlo_concurrence(ewl_state(sf), sim)
                 c = ConcurrenceCurve(mc.times, mc.concurrence, mc.stderr)
             esd[flavor] = find_esd_time(c, t_max)
         rows.append(SweepRow(value, esd["phi"], esd["psi"]))

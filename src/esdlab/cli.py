@@ -269,6 +269,11 @@ def _static_family(over: str, values: list[float]):
     return build
 
 
+# the ESD columns of `esd` and fig2, after the swept value
+_ESD_COLUMNS = ["omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic",
+                "omega_t_esd_quantum_phi", "omega_t_esd_quantum_psi"]
+
+
 def _esd_rows(over: str, grid: list[float], cfg: dict) -> list[list[float]]:
     """ESD times in omega_t over ``grid``, one row per value: the value, then
     interplay (phi, psi), static noise only, and quantum noise only (phi, psi)."""
@@ -294,9 +299,7 @@ def _esd_rows(over: str, grid: list[float], cfg: dict) -> list[list[float]]:
 
 
 def _fig2(cfg: dict):
-    header = ["r", "omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic",
-              "omega_t_esd_quantum_phi", "omega_t_esd_quantum_psi"]
-    return header, _esd_rows("r", np.linspace(0.4, 0.99, 60).tolist(), cfg)
+    return ["r", *_ESD_COLUMNS], _esd_rows("r", np.linspace(0.4, 0.99, 60).tolist(), cfg)
 
 
 def _fig3(cfg: dict):
@@ -438,11 +441,7 @@ def cmd_esd(args) -> int:
     if args.points < 1:
         raise ConfigError("--points must be at least 1")
     grid = np.linspace(args.sweep_from, args.sweep_to, args.points).tolist()
-    header = ["sweep_value", "omega_t_esd_phi", "omega_t_esd_psi",
-              "omega_t_esd_adiabatic", "omega_t_esd_quantum"]
-    # the quantum-only column keeps flavor psi, the one relaxation drives
-    rows = [row[:4] + row[5:] for row in _esd_rows(args.sweep, grid, cfg)]
-    write_csv(Path(args.out), header, rows)
+    write_csv(Path(args.out), ["sweep_value", *_ESD_COLUMNS], _esd_rows(args.sweep, grid, cfg))
     return 0
 
 
@@ -575,9 +574,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # finite inputs far outside the physical range can still overflow;
-        # that must stop the run, not leave inf or nan in the output
-        with np.errstate(over="raise", invalid="raise"):
+        # finite inputs far outside the physical range can still overflow or
+        # divide by zero; that must stop the run, not leave inf or nan in the output
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except (ConfigError, ParameterError) as exc:
         print(f"esdlab: config error: {exc}", file=sys.stderr)

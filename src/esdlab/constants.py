@@ -16,9 +16,8 @@ EIGENVALUE_FLOOR = -1e-10
 # Transfer-tensor (single-qubit map) validity.
 MAP_TOL = 1e-12
 
-# X-state detection and the fast-path vs oracle agreement budget.
+# X-state detection.
 XSTATE_TOL = 1e-10
-CONCURRENCE_AGREEMENT_TOL = 1e-9
 
 # Residual required from the Hermitian eigenvalue routine.
 EIGENSOLVER_RESIDUAL_TOL = 1e-10

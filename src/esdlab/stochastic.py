@@ -16,16 +16,17 @@ Determinism: every random quantity derives from a root seed through
 ``numpy.random.SeedSequence`` spawn keys indexed by trajectory (or
 realization) number, and reductions run over chunks fixed by the
 configuration, in index order, so results are bit-identical regardless of
-worker count. ``STREAM_VERSION`` names the layout of those streams. PSD
-realization k uses spawn key (k,) and draws like one Monte Carlo path,
-through ``_resample_signs`` and :func:`rtn_paths`.
+worker count. ``STREAM_VERSION`` names the layout of those streams. The
+rates of an ensemble are drawn once (a device); every path drawn by
+:func:`rtn_paths` owns fresh stationary signs. PSD realization k uses spawn
+key (k,) and draws like one Monte Carlo path.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,8 +61,8 @@ __all__ = [
 # the averages independent of the worker count.
 CHUNK_SIZE = 32
 
-# Layout of the random stream behind a Monte Carlo run. Version 2 draws every
-# Poisson switch count of a path in one call, then all of its switch times.
+# Layout of the random stream behind a Monte Carlo run. Version 2 draws a
+# path's signs, every Poisson switch count in one call, then all switch times.
 STREAM_VERSION = 2
 
 _EYE2 = np.eye(2, dtype=complex)
@@ -79,11 +80,10 @@ def _rng(seed) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class FluctuatorEnsemble:
-    """A bath realization: switching rates, couplings and current signs."""
+    """A bath realization: switching rates and couplings."""
 
     rates: np.ndarray
     couplings: np.ndarray
-    initial_states: np.ndarray
     gamma_min: float
     gamma_max: float
     sigma: float
@@ -91,17 +91,13 @@ class FluctuatorEnsemble:
     def __post_init__(self) -> None:
         rates = np.asarray(self.rates, dtype=float)
         couplings = np.asarray(self.couplings, dtype=float)
-        states = np.asarray(self.initial_states, dtype=float)
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "couplings", couplings)
-        object.__setattr__(self, "initial_states", states)
-        if not rates.shape == couplings.shape == states.shape:
-            raise ParameterError("rates, couplings and initial_states must align")
+        if rates.shape != couplings.shape:
+            raise ParameterError("rates and couplings must align")
         if rates.size and (rates.min() < self.gamma_min - 1e-12 * self.gamma_min
                            or rates.max() > self.gamma_max * (1 + 1e-12)):
             raise ParameterError("switching rates leave the [gamma_min, gamma_max] band")
-        if states.size and not np.all(np.abs(states) == 1.0):
-            raise ParameterError("initial fluctuator states must be +1 or -1")
         var = float(np.sum(couplings**2))
         target = self.sigma**2
         if target == 0.0:
@@ -122,10 +118,7 @@ def sample_ensemble(
     n: int, gamma_min: float, gamma_max: float, sigma: float, rng_seed
 ) -> FluctuatorEnsemble:
     """Draw an ensemble: log-uniform rates, equal couplings sigma/sqrt(n).
-
-    Initial signs are equiprobable (the stationary distribution of a
-    symmetric telegraph process). Deterministic for a given seed.
-    """
+    Deterministic for a given seed."""
     if n < 1:
         raise ParameterError(f"need at least one fluctuator, got {n}")
     if not 0.0 < gamma_min < gamma_max:
@@ -134,12 +127,10 @@ def sample_ensemble(
         )
     rng = _rng(rng_seed)
     rates = gamma_min * (gamma_max / gamma_min) ** rng.random(n)
-    signs = rng.integers(0, 2, n) * 2.0 - 1.0
     couplings = np.full(n, sigma / math.sqrt(n))
     return FluctuatorEnsemble(
         rates=rates,
         couplings=couplings,
-        initial_states=signs,
         gamma_min=gamma_min,
         gamma_max=gamma_max,
         sigma=sigma,
@@ -148,18 +139,23 @@ def sample_ensemble(
 
 @dataclass(frozen=True)
 class RtnPaths:
-    """Switch times of every fluctuator of one ensemble over [0, t_max]."""
+    """Initial signs and switch times of every fluctuator of one ensemble
+    over [0, t_max]."""
 
     ensemble: FluctuatorEnsemble
     t_max: float
+    initial_states: np.ndarray  # +1 or -1 per fluctuator at t = 0
     switch_times: tuple
 
 
 def rtn_paths(ens: FluctuatorEnsemble, t_max: float, rng_seed) -> RtnPaths:
-    """Draw Poisson switch times for each fluctuator (rate = its gamma)."""
+    """Draw one path: equiprobable initial signs (the stationary state of a
+    symmetric telegraph process), then every fluctuator's Poisson switch
+    count (rate = its gamma), then all switch times."""
     if t_max <= 0.0:
         raise ParameterError(f"t_max must be positive, got {t_max}")
     rng = _rng(rng_seed)
+    signs = rng.integers(0, 2, ens.n) * 2.0 - 1.0
     counts = rng.poisson(ens.rates * t_max)
     # all switch times of the path in one draw, fluctuator by fluctuator
     flat = rng.random(int(counts.sum())) * t_max
@@ -170,16 +166,16 @@ def rtn_paths(ens: FluctuatorEnsemble, t_max: float, rng_seed) -> RtnPaths:
         times[i] = flat[start:stop]
         times[i].sort()
         start = stop
-    return RtnPaths(ensemble=ens, t_max=t_max, switch_times=tuple(times))
+    return RtnPaths(ensemble=ens, t_max=t_max, initial_states=signs, switch_times=tuple(times))
 
 
 def _switch_jumps(paths: RtnPaths):
     """(switch times, jumps) of each fluctuator that switches: starting at
     v*s0, its k-th switch (k = 1, 2, ...) jumps by 2*v*s0*(-1)^k."""
-    ens = paths.ensemble
+    couplings = paths.ensemble.couplings
     for i, times in enumerate(paths.switch_times):
         if times.size:
-            jump = 2.0 * ens.couplings[i] * ens.initial_states[i]
+            jump = 2.0 * couplings[i] * paths.initial_states[i]
             jumps = np.full(times.size, jump)
             jumps[::2] = -jump
             yield times, jumps
@@ -191,8 +187,7 @@ def noise_segments(paths: RtnPaths) -> tuple[np.ndarray, np.ndarray]:
     ``X(t) = values[i]`` for ``edges[i] <= t < edges[i+1]``; the first edge
     is 0 and the last segment extends to t_max.
     """
-    ens = paths.ensemble
-    x0 = float(np.sum(ens.couplings * ens.initial_states))
+    x0 = float(np.sum(paths.ensemble.couplings * paths.initial_states))
     switches = list(_switch_jumps(paths))
     if not switches:
         return np.array([0.0]), np.array([x0])
@@ -209,10 +204,9 @@ def sampled_noise(paths: RtnPaths, n_samples: int) -> np.ndarray:
     :func:`evolve_trajectory`. Jumps are binned fluctuator by fluctuator
     (no array holds every switch of the path) at the first sample at or
     after their switch time."""
-    ens = paths.ensemble
     # a spare bin takes a switch that rounding puts past the last sample
     delta = np.zeros(n_samples + 1)
-    delta[0] = np.sum(ens.couplings * ens.initial_states)
+    delta[0] = np.sum(paths.ensemble.couplings * paths.initial_states)
     scale = (n_samples - 1) / paths.t_max
     for times, jumps in _switch_jumps(paths):
         np.add.at(delta, np.ceil(times * scale).astype(np.intp), jumps)
@@ -364,15 +358,10 @@ class MonteCarloResult:
     concurrence: np.ndarray
     stderr: np.ndarray
     rho_mean: np.ndarray
-    n_trajectories: int
 
 
 def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2, index)))
-
-
-def _resample_signs(ens: FluctuatorEnsemble, rng: np.random.Generator) -> FluctuatorEnsemble:
-    return replace(ens, initial_states=rng.integers(0, 2, ens.n) * 2.0 - 1.0)
 
 
 def _run_chunk(payload):
@@ -380,8 +369,8 @@ def _run_chunk(payload):
     rho_sum = np.zeros((cfg.n_samples, 4, 4), dtype=complex)
     for i in range(start, stop):
         rng = _trajectory_rng(cfg.seed, i)
-        a = rtn_paths(_resample_signs(ens_a, rng), cfg.t_max, rng)
-        b = rtn_paths(_resample_signs(ens_b, rng), cfg.t_max, rng)
+        a = rtn_paths(ens_a, cfg.t_max, rng)
+        b = rtn_paths(ens_b, cfg.t_max, rng)
         rho_sum += evolve_trajectory(rho0, a, b, cfg).states
     return rho_sum, wootters_concurrence(rho_sum / (stop - start), validate=False)
 
@@ -447,13 +436,7 @@ def monte_carlo_concurrence(
     else:  # a single trajectory has no spread to estimate
         stderr = np.full(cfg.n_samples, math.nan)
     times = np.linspace(0.0, cfg.t_max, cfg.n_samples)
-    return MonteCarloResult(
-        times=times,
-        concurrence=conc,
-        stderr=stderr,
-        rho_mean=rho_mean,
-        n_trajectories=cfg.n_trajectories,
-    )
+    return MonteCarloResult(times=times, concurrence=conc, stderr=stderr, rho_mean=rho_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +472,11 @@ def psd_estimate(
 ) -> PsdEstimate:
     """Estimate the ensemble power spectrum by periodogram averaging.
 
-    Each realization redraws initial signs and switch times (quenched rates,
-    stationary initial conditions) exactly as one Monte Carlo path does,
-    through ``_resample_signs`` and :func:`rtn_paths`, samples the summed
-    signal at ``sample_hz`` with :func:`sampled_noise` and accumulates a
-    Hann-windowed, mean-removed periodogram.
+    Each realization draws fresh initial signs and switch times (quenched
+    rates, stationary initial conditions) with :func:`rtn_paths`, exactly as
+    one Monte Carlo path does, samples the summed signal at ``sample_hz``
+    with :func:`sampled_noise` and accumulates a Hann-windowed, mean-removed
+    periodogram.
 
     Parameters
     ----------
@@ -526,7 +509,7 @@ def psd_estimate(
     acc = 0.0
     for child in np.random.SeedSequence(rng_seed).spawn(n_realizations):
         rng = np.random.default_rng(child)
-        x = sampled_noise(rtn_paths(_resample_signs(ens, rng), horizon, rng), n_samples)
+        x = sampled_noise(rtn_paths(ens, horizon, rng), n_samples)
         freqs, pxx = _signal.periodogram(
             x, fs=sample_hz, window="hann", detrend="constant", scaling="density"
         )
@@ -558,10 +541,9 @@ class OneOverFFit:
     slope: float
     amplitude_ratio: float
     band_omega: tuple[float, float]
-    n_points: int
 
 
-def fit_one_over_f(est: PsdEstimate, points_per_decade: int = 24) -> OneOverFFit:
+def fit_one_over_f(est: PsdEstimate) -> OneOverFFit:
     """Fit slope and amplitude over the trustworthy band [10 gm, gM/10] (Hz).
 
     The band must span at least one decade, i.e. gamma_max/gamma_min >= 1000.
@@ -580,8 +562,8 @@ def fit_one_over_f(est: PsdEstimate, points_per_decade: int = 24) -> OneOverFFit
         raise ParameterError("too few spectral points inside the fit band")
     w = est.omega[sel]
     s = est.s_estimated[sel]
-    # average into log-spaced bins so each decade carries equal weight
-    n_bins = max(8, int(points_per_decade * math.log10(w_hi / w_lo)))
+    # average into 24 log-spaced bins per decade so each decade carries equal weight
+    n_bins = max(8, int(24 * math.log10(w_hi / w_lo)))
     bin_edges = np.geomspace(w_lo, w_hi, n_bins + 1)
     idx = np.clip(np.digitize(w, bin_edges) - 1, 0, n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
@@ -598,5 +580,4 @@ def fit_one_over_f(est: PsdEstimate, points_per_decade: int = 24) -> OneOverFFit
         slope=float(slope),
         amplitude_ratio=float(fitted_center / target_center),
         band_omega=(w_lo, w_hi),
-        n_points=int(ok.sum()),
     )

@@ -105,6 +105,11 @@ class TestFindEsdTime:
         with pytest.raises(ParameterError):
             find_esd_time(lambda t: 1.0, 0.0)
 
+    def test_rejects_scalar_only_function(self):
+        # a function must take the whole grid at once; one value is no curve
+        with pytest.raises(ParameterError, match="array"):
+            find_crossing_time(lambda t: 0.5, 1.0)
+
 
 class TestCurveValidation:
     def test_rejects_decreasing_times(self):

@@ -38,6 +38,37 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_benchmark_trace_contract():
+    # perfbench/ patches and reads these names; it is run from outside the
+    # package, so a rename here breaks the benchmark and no other test
+    root = Path(__file__).resolve().parents[1]
+    code = """
+import importlib, inspect
+import spans
+from esdlab.analysis import find_crossing_time
+from esdlab.stochastic import HAVE_NUMBA, RtnPaths, evolve_trajectory
+
+tracer = spans.Tracer()
+tracer.install()  # raises unless each entry's sites share one function
+tracer.close()
+for key, sites in spans.SITES.items():
+    found = {getattr(importlib.import_module(mod), attr) for mod, attr in sites}
+    assert len(found) == 1, key
+params = list(inspect.signature(evolve_trajectory).parameters)
+assert params[:4] == ["rho0", "paths_a", "paths_b", "cfg"], params
+assert list(inspect.signature(find_crossing_time).parameters)[2] == "level"
+assert "switch_times" in RtnPaths.__dataclass_fields__
+print(HAVE_NUMBA)
+"""
+    path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def _unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()

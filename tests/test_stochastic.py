@@ -39,7 +39,6 @@ def single_fluctuator(gamma: float, v: float = 1.0) -> FluctuatorEnsemble:
     return FluctuatorEnsemble(
         rates=np.array([gamma]),
         couplings=np.array([v]),
-        initial_states=np.array([1.0]),
         gamma_min=gamma / 2.0,
         gamma_max=gamma * 2.0,
         sigma=v,
@@ -56,7 +55,6 @@ class TestSampleEnsemble:
         a = sample_ensemble(100, 1.0, 1e6, 2e9, 1234)
         b = sample_ensemble(100, 1.0, 1e6, 2e9, 1234)
         assert np.array_equal(a.rates, b.rates)
-        assert np.array_equal(a.initial_states, b.initial_states)
 
     def test_log_uniform_rates(self):
         ens = sample_ensemble(100_000, 1.0, 1e6, 1.0, 99)
@@ -69,11 +67,6 @@ class TestSampleEnsemble:
         ens = sample_ensemble(250, 1.0, 1e6, sigma, 7)
         assert np.sum(ens.couplings**2) == pytest.approx(sigma**2, rel=1e-9)
 
-    def test_balanced_signs(self):
-        ens = sample_ensemble(100_000, 1.0, 1e6, 1.0, 5)
-        assert set(np.unique(ens.initial_states)) == {-1.0, 1.0}
-        assert abs(ens.initial_states.mean()) < 0.02
-
     def test_validation(self):
         with pytest.raises(ParameterError):
             sample_ensemble(0, 1.0, 1e6, 1.0, 0)
@@ -85,7 +78,6 @@ class TestSampleEnsemble:
             FluctuatorEnsemble(
                 rates=np.array([10.0]),
                 couplings=np.array([1.0]),
-                initial_states=np.array([1.0]),
                 gamma_min=1.0,
                 gamma_max=100.0,
                 sigma=5.0,
@@ -94,7 +86,6 @@ class TestSampleEnsemble:
             FluctuatorEnsemble(
                 rates=np.array([1000.0]),
                 couplings=np.array([1.0]),
-                initial_states=np.array([1.0]),
                 gamma_min=1.0,
                 gamma_max=100.0,
                 sigma=1.0,
@@ -106,7 +97,29 @@ class TestRtnPaths:
         ens = sample_ensemble(20, 1.0, 1e4, 1.0, 3)
         p1 = rtn_paths(ens, 0.1, 11)
         p2 = rtn_paths(ens, 0.1, 11)
+        assert np.array_equal(p1.initial_states, p2.initial_states)
         assert all(np.array_equal(a, b) for a, b in zip(p1.switch_times, p2.switch_times))
+
+    def test_balanced_signs(self):
+        paths = rtn_paths(sample_ensemble(100_000, 1.0, 1e6, 1.0, 5), 1.0e-9, 6)
+        assert set(np.unique(paths.initial_states)) == {-1.0, 1.0}
+        assert abs(paths.initial_states.mean()) < 0.02
+
+    def test_stream_layout(self):
+        # STREAM_VERSION 2: a path draws its signs, then every Poisson switch
+        # count in one call, then all switch times, from one generator
+        ens = sample_ensemble(40, 1.0e3, 1.0e5, 1.0, 8)
+        t_max = 1.0e-3
+        paths = rtn_paths(ens, t_max, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        signs = rng.integers(0, 2, ens.n) * 2.0 - 1.0
+        counts = rng.poisson(ens.rates * t_max)
+        flat = rng.random(int(counts.sum())) * t_max
+        assert np.array_equal(paths.initial_states, signs)
+        assert [t.size for t in paths.switch_times] == counts.tolist()
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        for i, times in enumerate(paths.switch_times):
+            assert np.array_equal(times, np.sort(flat[starts[i]:starts[i + 1]]))
 
     def test_switch_counts_poissonian(self):
         gamma, t_max, n_real = 1000.0, 0.1, 300
@@ -125,7 +138,7 @@ class TestRtnPaths:
         n_lags, n_real = 20, 1000
         acc = np.zeros(n_lags)
         for seed in range(n_real):
-            paths = rtn_paths(_stationary(ens, seed), grid[-1], 10_000 + seed)
+            paths = rtn_paths(ens, grid[-1], 10_000 + seed)
             x = sampled_noise(paths, grid.size)
             for k in range(n_lags):
                 acc[k] += np.mean(x[: x.size - k] * x[k:])
@@ -138,7 +151,6 @@ class TestRtnPaths:
         empty = FluctuatorEnsemble(
             rates=np.empty(0),
             couplings=np.empty(0),
-            initial_states=np.empty(0),
             gamma_min=1.0,
             gamma_max=10.0,
             sigma=0.0,
@@ -163,7 +175,8 @@ class TestRtnPaths:
         edges, values = noise_segments(paths)
         n_switch = paths.switch_times[0].size
         assert values.size == n_switch + 1
-        assert np.allclose(values, 2.0 * (-1.0) ** np.arange(n_switch + 1))
+        sign = paths.initial_states[0]
+        assert np.allclose(values, 2.0 * sign * (-1.0) ** np.arange(n_switch + 1))
 
 
 class TestSampledNoise:
@@ -184,11 +197,6 @@ class TestSampledNoise:
         grid = np.linspace(0.0, t_max, n_samples)
         want = values[np.searchsorted(edges, grid, "right") - 1]
         assert np.abs(sampled_noise(paths, n_samples) - want).max() <= 1e-12 * sigma
-
-
-def _stationary(ens: FluctuatorEnsemble, seed: int) -> FluctuatorEnsemble:
-    rng = np.random.default_rng(seed)
-    return replace(ens, initial_states=rng.integers(0, 2, ens.n) * 2.0 - 1.0)
 
 
 class TestEvolveTrajectory:
