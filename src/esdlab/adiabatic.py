@@ -65,7 +65,7 @@ class AdiabaticParams:
                 f"sigma/omega = {self.sigma / self.omega:.3g} exceeds "
                 f"{SPA_SIGMA_RATIO_WARN}; the static-path treatment degrades "
                 "for strong noise",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
 
 

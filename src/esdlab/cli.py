@@ -465,7 +465,7 @@ def cmd_psd(args) -> int:
     write_csv(
         Path(args.out),
         ["omega_rad_s", "s_estimated", "s_target"],
-        zip(est.omega.tolist(), est.s_estimated.tolist(), est.s_target.tolist()),
+        zip(est.omega, est.s_estimated, est.s_target),
     )
     try:
         fit = fit_one_over_f(est)

@@ -1,9 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the code paths they check: the eigenvalue oracle is
-a plain Jacobi rotation sweep, and the coherence oracle integrates the
-Gaussian phase average by composite quadrature instead of using the closed
-form.
+a plain Jacobi rotation sweep, the coherence oracle integrates the Gaussian
+phase average by composite quadrature instead of using the closed form, and
+the periodogram oracle is a numpy FFT instead of scipy.signal.
 """
 
 from __future__ import annotations
@@ -88,3 +88,19 @@ def combined_coherence_modulus(t: float, omega: float, sigma: float, t1: float) 
     """
     mod_b_sq = (1.0 + sigma**2 * t / (omega**2 * t1)) ** 2 + (sigma**2 * t / omega) ** 2
     return math.exp(-0.5 * t / t1) * mod_b_sq**-0.25
+
+
+def hann_periodogram(x, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """(frequencies, one-sided power spectral density) of each row of x.
+
+    Mean removed, periodic Hann window, density scaling: |FFT|^2 over
+    fs * sum(window^2), with every bin but DC and an even length's Nyquist
+    doubled to fold in the negative frequencies.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    spectrum = np.fft.rfft((x - x.mean(axis=-1, keepdims=True)) * window, axis=-1)
+    pxx = np.abs(spectrum) ** 2 / (fs * np.sum(window**2))
+    pxx[..., 1:(n + 1) // 2] *= 2.0
+    return np.fft.rfftfreq(n, 1.0 / fs), pxx

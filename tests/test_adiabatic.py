@@ -180,6 +180,8 @@ class TestParams:
             AdiabaticParams(omega=1.0, theta=0.0, sigma=0.1, gamma_min=5.0, gamma_max=2.0)
 
     def test_strong_noise_warns_but_works(self):
-        with pytest.warns(UserWarning, match="sigma/omega"):
+        with pytest.warns(UserWarning, match="sigma/omega") as record:
             p = AdiabaticParams(omega=1.0e11, theta=0.0, sigma=0.5e11)
+        # the warning names the constructing line, not the dataclass __init__
+        assert [w.filename for w in record] == [__file__]
         assert spa_coherence_modulus(0.0, p) == 1.0

@@ -69,6 +69,35 @@ print(HAVE_NUMBA)
     assert done.stdout.strip() == "False"
 
 
+def test_benchmark_counts_one_periodogram_call_per_block():
+    # perfbench/ wraps scipy.signal.periodogram at the module attribute and
+    # requires psd_1f to call it; psd_estimate must look it up there once per
+    # block of realizations (psd_1f's shape: 5e4 samples, 100 realizations)
+    root = Path(__file__).resolve().parents[1]
+    code = """
+import math
+import spans
+from esdlab import stochastic
+
+ens = stochastic.sample_ensemble(5, 1.0, 1.0e3, 1.0, 1)
+tracer = spans.Tracer()
+tracer.install()
+for t_max, n_realizations, sample_hz in [(0.025, 100, 2.0e6), (0.01, 101, 1.0e5)]:
+    before = tracer.calls["scipy.signal.periodogram"]
+    stochastic.psd_estimate(ens, t_max, n_realizations, 1, sample_hz=sample_hz)
+    rows = max(1, stochastic.PSD_BLOCK_SAMPLES // round(t_max * sample_hz))
+    calls = tracer.calls["scipy.signal.periodogram"] - before
+    assert calls == math.ceil(n_realizations / rows), (t_max, calls, rows)
+tracer.close()
+"""
+    path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def _unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from esdlab import stochastic
 from esdlab.adiabatic import AdiabaticParams, adiabatic_concurrence
 from esdlab.constants import UNITARITY_TOL
 from esdlab.errors import ParameterError
@@ -22,6 +23,8 @@ from esdlab.stochastic import (
     sample_ensemble,
     sampled_noise,
 )
+
+from _oracles import hann_periodogram
 
 OMEGA = 1.0e11
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -422,6 +425,32 @@ class TestPsdEstimate:
         for i, (omega, s_est) in pinned.items():
             assert est.omega[i] == omega
             assert est.s_estimated[i] == s_est
+
+    @pytest.mark.parametrize("rows", [1, 2, 101])
+    def test_block_size_does_not_change_the_estimate(self, rows, monkeypatch):
+        # 101 realizations leave the last block of two rows part-filled
+        ens = sample_ensemble(30, 10.0, 1.0e5, 1.0, 21)
+        whole = psd_estimate(ens, 0.01, 101, 3, sample_hz=1.0e5)
+        assert whole.omega.size == 500  # 1000 samples a realization
+        monkeypatch.setattr(stochastic, "PSD_BLOCK_SAMPLES", rows * 1000)
+        est = psd_estimate(ens, 0.01, 101, 3, sample_hz=1.0e5)
+        assert np.array_equal(est.omega, whole.omega)
+        assert np.array_equal(est.s_estimated, whole.s_estimated)
+
+    def test_matches_fft_periodogram_oracle(self):
+        # realization k, rebuilt from spawn key (k,) and transformed by numpy
+        ens = sample_ensemble(30, 10.0, 1.0e5, 1.0, 21)
+        n_samples, sample_hz, seed = 1000, 1.0e5, 3
+        est = psd_estimate(ens, n_samples / sample_hz, 101, seed, sample_hz=sample_hz)
+        horizon = (n_samples - 1) * (1.0 / sample_hz)  # as psd_estimate rounds it
+        signals = [
+            sampled_noise(rtn_paths(ens, horizon, np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(k,)))), n_samples)
+            for k in range(101)
+        ]
+        freqs, pxx = hann_periodogram(signals, sample_hz)
+        np.testing.assert_allclose(est.omega, 2.0 * math.pi * freqs[1:], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(est.s_estimated, pxx.mean(axis=0)[1:] / 2.0, rtol=1e-12, atol=0.0)
 
     def test_small_ensemble_one_over_f_shape(self):
         sigma = 1.0
