@@ -19,7 +19,6 @@ from .analysis import (
     ESDResult,
     SweepRow,
     find_crossing_time,
-    find_esd_time,
     sweep,
 )
 from .markov import (

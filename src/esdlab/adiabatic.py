@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import SPA_SIGMA_RATIO_WARN
 from .errors import ParameterError
-from .states import EWLParams, critical_purity
+from .states import EWLParams
 
 __all__ = [
     "AdiabaticParams",
@@ -129,7 +129,8 @@ class ESDResult:
     """Disentanglement (or level-crossing) time of a concurrence curve.
 
     ``time is None`` means the concurrence never reaches the target: by
-    t_max for a search, at any finite time for a closed form.
+    t_max for a search; for a closed form, at any finite time, which happens
+    only for an entangled pure state (r = 1, |ab| > 0).
     ``never_entangled`` marks an initial state that is already separable
     (time 0). ``method`` is "closed_form", "bisection" or "grid";
     ``bracket`` encloses a searched root and is None for closed forms.
@@ -151,14 +152,15 @@ _closed_form = partial(ESDResult, bracket=None, method="closed_form")
 def esd_time_optimal(state: EWLParams, sigma: float, omega: float) -> ESDResult:
     """Closed-form disentanglement time for two identical qubits at theta=pi/2.
 
-    ``t = (omega / sigma^2) sqrt(16 |ab|^2 r^2 / (1-r)^2 - 1)``. Pure states
-    (r=1) never disentangle under this channel; states at or below the
-    critical purity start separable.
+    ``t = (omega / sigma^2) sqrt(16 |ab|^2 r^2 / (1-r)^2 - 1)``. Entangled
+    pure states (r=1) never disentangle under this channel; states with zero
+    concurrence at t=0 start separable.
     """
     if sigma <= 0.0 or omega <= 0.0:
         raise ParameterError("sigma and omega must be positive")
-    return _esd_closed_form(state, lambda ratio: omega / sigma**2 * math.sqrt(16.0 * ratio**2 - 1.0),
-                            lambda ratio: 16.0 * ratio**2 - 1.0)
+    return _esd_closed_form(
+        state, lambda ratio: omega / sigma**2 * math.sqrt(16.0 * ratio**2 - 1.0)
+    )
 
 
 def esd_time_dephasing(state: EWLParams, sigma: float) -> ESDResult:
@@ -169,22 +171,20 @@ def esd_time_dephasing(state: EWLParams, sigma: float) -> ESDResult:
     """
     if sigma <= 0.0:
         raise ParameterError("sigma must be positive")
-    return _esd_closed_form(state, lambda ratio: math.sqrt(math.log(4.0 * ratio)) / sigma,
-                            lambda ratio: 4.0 * ratio - 1.0)
+    return _esd_closed_form(state, lambda ratio: math.sqrt(math.log(4.0 * ratio)) / sigma)
 
 
-def _esd_closed_form(state: EWLParams, formula, radicand) -> ESDResult:
-    # Both closed forms share the same regime logic; `ratio` is
-    # |ab| r / (1 - r), and `radicand` must be positive for a finite root.
+def _esd_closed_form(state: EWLParams, formula) -> ESDResult:
+    # Both closed forms share the same regime logic; `ratio` is |ab| r / (1 - r).
     r = state.r
-    if r >= 1.0:  # a pure state's concurrence stays positive
-        return _closed_form(time=None)
-    r_star = critical_purity(state.a)
-    ratio = state.ab_mod * r / (1.0 - r)
-    if r <= r_star or state.ab_mod == 0.0:
+    # K(0) exactly as adiabatic_k computes it, so the state is separable here
+    # precisely when adiabatic_concurrence(0, ...) is 0
+    if r * state.ab_mod - (1.0 - r) / 4.0 <= 0.0:
         return _closed_form(time=0.0, never_entangled=True)
-    if radicand(ratio) < 0.0:
-        # unreachable for r > r*; kept as a guard against rounding at the
-        # separability boundary
+    if r >= 1.0:  # an entangled pure state's concurrence stays positive
         return _closed_form(time=None)
+    # K(0) > 0 means fl(r |ab|) > fl(1 - r) / 4, and rounding the quotient is
+    # monotone, so ratio >= 1/4: both radicands, 16 ratio^2 - 1 and
+    # ln(4 ratio), are non-negative
+    ratio = state.ab_mod * r / (1.0 - r)
     return _closed_form(time=formula(ratio))

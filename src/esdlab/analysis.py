@@ -24,13 +24,12 @@ from .adiabatic import (
 from .constants import ESD_RELATIVE_TOL
 from .errors import ParameterError
 from .markov import QuantumNoiseParams, interplay_concurrence
-from .states import EWLParams, ewl_state
+from .states import EWLParams
 
 __all__ = [
     "ConcurrenceCurve",
     "ESDResult",
     "SweepRow",
-    "find_esd_time",
     "find_crossing_time",
     "sweep",
 ]
@@ -115,12 +114,6 @@ def find_crossing_time(c, t_max: float, level: float = 0.0) -> ESDResult:
     return ESDResult(time=root, bracket=(lo, hi), method="bisection")
 
 
-def find_esd_time(c, t_max: float) -> ESDResult:
-    """Disentanglement time: first zero of the concurrence. See
-    :func:`find_crossing_time`."""
-    return find_crossing_time(c, t_max)
-
-
 def _interp_crossing(times, vals, level) -> float | None:
     below = np.nonzero(vals <= level)[0]
     if below.size == 0:
@@ -203,26 +196,19 @@ def sweep(
     ad_a: AdiabaticParams,
     ad_b: AdiabaticParams,
     qn: QuantumNoiseParams | None,
-    channel: str,
     t_max: float,
-    sim=None,
 ) -> list[SweepRow]:
     """Disentanglement times over a parameter grid.
 
     ``over`` selects the swept quantity ("r" or "a2"); all other parameters
-    stay fixed. ``channel`` is "adiabatic" (low-frequency noise only,
-    flavor independent, closed forms where available), "interplay" (both
-    noises through the composed channel) or "monte_carlo" (trajectory
-    averages; requires ``sim``). Rows come back in grid order.
+    stay fixed. With ``qn is None`` only the low-frequency noise acts: the
+    result is flavor independent and comes from a closed form where one
+    exists, else from a search on :func:`adiabatic_concurrence`. Any other
+    ``qn`` searches each flavor on the composed channel,
+    :func:`interplay_concurrence`. Rows come back in grid order.
     """
     if over not in ("r", "a2"):
         raise ParameterError(f"sweep variable must be 'r' or 'a2', got {over!r}")
-    if channel not in ("adiabatic", "interplay", "monte_carlo"):
-        raise ParameterError(f"unknown channel {channel!r}")
-    if channel == "interplay" and qn is None:
-        raise ParameterError("interplay channel needs QuantumNoiseParams")
-    if channel == "monte_carlo" and sim is None:
-        raise ParameterError("monte_carlo channel needs a SimConfig")
     if t_max <= 0.0:
         raise ParameterError("t_max must be positive")
     grid = [float(v) for v in grid]
@@ -232,22 +218,18 @@ def sweep(
     rows = []
     for value in grid:
         s = _with_value(state, over, value)
-        if channel == "adiabatic":
-            esd = _adiabatic_closed_form(s, ad_a, ad_b) or find_esd_time(
+        if qn is None:
+            esd = _adiabatic_closed_form(s, ad_a, ad_b) or find_crossing_time(
                 lambda t, s=s: adiabatic_concurrence(t, ad_a, ad_b, s), t_max
             )
             rows.append(SweepRow(value, esd, esd))
             continue
-        esd = {}
-        for flavor in ("phi", "psi"):
-            sf = replace(s, flavor=flavor)
-            if channel == "interplay":
-                c = lambda t, sf=sf: interplay_concurrence(t, sf, ad_a, ad_b, qn)
-            else:
-                from .stochastic import monte_carlo_concurrence
-
-                mc = monte_carlo_concurrence(ewl_state(sf), sim)
-                c = ConcurrenceCurve(mc.times, mc.concurrence, mc.stderr)
-            esd[flavor] = find_esd_time(c, t_max)
-        rows.append(SweepRow(value, esd["phi"], esd["psi"]))
+        phi, psi = (
+            find_crossing_time(
+                lambda t, sf=replace(s, flavor=f): interplay_concurrence(t, sf, ad_a, ad_b, qn),
+                t_max,
+            )
+            for f in ("phi", "psi")
+        )
+        rows.append(SweepRow(value, phi, psi))
     return rows

@@ -282,12 +282,11 @@ def _esd_rows(over: str, grid: list[float], cfg: dict) -> list[list[float]]:
     qn = _quantum_from(cfg)
     omega = ad_a.omega
     t_max = cfg["sim"]["t_max_omega"] / omega
-    combined = sweep(over, grid, state, ad_a, ad_b, qn, "interplay", t_max)
-    static = sweep(over, grid, state, ad_a, ad_b, None, "adiabatic", t_max)
+    combined = sweep(over, grid, state, ad_a, ad_b, qn, t_max)
+    static = sweep(over, grid, state, ad_a, ad_b, None, t_max)
     # quantum noise only: the same channel with the low-frequency noise off
     quantum = sweep(
-        over, grid, state, replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0),
-        qn, "interplay", t_max,
+        over, grid, state, replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0), qn, t_max
     )
     return [
         [c.value] + [

@@ -410,19 +410,12 @@ def monte_carlo_concurrence(
     ``n_workers``.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    ens_a = sample_ensemble(
-        cfg.n_fluctuators,
-        cfg.qubit_a.gamma_min,
-        cfg.qubit_a.gamma_max,
-        cfg.qubit_a.sigma,
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)),
-    )
-    ens_b = sample_ensemble(
-        cfg.n_fluctuators,
-        cfg.qubit_b.gamma_min,
-        cfg.qubit_b.gamma_max,
-        cfg.qubit_b.sigma,
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)),
+    ens_a, ens_b = (
+        sample_ensemble(
+            cfg.n_fluctuators, q.gamma_min, q.gamma_max, q.sigma,
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(key,)),
+        )
+        for key, q in enumerate((cfg.qubit_a, cfg.qubit_b))
     )
     bounds = _chunk_bounds(cfg.n_trajectories)
     payloads = [

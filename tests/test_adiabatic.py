@@ -167,6 +167,26 @@ class TestClosedFormEsdTimes:
         res = esd_time_optimal(EWLParams(0.2, INV_SQRT2), 2.0e9, OMEGA)
         assert res.never_entangled and res.time == 0.0
 
+    def test_separability_boundary(self):
+        # r* = 1/(1 + 4|ab|) and 1-3 ulp either side, where rounding decides
+        # the sign of K(0), plus the product pure states
+        rng = np.random.default_rng(7)
+        cases = [(1.0, 0.0), (1.0, 1.0)]
+        for a2 in rng.random(20_000).tolist():
+            below = above = [critical_purity(math.sqrt(a2))]
+            for _ in range(3):
+                below = below + [math.nextafter(below[-1], 0.0)]
+                above = above + [math.nextafter(above[-1], 2.0)]
+            cases += [(r, a2) for r in below + above[1:] if r <= 1.0]
+        p = params(0.0)
+        for r, a2 in cases:
+            s = EWLParams(r, math.sqrt(a2))
+            separable = adiabatic_concurrence(0.0, p, p, s) == 0.0
+            for res in (esd_time_optimal(s, 2.0e9, OMEGA), esd_time_dephasing(s, 2.0e9)):
+                assert res.is_infinite == (r == 1.0 and s.ab_mod > 0.0), (r, a2)
+                assert res.never_entangled == separable, (r, a2)
+                assert res.never_entangled == (res.time == 0.0), (r, a2)
+
 
 class TestParams:
     def test_validation(self):

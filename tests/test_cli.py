@@ -83,6 +83,22 @@ class TestEsd:
         assert_cells_round_trip(rows)
         assert any(cell != "inf" for row in rows for cell in row[1:])
 
+    @pytest.mark.parametrize("cfg, sweep, lo, hi, points, static", [
+        # one ulp above r* = 1 / (1 + 4|ab|) at a2 = 0.889, yet K(0) < 0: separable
+        ({"state": {"a2": 0.889}}, "r", "0.4431585851040168", "0.4431585851040168", "1",
+         ["0.0"]),
+        # pure states: a product state at a2 = 0 and 1, a Bell-like one at 0.5
+        ({"state": {"r": 1.0}}, "a2", "0", "1", "3", ["0.0", "inf", "0.0"]),
+    ], ids=["r_above_r_star", "pure_states"])
+    def test_static_column_zero_exactly_when_separable(self, tmp_path, cfg, sweep, lo, hi,
+                                                          points, static):
+        out = tmp_path / "esd.csv"
+        argv = ["esd", "--config", write_config(tmp_path, cfg), "--sweep", sweep,
+                "--from", lo, "--to", hi, "--points", points, "--out", str(out)]
+        assert main(argv) == 0
+        header, rows = read_csv(out)
+        assert [row[header.index("omega_t_esd_adiabatic")] for row in rows] == static
+
 
 class TestQuantumNoiseOff:
     """``quantum.s_white_per_s = 0`` is how a config switches quantum noise off."""

@@ -223,11 +223,11 @@ class TestInterplayConcurrence:
         # static noise off, r=1: the two-excitation state still disentangles
         # at finite time, unlike under static noise alone
         from esdlab.adiabatic import adiabatic_concurrence
-        from esdlab.analysis import find_esd_time
+        from esdlab.analysis import find_crossing_time
 
         state = EWLParams(r=1.0, a=INV_SQRT2, flavor="psi")
         fn = lambda t: interplay_concurrence(t, state, AD_QUIET, AD_QUIET, QN)
-        res = find_esd_time(fn, 1.0e7 / OMEGA)
+        res = find_crossing_time(fn, 1.0e7 / OMEGA)
         assert not res.is_infinite
         static_only = adiabatic_concurrence(res.time, AD_QUIET, AD_QUIET, state)
         assert static_only > 0.5  # the static channel alone would not kill it

@@ -124,6 +124,14 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_all_names_exist(path):
+    # a name deleted from a module but left in its __all__ breaks `import *`
+    module = importlib.import_module(f"esdlab.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+    assert missing == []
+
+
 def test_imports_are_declared():
     # the converse of test_declared_dependency_imports: an undeclared import
     # passes that test wherever the package happens to be installed
