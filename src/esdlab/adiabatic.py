@@ -108,10 +108,14 @@ def spa_coherence_modulus(t, p: AdiabaticParams) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+def _k_at(state: EWLParams, m):
+    """K = r|ab| m - (1-r)/4 for the coherence-modulus product m (1 at t=0)."""
+    return state.r * state.ab_mod * m - (1.0 - state.r) / 4.0
+
+
 def adiabatic_k(t, p_a: AdiabaticParams, p_b: AdiabaticParams, state: EWLParams):
     """Pre-clamp K(t) = r|ab| |z_A||z_B| - (1-r)/4 under static noise only."""
-    m = spa_coherence_modulus(t, p_a) * spa_coherence_modulus(t, p_b)
-    return state.r * state.ab_mod * m - (1.0 - state.r) / 4.0
+    return _k_at(state, spa_coherence_modulus(t, p_a) * spa_coherence_modulus(t, p_b))
 
 
 def adiabatic_concurrence(
@@ -177,9 +181,7 @@ def esd_time_dephasing(state: EWLParams, sigma: float) -> ESDResult:
 def _esd_closed_form(state: EWLParams, formula) -> ESDResult:
     # Both closed forms share the same regime logic; `ratio` is |ab| r / (1 - r).
     r = state.r
-    # K(0) exactly as adiabatic_k computes it, so the state is separable here
-    # precisely when adiabatic_concurrence(0, ...) is 0
-    if r * state.ab_mod - (1.0 - r) / 4.0 <= 0.0:
+    if _k_at(state, 1.0) <= 0.0:  # the curve's own K(0): separable at t=0
         return _closed_form(time=0.0, never_entangled=True)
     if r >= 1.0:  # an entangled pure state's concurrence stays positive
         return _closed_form(time=None)
