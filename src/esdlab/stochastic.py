@@ -27,7 +27,6 @@ estimate is bit-identical for any block size.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +154,8 @@ class RtnPaths:
     ensemble: FluctuatorEnsemble
     t_max: float
     initial_states: np.ndarray  # +1 or -1 per fluctuator at t = 0
-    switch_times: tuple
+    switch_times: tuple  # one sorted array per fluctuator
+    switching: tuple  # ascending indices of the fluctuators that switch
 
 
 def rtn_paths(ens: FluctuatorEnsemble, t_max: float, rng_seed) -> RtnPaths:
@@ -170,25 +170,27 @@ def rtn_paths(ens: FluctuatorEnsemble, t_max: float, rng_seed) -> RtnPaths:
     # all switch times of the path in one draw, fluctuator by fluctuator
     flat = rng.random(int(counts.sum())) * t_max
     times = [_NO_SWITCHES] * ens.n
+    switching = tuple(np.flatnonzero(counts).tolist())
     start = 0
-    for i in np.flatnonzero(counts).tolist():
+    for i in switching:
         stop = start + int(counts[i])
         times[i] = flat[start:stop]
         times[i].sort()
         start = stop
-    return RtnPaths(ensemble=ens, t_max=t_max, initial_states=signs, switch_times=tuple(times))
+    return RtnPaths(ensemble=ens, t_max=t_max, initial_states=signs,
+                    switch_times=tuple(times), switching=switching)
 
 
 def _switch_jumps(paths: RtnPaths):
     """(switch times, jumps) of each fluctuator that switches: starting at
     v*s0, its k-th switch (k = 1, 2, ...) jumps by 2*v*s0*(-1)^k."""
     couplings = paths.ensemble.couplings
-    for i, times in enumerate(paths.switch_times):
-        if times.size:
-            jump = 2.0 * couplings[i] * paths.initial_states[i]
-            jumps = np.full(times.size, jump)
-            jumps[::2] = -jump
-            yield times, jumps
+    for i in paths.switching:
+        times = paths.switch_times[i]
+        jump = 2.0 * couplings[i] * paths.initial_states[i]
+        jumps = np.full(times.size, jump)
+        jumps[::2] = -jump
+        yield times, jumps
 
 
 def noise_segments(paths: RtnPaths) -> tuple[np.ndarray, np.ndarray]:
@@ -211,9 +213,10 @@ def noise_segments(paths: RtnPaths) -> tuple[np.ndarray, np.ndarray]:
 
 def sampled_noise(paths: RtnPaths, n_samples: int) -> np.ndarray:
     """X(t) on ``np.linspace(0, paths.t_max, n_samples)``, the grid of
-    :func:`evolve_trajectory`. Jumps are binned fluctuator by fluctuator
-    (no array holds every switch of the path) at the first sample at or
-    after their switch time."""
+    :func:`evolve_trajectory`. Jumps are binned fluctuator by fluctuator at
+    the first sample at or after their switch time. All switches of the path
+    sit in one flat array drawn by :func:`rtn_paths`; each ``switch_times``
+    entry is a view of its fluctuator's slice, sorted in place."""
     # a spare bin takes a switch that rounding puts past the last sample
     delta = np.zeros(n_samples + 1)
     delta[0] = np.sum(paths.ensemble.couplings * paths.initial_states)
@@ -265,30 +268,33 @@ class TrajectoryResult:
 
 
 def _pauli_axes(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation rates d = |(w, v)| and unit axes (w sz + v sx) / d, per entry.
+    """Rotation rates d = |(w, v)| and unit axes (w sz + v sx) / d, per entry
+    of arrays of any shape.
 
     A zero rate gets a zero axis, so its steps are the identity.
     """
     d = np.hypot(w, v)
-    scale = np.where(d > 0.0, d, 1.0)[:, None, None]
-    return d, (w[:, None, None] * SIGMA_Z + v[:, None, None] * SIGMA_X) / scale
+    scale = np.where(d > 0.0, d, 1.0)[..., None, None]
+    return d, (w[..., None, None] * SIGMA_Z + v[..., None, None] * SIGMA_X) / scale
 
 
 def _pauli_step(d: np.ndarray, axis: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Batched exp(-i d tau axis / 2), exactly unitary; the inputs align."""
+    """Batched exp(-i d tau axis / 2), exactly unitary; ``taus`` broadcasts
+    against ``d``, whose entries align with the leading axes of ``axis``."""
     half = 0.5 * d * taus
     return (
-        np.cos(half)[:, None, None] * _EYE2
-        - 1j * np.sin(half)[:, None, None] * axis
+        np.cos(half)[..., None, None] * _EYE2
+        - 1j * np.sin(half)[..., None, None] * axis
     )
 
 
 def _segment_starts(steps: np.ndarray) -> np.ndarray:
-    """Propagator at the start of each segment, from the per-segment steps."""
+    """Propagator at the start of each segment, from the per-segment steps
+    on the third-to-last axis; leading axes are independent batches."""
     acc = np.empty_like(steps)
-    acc[0] = np.eye(steps.shape[-1])
-    for i in range(1, len(steps)):
-        acc[i] = steps[i - 1] @ acc[i - 1]
+    acc[..., 0, :, :] = np.eye(steps.shape[-1])
+    for i in range(1, steps.shape[-3]):
+        acc[..., i, :, :] = steps[..., i - 1, :, :] @ acc[..., i - 1, :, :]
     return acc
 
 
@@ -301,16 +307,18 @@ def evolve_trajectory(
     is an exact matrix exponential: a tensor product of 2x2 rotations when
     the qubits are uncoupled, a diagonalized 4x4 exponential otherwise.
     Every segment's step is built in one batch; only the running product
-    over segments is sequential. Uncoupled qubits are propagated as their
-    2x2 factors, whose tensor product is formed once for all samples.
+    over segments is sequential. Uncoupled qubits are propagated together
+    as a batch of their 2x2 factors, whose tensor product is formed once
+    for all samples.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     times = np.linspace(0.0, cfg.t_max, cfg.n_samples)
     edges_a, vals_a = noise_segments(paths_a)
     edges_b, vals_b = noise_segments(paths_b)
-    # segment i is [brk[i], brk[i+1]); the last one also holds t_max
-    brk = np.unique(np.concatenate([edges_a, edges_b, [0.0, cfg.t_max]]))
-    brk = brk[brk <= cfg.t_max]
+    # the sorted distinct break points (np.unique would import numpy.ma);
+    # segment i is [brk[i], brk[i+1]) and the last one also holds t_max
+    brk = np.sort(np.concatenate([edges_a, edges_b, [0.0, cfg.t_max]]))
+    brk = brk[np.concatenate([[True], brk[1:] != brk[:-1]]) & (brk <= cfg.t_max)]
     mids = 0.5 * (brk[:-1] + brk[1:])
     xa = vals_a[np.searchsorted(edges_a, mids, side="right") - 1]
     xb = vals_b[np.searchsorted(edges_b, mids, side="right") - 1]
@@ -344,11 +352,10 @@ def evolve_trajectory(
         phases = np.exp(-1j * lam[seg] * taus[:, None])
         out = (vec[seg] * phases[:, None, :]) @ vec_h[seg] @ starts[seg]
     else:
-        factors = []
-        for w, v in ((wa, va), (wb, vb)):
-            d, axis = _pauli_axes(w, v)
-            starts = _segment_starts(_pauli_step(d, axis, dts))
-            factors.append(_pauli_step(d[seg], axis[seg], taus) @ starts[seg])
+        # axis 0 is the qubit
+        d, axis = _pauli_axes(np.stack([wa, wb]), np.stack([va, vb]))
+        starts = _segment_starts(_pauli_step(d, axis, dts))
+        factors = _pauli_step(d[:, seg], axis[:, seg], taus) @ starts[:, seg]
         out = np.einsum("kab,kcd->kacbd", *factors).reshape(-1, 4, 4)
 
     # one (n*4, 4) product applies rho0 to every sample at once
@@ -423,6 +430,9 @@ def monte_carlo_concurrence(
         for i in range(len(bounds) - 1)
     ]
     if n_workers > 1 and len(payloads) > 1:
+        # importing the pool loads multiprocessing; one worker needs neither
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(_run_chunk, payloads))
     else:

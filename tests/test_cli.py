@@ -196,6 +196,17 @@ class TestFigure:
         else:
             assert "monte_carlo" not in manifest
 
+    def test_two_threads_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # ESDLAB_THREADS=2 is the only run that starts the process pool
+        cfg = write_config(tmp_path, {"sim": {"trajectories": 8, "samples": 21,
+                                              "fluctuators": 20}})
+        monkeypatch.delenv("ESDLAB_THREADS", raising=False)
+        assert main(["figure", "fig4b", "--config", cfg, "--outdir", str(tmp_path / "one")]) == 0
+        monkeypatch.setenv("ESDLAB_THREADS", "2")
+        assert main(["figure", "fig4b", "--config", cfg, "--outdir", str(tmp_path / "two")]) == 0
+        for name in ("fig4b.csv", "fig4b_manifest.json"):
+            assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
 
 class TestConfigErrors:
     def run(self, tmp_path, config_path):

@@ -5,6 +5,7 @@ never uses."""
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -27,15 +28,33 @@ def test_declared_dependency_imports(requirement):
     importlib.import_module(name.replace("-", "_"))
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal takes about a second to import and only `psd` uses it
+# a CLI run must not load what only other runs use: scipy (about a second to
+# import) serves `psd` alone, the process pool ESDLAB_THREADS > 1 alone, and
+# numpy.ma nothing at all
+UNUSED_PACKAGES = ("concurrent.futures", "multiprocessing", "numpy.ma")
+TINY_FIG4B = {"sim": {"trajectories": 8, "samples": 21, "fluctuators": 20}}
+
+
+@pytest.mark.parametrize("run", ["import", "fig4b"])
+def test_cli_leaves_unused_modules_unloaded(tmp_path, run):
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, esdlab.cli; print('scipy.signal' in sys.modules)"
+    code = "import sys\nfrom esdlab.cli import main\n"
+    if run == "fig4b":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TINY_FIG4B), encoding="utf-8")
+        argv = ["figure", "fig4b", "--config", str(cfg), "--outdir", str(tmp_path)]
+        code += f"assert main({argv!r}) == 0\n"
+    code += "print(sorted(sys.modules))"
+    env = {k: v for k, v in os.environ.items() if k != "ESDLAB_THREADS"}
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**env, "PYTHONPATH": str(src)},
     )
-    assert done.stdout.strip() == "False"
+    loaded = ast.literal_eval(done.stdout)
+    assert "esdlab.stochastic" in loaded
+    unused = [name for name in loaded if name.startswith("scipy") or any(
+        name == pkg or name.startswith(pkg + ".") for pkg in UNUSED_PACKAGES)]
+    assert unused == []
 
 
 def test_benchmark_trace_contract():

@@ -182,6 +182,48 @@ class TestRtnPaths:
         assert np.allclose(values, 2.0 * sign * (-1.0) ** np.arange(n_switch + 1))
 
 
+def every_fluctuator_noise(paths, n_samples):
+    """noise_segments and sampled_noise built by visiting every fluctuator
+    and keeping those whose switch_times entry is not empty."""
+    x0 = np.sum(paths.ensemble.couplings * paths.initial_states)
+    delta = np.zeros(n_samples + 1)
+    delta[0] = x0
+    scale = (n_samples - 1) / paths.t_max
+    t_all, jump_all = [np.empty(0)], [np.empty(0)]
+    for v, s0, times in zip(paths.ensemble.couplings, paths.initial_states, paths.switch_times):
+        if times.size:
+            jumps = 2.0 * v * s0 * (-1.0) ** np.arange(1, times.size + 1)
+            np.add.at(delta, np.ceil(times * scale).astype(np.intp), jumps)
+            t_all.append(times)
+            jump_all.append(jumps)
+    order = np.argsort(np.concatenate(t_all), kind="stable")
+    edges = np.concatenate([[0.0], np.concatenate(t_all)[order]])
+    values = x0 + np.concatenate([[0.0], np.cumsum(np.concatenate(jump_all)[order])])
+    return edges, values, np.cumsum(delta[:n_samples])
+
+
+class TestSwitchingIndices:
+    def test_name_the_fluctuators_that_switch(self):
+        # the bath of the psd_1f benchmark: 250 fluctuators, 1 Hz-1 MHz, 25 ms
+        paths = rtn_paths(sample_ensemble(250, 1.0, 1.0e6, 2.0e9, 31), 2.5e-2, 32)
+        assert 0 < len(paths.switching) < 250
+        assert paths.switching == tuple(i for i, t in enumerate(paths.switch_times) if t.size)
+
+    def test_only_the_last_fluctuator_switches(self):
+        ens = sample_ensemble(5, 1.0, 1.0e3, 2.0, 7)
+        times = np.array([0.011, 0.25, 0.5005, 0.73])
+        paths = stochastic.RtnPaths(
+            ensemble=ens, t_max=1.0, initial_states=np.array([1.0, -1.0, -1.0, 1.0, -1.0]),
+            switch_times=(np.empty(0),) * 4 + (times,), switching=(4,),
+        )
+        edges, values, samples = every_fluctuator_noise(paths, 101)
+        assert np.count_nonzero(np.diff(samples)) == times.size  # every switch shows
+        got_edges, got_values = noise_segments(paths)
+        assert np.array_equal(got_edges, edges)
+        assert np.array_equal(got_values, values)
+        assert np.array_equal(sampled_noise(paths, 101), samples)
+
+
 class TestSampledNoise:
     @pytest.mark.parametrize(
         "n, gamma_max, t_max, n_samples, switches",
