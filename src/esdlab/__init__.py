@@ -26,26 +26,16 @@ from .markov import (
     QuantumNoiseParams,
     coherence_factor,
     compose_two_qubit,
-    evolve_ewl,
     gibbs_populations,
     interplay_concurrence,
-    interplay_concurrence_bell,
     single_qubit_map,
 )
 from .qmath import (
-    hermitian_eigenvalues,
-    is_x_state,
     validate_density_matrix,
     validate_single_qubit_map,
     wootters_concurrence,
 )
-from .states import (
-    EWLParams,
-    critical_purity,
-    ewl_state,
-    xstate_concurrence,
-    xstate_k,
-)
+from .states import EWLParams, ewl_state
 from .stochastic import (
     FluctuatorEnsemble,
     MonteCarloResult,

@@ -25,7 +25,6 @@ __all__ = [
     "ESDResult",
     "spa_kernel",
     "spa_coherence_modulus",
-    "adiabatic_k",
     "adiabatic_concurrence",
     "esd_time_optimal",
     "esd_time_dephasing",
@@ -113,11 +112,6 @@ def _k_at(state: EWLParams, m):
     return state.r * state.ab_mod * m - (1.0 - state.r) / 4.0
 
 
-def adiabatic_k(t, p_a: AdiabaticParams, p_b: AdiabaticParams, state: EWLParams):
-    """Pre-clamp K(t) = r|ab| |z_A||z_B| - (1-r)/4 under static noise only."""
-    return _k_at(state, spa_coherence_modulus(t, p_a) * spa_coherence_modulus(t, p_b))
-
-
 def adiabatic_concurrence(
     t, p_a: AdiabaticParams, p_b: AdiabaticParams, state: EWLParams
 ):
@@ -125,16 +119,18 @@ def adiabatic_concurrence(
 
     Identical for both flavors: ``max(0, 2 r |ab| |z_A z_B| - (1-r)/2)``.
     """
-    return np.maximum(0.0, 2.0 * adiabatic_k(t, p_a, p_b, state))
+    m = spa_coherence_modulus(t, p_a) * spa_coherence_modulus(t, p_b)
+    return np.maximum(0.0, 2.0 * _k_at(state, m))
 
 
 @dataclass(frozen=True)
 class ESDResult:
-    """Disentanglement (or level-crossing) time of a concurrence curve.
+    """Disentanglement time of a concurrence curve.
 
-    ``time is None`` means the concurrence never reaches the target: by
-    t_max for a search; for a closed form, at any finite time, which happens
-    only for an entangled pure state (r = 1, |ab| > 0).
+    ``time is None`` means the concurrence never reaches zero: by t_max for
+    a search; for a closed form, at any finite time, which happens for an
+    entangled pure state (r = 1, |ab| > 0) and for any entangled state
+    without static noise (sigma = 0), whose concurrence stays constant.
     ``never_entangled`` marks an initial state that is already separable
     (time 0). ``method`` is "closed_form", "bisection" or "grid";
     ``bracket`` encloses a searched root and is None for closed forms.
@@ -157,13 +153,14 @@ def esd_time_optimal(state: EWLParams, sigma: float, omega: float) -> ESDResult:
     """Closed-form disentanglement time for two identical qubits at theta=pi/2.
 
     ``t = (omega / sigma^2) sqrt(16 |ab|^2 r^2 / (1-r)^2 - 1)``. Entangled
-    pure states (r=1) never disentangle under this channel; states with zero
-    concurrence at t=0 start separable.
+    pure states (r=1) never disentangle under this channel, nor does any
+    entangled state at sigma = 0; states with zero concurrence at t=0 start
+    separable.
     """
-    if sigma <= 0.0 or omega <= 0.0:
-        raise ParameterError("sigma and omega must be positive")
+    if sigma < 0.0 or omega <= 0.0:
+        raise ParameterError("sigma must be non-negative and omega positive")
     return _esd_closed_form(
-        state, lambda ratio: omega / sigma**2 * math.sqrt(16.0 * ratio**2 - 1.0)
+        state, sigma, lambda ratio: omega / sigma**2 * math.sqrt(16.0 * ratio**2 - 1.0)
     )
 
 
@@ -171,19 +168,23 @@ def esd_time_dephasing(state: EWLParams, sigma: float) -> ESDResult:
     """Closed-form disentanglement time for two identical qubits at theta=0.
 
     ``t = sqrt(ln(4 |ab| r / (1-r))) / sigma``, finite when the log argument
-    exceeds 1.
+    exceeds 1 and sigma > 0.
     """
-    if sigma <= 0.0:
-        raise ParameterError("sigma must be positive")
-    return _esd_closed_form(state, lambda ratio: math.sqrt(math.log(4.0 * ratio)) / sigma)
+    if sigma < 0.0:
+        raise ParameterError("sigma must be non-negative")
+    return _esd_closed_form(
+        state, sigma, lambda ratio: math.sqrt(math.log(4.0 * ratio)) / sigma
+    )
 
 
-def _esd_closed_form(state: EWLParams, formula) -> ESDResult:
+def _esd_closed_form(state: EWLParams, sigma: float, formula) -> ESDResult:
     # Both closed forms share the same regime logic; `ratio` is |ab| r / (1 - r).
     r = state.r
     if _k_at(state, 1.0) <= 0.0:  # the curve's own K(0): separable at t=0
         return _closed_form(time=0.0, never_entangled=True)
-    if r >= 1.0:  # an entangled pure state's concurrence stays positive
+    # an entangled pure state's concurrence stays positive, and without
+    # static noise every concurrence stays at its initial value
+    if r >= 1.0 or sigma == 0.0:
         return _closed_form(time=None)
     # K(0) > 0 means fl(r |ab|) > fl(1 - r) / 4, and rounding the quotient is
     # monotone, so ratio >= 1/4: both radicands, 16 ratio^2 - 1 and

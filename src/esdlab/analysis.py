@@ -72,8 +72,8 @@ def _bisect_first_zero(c, lo: float, hi: float) -> tuple[float, float, float]:
     return 0.5 * (lo + hi), lo, hi
 
 
-def find_crossing_time(c, t_max: float, level: float = 0.0) -> ESDResult:
-    """First time a concurrence function or curve drops to ``level``.
+def find_crossing_time(c, t_max: float) -> ESDResult:
+    """First time a concurrence function or curve drops to zero.
 
     Callables must map an array of times to an array of values. They are
     scanned on a logarithmic grid of 10^4 points (plus t=0) and the first
@@ -83,39 +83,35 @@ def find_crossing_time(c, t_max: float, level: float = 0.0) -> ESDResult:
     are available, and the enclosing grid interval otherwise.
     """
     if isinstance(c, ConcurrenceCurve):
-        return _crossing_from_curve(c, level)
+        return _crossing_from_curve(c)
     if t_max <= 0.0:
         raise ParameterError("t_max must be positive")
-    g = c if level == 0.0 else (lambda t: np.asarray(c(t)) - level)
-    v0 = float(np.asarray(g(0.0)))
-    if level == 0.0 and v0 < -1e-12:
+    v0 = float(np.asarray(c(0.0)))
+    if v0 < -1e-12:
         raise ParameterError("concurrence must start non-negative")
     if v0 <= 0.0:
-        return ESDResult(
-            time=0.0, bracket=(0.0, 0.0), method="bisection", never_entangled=level == 0.0
-        )
+        return ESDResult(time=0.0, bracket=(0.0, 0.0), method="bisection", never_entangled=True)
     grid = np.concatenate([[0.0], np.geomspace(t_max * 1e-12, t_max, 10_000)])
-    vals = np.asarray(g(grid), dtype=float)
+    vals = np.asarray(c(grid), dtype=float)
     if vals.shape != grid.shape:
         raise ParameterError("a concurrence function must map an array of times to an array")
     below = np.nonzero(vals <= 0.0)[0]
     if below.size == 0:
         return ESDResult(time=None, bracket=None, method="bisection")
     i = int(below[0])
-    root, lo, hi = _bisect_first_zero(g, grid[i - 1], grid[i])
-    if level == 0.0:
-        probe = min(t_max, root * (1.0 + 1e3 * ESD_RELATIVE_TOL))
-        if probe > hi and float(np.asarray(g(probe))) > 0.0:
-            warnings.warn(
-                "concurrence recovers right after its first zero; reported "
-                "time is the first touch, not a permanent loss",
-                stacklevel=2,
-            )
+    root, lo, hi = _bisect_first_zero(c, grid[i - 1], grid[i])
+    probe = min(t_max, root * (1.0 + 1e3 * ESD_RELATIVE_TOL))
+    if probe > hi and float(np.asarray(c(probe))) > 0.0:
+        warnings.warn(
+            "concurrence recovers right after its first zero; reported "
+            "time is the first touch, not a permanent loss",
+            stacklevel=2,
+        )
     return ESDResult(time=root, bracket=(lo, hi), method="bisection")
 
 
-def _interp_crossing(times, vals, level) -> float | None:
-    below = np.nonzero(vals <= level)[0]
+def _interp_crossing(times, vals) -> float | None:
+    below = np.nonzero(vals <= 0.0)[0]
     if below.size == 0:
         return None
     i = int(below[0])
@@ -125,30 +121,30 @@ def _interp_crossing(times, vals, level) -> float | None:
     v0, v1 = vals[i - 1], vals[i]
     if v0 == v1:
         return float(t1)
-    return float(t0 + (v0 - level) * (t1 - t0) / (v0 - v1))
+    return float(t0 + v0 * (t1 - t0) / (v0 - v1))
 
 
-def _crossing_from_curve(curve: ConcurrenceCurve, level: float) -> ESDResult:
-    t = _interp_crossing(curve.times, curve.values, level)
+def _crossing_from_curve(curve: ConcurrenceCurve) -> ESDResult:
+    t = _interp_crossing(curve.times, curve.values)
     if t is None:
         return ESDResult(time=None, bracket=None, method="grid")
-    if t == curve.times[0] and curve.values[0] <= level:
+    if t == curve.times[0] and curve.values[0] <= 0.0:
         return ESDResult(
             time=float(curve.times[0]),
             bracket=(float(curve.times[0]),) * 2,
             method="grid",
-            never_entangled=level == 0.0,
+            never_entangled=True,
         )
     # a single Monte Carlo trajectory has no error bar (nan): use the grid
     if curve.stderr is not None and np.all(np.isfinite(curve.stderr)):
-        lo = _interp_crossing(curve.times, curve.values - 2.0 * curve.stderr, level)
-        hi = _interp_crossing(curve.times, curve.values + 2.0 * curve.stderr, level)
+        lo = _interp_crossing(curve.times, curve.values - 2.0 * curve.stderr)
+        hi = _interp_crossing(curve.times, curve.values + 2.0 * curve.stderr)
         bracket = (
             lo if lo is not None else float(curve.times[0]),
             hi if hi is not None else float(curve.times[-1]),
         )
     else:
-        i = int(np.nonzero(curve.values <= level)[0][0])
+        i = int(np.nonzero(curve.values <= 0.0)[0][0])
         bracket = (float(curve.times[i - 1]), float(curve.times[i]))
     return ESDResult(time=t, bracket=bracket, method="grid")
 

@@ -419,7 +419,7 @@ def cmd_concurrence(args) -> int:
     if args.channel == "montecarlo":
         mc = monte_carlo_concurrence(ewl_state(state), _sim_from(cfg), n_workers=_n_workers())
         header = ["omega_t", "concurrence", "stderr"]
-        rows = zip((mc.times * ad_a.omega).tolist(), mc.concurrence.tolist(), mc.stderr.tolist())
+        rows = zip(omega_t.tolist(), mc.concurrence.tolist(), mc.stderr.tolist())
     else:
         if args.channel == "adiabatic":
             values = adiabatic_concurrence(times, ad_a, ad_b, state)

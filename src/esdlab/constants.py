@@ -16,12 +16,6 @@ EIGENVALUE_FLOOR = -1e-10
 # Transfer-tensor (single-qubit map) validity.
 MAP_TOL = 1e-12
 
-# X-state detection.
-XSTATE_TOL = 1e-10
-
-# Residual required from the Hermitian eigenvalue routine.
-EIGENSOLVER_RESIDUAL_TOL = 1e-10
-
 # Static-path treatment is a low-frequency approximation; warn beyond this
 # noise-to-splitting ratio.
 SPA_SIGMA_RATIO_WARN = 0.2
@@ -34,6 +28,3 @@ UNITARITY_TOL = 1e-10
 
 # Default relative tolerance for disentanglement-time root finding.
 ESD_RELATIVE_TOL = 1e-9
-
-# Concurrence above this value guarantees a CHSH violation.
-BELL_VIOLATION_THRESHOLD = 0.7071067811865476  # 1/sqrt(2)

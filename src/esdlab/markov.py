@@ -31,13 +31,10 @@ __all__ = [
     "QuantumNoiseParams",
     "GibbsPopulations",
     "gibbs_populations",
-    "relaxation_weight",
     "coherence_factor",
     "single_qubit_map",
     "compose_two_qubit",
-    "evolve_ewl",
     "interplay_concurrence",
-    "interplay_concurrence_bell",
 ]
 
 _THETA_TOL = 1e-12
@@ -136,24 +133,18 @@ def single_qubit_map(
     return m
 
 
-def compose_two_qubit(
-    rho0: np.ndarray, map_a: np.ndarray, map_b: np.ndarray, validate: bool = True
-) -> np.ndarray:
+def compose_two_qubit(rho0: np.ndarray, map_a: np.ndarray, map_b: np.ndarray) -> np.ndarray:
     """Evolve a two-qubit state with independent single-qubit channels.
 
     ``rho(t)[ij,i'j'] = sum A[i,i',l,l'] B[j,j',m,m'] rho0[lm,l'm']``. The X
     structure of the input is preserved because neither map couples
-    populations to coherences.
+    populations to coherences. Inputs and output are validated.
     """
-    if validate:
-        rho0 = validate_density_matrix(rho0, name="rho0")
-        map_a = validate_single_qubit_map(map_a, name="map_a")
-        map_b = validate_single_qubit_map(map_b, name="map_b")
-    r4 = np.asarray(rho0, dtype=complex).reshape(2, 2, 2, 2)
-    out = np.einsum("iplr,jqms,lmrs->ijpq", map_a, map_b, r4).reshape(4, 4)
-    if validate:
-        out = validate_density_matrix(out, name="composed state")
-    return out
+    rho0 = validate_density_matrix(rho0, name="rho0")
+    map_a = validate_single_qubit_map(map_a, name="map_a")
+    map_b = validate_single_qubit_map(map_b, name="map_b")
+    out = np.einsum("iplr,jqms,lmrs->ijpq", map_a, map_b, rho0.reshape(2, 2, 2, 2))
+    return validate_density_matrix(out.reshape(4, 4), name="composed state")
 
 
 def _relaxed_diagonal(diag0: np.ndarray, e: np.ndarray,
@@ -205,53 +196,3 @@ def interplay_concurrence(
     c = 2.0 * np.maximum(0.0, np.maximum(k1, k2))
     return float(c[0]) if scalar else c
 
-
-def evolve_ewl(
-    t: float,
-    state: EWLParams,
-    ad_a: AdiabaticParams,
-    ad_b: AdiabaticParams,
-    qn: QuantumNoiseParams,
-) -> np.ndarray:
-    """Density matrix at time t via the explicit map-composition pipeline."""
-    return compose_two_qubit(
-        ewl_state(state),
-        single_qubit_map(t, ad_a, qn),
-        single_qubit_map(t, ad_b, qn),
-    )
-
-
-def interplay_concurrence_bell(
-    t, flavor: str, ad: AdiabaticParams, qn: QuantumNoiseParams
-):
-    """Closed-form concurrence of an initial Bell state (r=1, a=1/sqrt2).
-
-    Valid for resonant identical qubits at the optimal point. The
-    one-excitation flavor pays a population penalty proportional to
-    sqrt(p0_inf p1_inf), the two-excitation flavor one driven by relaxation
-    into the singly excited levels; both share the coherence term
-    ``exp(-t/T1) / (2 |1 + (i omega + 1/T1) sigma^2 t / omega^2|)``.
-    """
-    if flavor not in ("phi", "psi"):
-        raise ParameterError(f"flavor must be 'phi' or 'psi', got {flavor!r}")
-    if abs(ad.theta - math.pi / 2.0) > _THETA_TOL:
-        raise ParameterError(
-            "closed form holds at the optimal point only (theta = pi/2); "
-            "use interplay_concurrence for general angles"
-        )
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ParameterError("time must be non-negative")
-    p = gibbs_populations(ad.omega, qn.temperature)
-    e = relaxation_weight(t, qn)
-    inv_t1 = 0.0 if not math.isfinite(qn.t1) else 1.0 / qn.t1
-    bracket = 1.0 + (1j * ad.omega + inv_t1) * ad.sigma**2 * t / ad.omega**2
-    coh = 0.5 * e / np.abs(bracket)
-    sq = p.p0_inf**2 + p.p1_inf**2
-    cross = p.p0_inf * p.p1_inf
-    if flavor == "phi":
-        k = coh - math.sqrt(cross) * (1.0 - e) * np.sqrt(sq * e + cross * (1.0 + e * e))
-    else:
-        k = coh - 0.5 * (1.0 - e) * (sq * e + 2.0 * cross)
-    c = 2.0 * np.maximum(0.0, k)
-    return c if c.ndim else float(c)

@@ -11,22 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import (
-    EIGENVALUE_FLOOR,
-    HERMITICITY_TOL,
-    MAP_TOL,
-    TRACE_TOL,
-    XSTATE_TOL,
-)
+from .constants import EIGENVALUE_FLOOR, HERMITICITY_TOL, MAP_TOL, TRACE_TOL
 from .errors import InvalidStateError
 
 __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "hermitian_eigenvalues",
     "wootters_concurrence",
-    "is_x_state",
     "validate_density_matrix",
     "validate_single_qubit_map",
 ]
@@ -37,10 +29,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # sigma_y (x) sigma_y is real: the anti-diagonal (-1, 1, 1, -1).
 _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y).real
-
-# Indices of the eight off-X elements (everything outside diagonal and
-# anti-diagonal).
-_OFF_X = ((0, 0, 1, 1, 2, 3, 3, 2), (1, 2, 0, 3, 0, 1, 2, 0))
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
@@ -86,21 +74,6 @@ def validate_single_qubit_map(transfer: np.ndarray, name: str = "map") -> np.nda
     return t
 
 
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a small Hermitian matrix, sorted descending.
-
-    Raises :class:`InvalidStateError` when the input deviates from Hermitian
-    symmetry by more than 1e-10.
-    """
-    m = np.asarray(m, dtype=complex)
-    herm = np.abs(m - m.conj().T).max()
-    if herm > 1e-10:
-        raise InvalidStateError(
-            f"matrix is not Hermitian: max asymmetry {herm:.3e} exceeds 1e-10"
-        )
-    return np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1]
-
-
 def wootters_concurrence(rho: np.ndarray, validate: bool = True) -> float | np.ndarray:
     """Two-qubit concurrence C(rho), the exact oracle for every fast path.
 
@@ -140,8 +113,3 @@ def wootters_concurrence(rho: np.ndarray, validate: bool = True) -> float | np.n
     c = np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
     return c if stacked else float(c)
 
-
-def is_x_state(rho: np.ndarray, tol: float = XSTATE_TOL) -> bool:
-    """True when all eight off-X elements have modulus at most ``tol``."""
-    rho = np.asarray(rho, dtype=complex)
-    return bool(np.abs(rho[_OFF_X]).max() <= tol)

@@ -1,4 +1,4 @@
-"""Extended Werner-like initial states and the X-state concurrence fast path."""
+"""Extended Werner-like initial states."""
 
 from __future__ import annotations
 
@@ -8,17 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import XSTATE_TOL
-from .errors import InvalidStateError, ParameterError
-from .qmath import is_x_state, validate_density_matrix
+from .errors import ParameterError
+from .qmath import validate_density_matrix
 
-__all__ = [
-    "EWLParams",
-    "ewl_state",
-    "xstate_k",
-    "xstate_concurrence",
-    "critical_purity",
-]
+__all__ = ["EWLParams", "ewl_state"]
 
 
 @dataclass(frozen=True)
@@ -66,40 +59,3 @@ def ewl_state(p: EWLParams) -> np.ndarray:
     rho = p.r * np.outer(pure, pure.conj()) + (1.0 - p.r) / 4.0 * np.eye(4)
     return validate_density_matrix(rho, name="ewl_state")
 
-
-def xstate_k(rho: np.ndarray) -> tuple[float, float]:
-    """Unclamped pair (K1, K2) of an X state.
-
-    K1 = |rho_12| - sqrt(rho_00 rho_33) compares the one-excitation coherence
-    with its population penalty; K2 = |rho_03| - sqrt(rho_11 rho_22) is the
-    two-excitation counterpart. The concurrence is 2 max(0, K1, K2).
-    """
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.diagonal().real
-    k1 = abs(rho[1, 2]) - math.sqrt(max(d[0] * d[3], 0.0))
-    k2 = abs(rho[0, 3]) - math.sqrt(max(d[1] * d[2], 0.0))
-    return float(k1), float(k2)
-
-
-def xstate_concurrence(rho: np.ndarray) -> float:
-    """Concurrence of an X-form density matrix via the K1/K2 shortcut.
-
-    Raises :class:`InvalidStateError` for non-X input; use
-    :func:`esdlab.qmath.wootters_concurrence` for general states.
-    """
-    if not is_x_state(rho, XSTATE_TOL):
-        raise InvalidStateError(
-            "density matrix is not in X form within tolerance "
-            f"{XSTATE_TOL:g}; use qmath.wootters_concurrence instead"
-        )
-    k1, k2 = xstate_k(rho)
-    return 2.0 * max(0.0, k1, k2)
-
-
-def critical_purity(a: complex) -> float:
-    """Purity threshold r* = 1 / (1 + 4|a b|) below which the state is separable."""
-    mod_a = abs(a)
-    if mod_a > 1.0 + 1e-12:
-        raise ParameterError(f"|a| must not exceed 1, got {mod_a}")
-    ab = mod_a * math.sqrt(max(0.0, 1.0 - mod_a**2))
-    return 1.0 / (1.0 + 4.0 * ab)

@@ -1,9 +1,17 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the code paths they check: the eigenvalue oracle is
-a plain Jacobi rotation sweep, the coherence oracle integrates the Gaussian
-phase average by composite quadrature instead of using the closed form, and
-the periodogram oracle is a numpy FFT instead of scipy.signal.
+These deliberately avoid the code paths they check:
+
+- ``interplay_concurrence_bell`` is the paper's closed form for an initial
+  Bell state, with its own relaxation weight and Gibbs populations; it gates
+  the library's composed-channel curve;
+- ``xstate_k`` is the K1/K2 rule of an X-state density matrix, read off the
+  matrix elements, and ``is_x_state`` checks that a state has X form;
+- ``critical_purity`` is the separability threshold r* of the extended
+  Werner-like states;
+- the coherence oracle integrates the Gaussian phase average by composite
+  quadrature instead of using the closed form;
+- the periodogram oracle is a numpy FFT instead of scipy.signal.
 """
 
 from __future__ import annotations
@@ -12,43 +20,69 @@ import math
 
 import numpy as np
 
+from esdlab.constants import HBAR, K_B
 
-def jacobi_hermitian_eigenvalues(h, max_sweeps: int = 200, tol: float = 1e-15):
-    """Eigenvalues of a complex Hermitian matrix via explicit 2x2 rotations."""
-    a = np.array(h, dtype=complex)
-    n = a.shape[0]
-    scale = max(1.0, float(np.abs(a).max()))
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(a[p, q]))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                hpq = a[p, q]
-                if abs(hpq) <= tol * scale:
-                    continue
-                phase = hpq / abs(hpq)
-                app = a[p, p].real
-                aqq = a[q, q].real
-                # zeroing (J^H A J)[p,q] with J[p,q] = -s*phase requires
-                # cot(2 theta) = (app - aqq) / (2 |hpq|)
-                tau = (app - aqq) / (2.0 * abs(hpq))
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                j = np.eye(n, dtype=complex)
-                j[p, p] = c
-                j[p, q] = -s * phase
-                j[q, p] = s * np.conj(phase)
-                j[q, q] = c
-                a = j.conj().T @ a @ j
-    return np.sort(a.diagonal().real)[::-1]
+# Indices of the eight off-X elements (everything outside diagonal and
+# anti-diagonal).
+_OFF_X = ((0, 0, 1, 1, 2, 3, 3, 2), (1, 2, 0, 3, 0, 1, 2, 0))
+
+
+def is_x_state(rho, tol: float) -> bool:
+    """True when all eight off-X elements have modulus at most ``tol``."""
+    return bool(np.abs(np.asarray(rho)[_OFF_X]).max() <= tol)
+
+
+def xstate_k(rho) -> tuple[float, float]:
+    """Unclamped pair (K1, K2) of an X state; its concurrence is 2 max(0, K1, K2).
+
+    K1 = |rho_12| - sqrt(rho_00 rho_33) compares the one-excitation coherence
+    with its population penalty; K2 = |rho_03| - sqrt(rho_11 rho_22) is the
+    two-excitation counterpart.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    d = rho.diagonal().real
+    k1 = abs(rho[1, 2]) - math.sqrt(max(d[0] * d[3], 0.0))
+    k2 = abs(rho[0, 3]) - math.sqrt(max(d[1] * d[2], 0.0))
+    return float(k1), float(k2)
+
+
+def xstate_concurrence(rho) -> float:
+    return 2.0 * max(0.0, *xstate_k(rho))
+
+
+def critical_purity(a: complex) -> float:
+    """Purity threshold r* = 1 / (1 + 4|ab|) below which the state is separable."""
+    mod_a = abs(a)
+    ab = mod_a * math.sqrt(max(0.0, 1.0 - mod_a**2))
+    return 1.0 / (1.0 + 4.0 * ab)
+
+
+def interplay_concurrence_bell(t, flavor: str, ad, qn):
+    """Closed-form concurrence of an initial Bell state (r=1, a=1/sqrt2).
+
+    Valid for identical qubits ``ad`` at the optimal point (theta = pi/2)
+    under quantum noise ``qn``. The one-excitation flavor ("phi") pays a
+    population penalty proportional to sqrt(p0_inf p1_inf), the
+    two-excitation flavor ("psi") one driven by relaxation into the singly
+    excited levels; both share the coherence term
+    ``exp(-t/T1) / (2 |1 + (i omega + 1/T1) sigma^2 t / omega^2|)``, with
+    1/T1 = S(omega)/2.
+    """
+    t = np.asarray(t, dtype=float)
+    inv_t1 = 0.5 * qn.s_white
+    e = np.exp(-inv_t1 * t)
+    x = math.tanh(HBAR * ad.omega / (2.0 * K_B * qn.temperature))
+    p0, p1 = 0.5 * (1.0 + x), 0.5 * (1.0 - x)
+    bracket = 1.0 + (1j * ad.omega + inv_t1) * ad.sigma**2 * t / ad.omega**2
+    coh = 0.5 * e / np.abs(bracket)
+    sq = p0**2 + p1**2
+    cross = p0 * p1
+    if flavor == "phi":
+        k = coh - math.sqrt(cross) * (1.0 - e) * np.sqrt(sq * e + cross * (1.0 + e * e))
+    else:
+        k = coh - 0.5 * (1.0 - e) * (sq * e + 2.0 * cross)
+    c = 2.0 * np.maximum(0.0, k)
+    return c if c.ndim else float(c)
 
 
 def gaussian_average_coherence(

@@ -33,7 +33,3 @@ def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
-
-def random_hermitian(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return 0.5 * (g + g.conj().T)

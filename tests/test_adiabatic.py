@@ -13,9 +13,9 @@ from esdlab.adiabatic import (
 )
 from esdlab.errors import ParameterError
 from esdlab.qmath import wootters_concurrence
-from esdlab.states import EWLParams, critical_purity, ewl_state
+from esdlab.states import EWLParams, ewl_state
 
-from _oracles import gaussian_average_coherence
+from _oracles import critical_purity, gaussian_average_coherence
 
 OMEGA = 1.0e11
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -162,6 +162,21 @@ class TestClosedFormEsdTimes:
         t_opt = esd_time_optimal(s, 0.02 * OMEGA, OMEGA).time * OMEGA
         t_deph = esd_time_dephasing(s, 0.02 * OMEGA).time * OMEGA
         assert t_opt > t_deph
+
+    def test_no_static_noise_never_disentangles(self):
+        # sigma = 0 leaves the concurrence at its initial value forever
+        for r, separable in ((0.3, True), (0.9, False), (1.0, False)):
+            s = EWLParams(r, INV_SQRT2)
+            for res in (esd_time_optimal(s, 0.0, OMEGA), esd_time_dephasing(s, 0.0)):
+                assert res.never_entangled == separable
+                assert res.time == (0.0 if separable else None)
+
+    def test_rejects_negative_sigma(self):
+        s = EWLParams(0.9, INV_SQRT2)
+        with pytest.raises(ParameterError, match="sigma"):
+            esd_time_optimal(s, -1.0, OMEGA)
+        with pytest.raises(ParameterError, match="sigma"):
+            esd_time_dephasing(s, -1.0)
 
     def test_never_entangled_below_threshold(self):
         res = esd_time_optimal(EWLParams(0.2, INV_SQRT2), 2.0e9, OMEGA)

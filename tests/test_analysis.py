@@ -15,9 +15,8 @@ from esdlab.analysis import (
     find_crossing_time,
     sweep,
 )
-from esdlab.constants import BELL_VIOLATION_THRESHOLD
 from esdlab.errors import ParameterError
-from esdlab.markov import QuantumNoiseParams, interplay_concurrence
+from esdlab.markov import QuantumNoiseParams
 from esdlab.states import EWLParams, ewl_state
 from esdlab.stochastic import SimConfig, monte_carlo_concurrence
 
@@ -108,14 +107,6 @@ class TestFindEsdTime:
             # 32 trajectories make two batches, so the error bar has a width
             assert esd.bracket[0] < esd.time < esd.bracket[1]
 
-    def test_threshold_crossing(self):
-        p = qubit(math.pi / 2)
-        s = EWLParams(1.0, INV_SQRT2)
-        fn = lambda t: adiabatic_concurrence(t, p, p, s)
-        res = find_crossing_time(fn, 1.0e5 / OMEGA, level=BELL_VIOLATION_THRESHOLD)
-        # 1/sqrt(1+u^2) = 1/sqrt2 at u = sigma^2 t / omega = 1
-        assert res.time * OMEGA == pytest.approx(2500.0, rel=1e-9)
-
     def test_rejects_bad_horizon(self):
         with pytest.raises(ParameterError):
             find_crossing_time(lambda t: 1.0, 0.0)
@@ -185,17 +176,6 @@ class TestSweep:
             assert not row.esd_phi.is_infinite
             assert not row.esd_psi.is_infinite
             assert row.esd_phi.time >= row.esd_psi.time
-
-    def test_bell_threshold_marker_present(self):
-        p = qubit(math.pi / 2)
-        t_max = 1.0e6 / OMEGA
-        rows = sweep(
-            "r", [0.95], EWLParams(0.9, INV_SQRT2), p, p, QN, t_max=t_max,
-        )
-        state = EWLParams(0.95, INV_SQRT2, "phi")
-        curve = lambda t: interplay_concurrence(t, state, p, p, QN)
-        bell = find_crossing_time(curve, t_max, BELL_VIOLATION_THRESHOLD)
-        assert bell.time < rows[0].esd_phi.time
 
     def test_static_search_without_closed_form(self):
         # no closed form for a detuned pair (qubit B 20% above A, as in fig4)

@@ -61,6 +61,19 @@ class TestConcurrence:
         script = (tmp_path / "mc.gp").read_text(encoding="utf-8")
         assert "'mc.csv' using 1:2 with lines, 'mc.csv' using 1:3 with lines" in script
 
+    def test_montecarlo_time_column_is_the_shared_grid(self, tmp_path):
+        # 11 samples over omega_t = 5e3: seconds times omega gave 1500.0000000000002
+        cfg = write_config(tmp_path, {"sim": {"trajectories": 2, "samples": 11,
+                                              "fluctuators": 5}})
+        columns = {}
+        for channel in ("montecarlo", "adiabatic"):
+            out = tmp_path / f"{channel}.csv"
+            argv = ["concurrence", "--channel", channel, "--config", cfg, "--out", str(out)]
+            assert main(argv) == 0
+            columns[channel] = [row[0] for row in read_csv(out)[1]]
+        assert columns["montecarlo"] == columns["adiabatic"]
+        assert "1500.0" in columns["montecarlo"]
+
 
 class TestEsd:
     @pytest.mark.parametrize("sweep, lo, hi", [("r", "0.5", "0.99"), ("a2", "0.2", "0.8")])
@@ -98,6 +111,24 @@ class TestEsd:
         assert main(argv) == 0
         header, rows = read_csv(out)
         assert [row[header.index("omega_t_esd_adiabatic")] for row in rows] == static
+
+    @pytest.mark.parametrize("theta", [math.pi / 2, 0.0], ids=["optimal", "dephasing"])
+    def test_no_static_noise(self, tmp_path, theta):
+        # sigma = 0 is in the config's range; the static concurrence stays at
+        # its initial value, zero below r* = 1/3 and positive above it
+        qubit = {"sigma_rad_s": 0.0, "theta_rad": theta}
+        cfg = {"state": {"a2": 0.5}, "qubit_a": qubit, "qubit_b": qubit}
+        out = tmp_path / "esd.csv"
+        argv = ["esd", "--config", write_config(tmp_path, cfg), "--sweep", "r",
+                "--from", "0.3", "--to", "0.9", "--points", "2", "--out", str(out)]
+        assert main(argv) == 0
+        header, rows = read_csv(out)
+        cols = dict(zip(header, zip(*rows)))
+        assert cols["sweep_value"] == ("0.3", "0.9")
+        assert cols["omega_t_esd_adiabatic"] == ("0.0", "inf")
+        # without static noise the interplay channel is the quantum-only one
+        assert cols["omega_t_esd_phi"] == cols["omega_t_esd_quantum_phi"]
+        assert cols["omega_t_esd_psi"] == cols["omega_t_esd_quantum_psi"]
 
 
 class TestQuantumNoiseOff:
@@ -350,14 +381,26 @@ OVERRIDE_CONFIGS = st.fixed_dictionaries({}, optional={
 # a warning is a defect the run let through, so it fails the example
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_config_contract(cfg, channel):
+    _assert_contract(["concurrence", "--channel", channel, "--samples", "3"], cfg, 3)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(cfg=OVERRIDE_CONFIGS)
+# no static noise on either qubit: both closed forms take sigma = 0
+@example(cfg={"qubit_a": {"sigma_rad_s": 0.0}, "qubit_b": {"sigma_rad_s": 0.0}})
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_esd_config_contract(cfg):
+    _assert_contract(["esd", "--sweep", "r", "--from", "0.3", "--to", "0.99",
+                      "--points", "2"], cfg, 2)
+
+
+def _assert_contract(argv, cfg, n_rows):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "c.csv"
-        argv = ["concurrence", "--channel", channel, "--samples", "3",
-                "--config", write_config(Path(tmp), cfg), "--out", str(out)]
-        code = main(argv)
+        code = main([*argv, "--config", write_config(Path(tmp), cfg), "--out", str(out)])
         assert code in (0, 2)
         if code == 0:
             _, rows = read_csv(out)
-            assert len(rows) == 3
+            assert len(rows) == n_rows
             assert_cells_round_trip(rows)
             assert not any(math.isnan(float(cell)) for row in rows for cell in row)

@@ -9,16 +9,19 @@ from esdlab.markov import (
     QuantumNoiseParams,
     coherence_factor,
     compose_two_qubit,
-    evolve_ewl,
     gibbs_populations,
     interplay_concurrence,
-    interplay_concurrence_bell,
     single_qubit_map,
 )
-from esdlab.qmath import is_x_state, validate_density_matrix, wootters_concurrence
-from esdlab.states import EWLParams, ewl_state, xstate_concurrence
+from esdlab.qmath import validate_density_matrix
+from esdlab.states import EWLParams, ewl_state
 
-from _oracles import combined_coherence_modulus
+from _oracles import (
+    combined_coherence_modulus,
+    interplay_concurrence_bell,
+    is_x_state,
+    xstate_concurrence,
+)
 from conftest import random_x_state
 
 OMEGA = 1.0e11
@@ -171,7 +174,11 @@ class TestInterplayBellClosedForms:
             closed = interplay_concurrence_bell(times, flavor, AD_OPT, QN)
             piped = np.array(
                 [
-                    xstate_concurrence(evolve_ewl(t, state, AD_OPT, AD_OPT, QN))
+                    xstate_concurrence(compose_two_qubit(
+                        ewl_state(state),
+                        single_qubit_map(t, AD_OPT, QN),
+                        single_qubit_map(t, AD_OPT, QN),
+                    ))
                     for t in times
                 ]
             )
@@ -183,14 +190,17 @@ class TestInterplayBellClosedForms:
         c_psi = interplay_concurrence_bell(t, "psi", AD_OPT, QN)
         assert np.all(c_phi - c_psi >= -1e-12)
 
-    def test_requires_optimal_point(self):
-        ad = AdiabaticParams(omega=OMEGA, theta=0.3, sigma=0.02 * OMEGA)
-        with pytest.raises(ParameterError, match="optimal point"):
-            interplay_concurrence_bell(1.0e-7, "phi", ad, QN)
-
-    def test_rejects_unknown_flavor(self):
-        with pytest.raises(ParameterError):
-            interplay_concurrence_bell(0.0, "xi", AD_OPT, QN)
+    @pytest.mark.parametrize("s_white", [2.0e6, 0.0])
+    @pytest.mark.parametrize("temperature", [0.04, 0.5])
+    @pytest.mark.parametrize("flavor", ["phi", "psi"])
+    def test_gates_live_curve(self, flavor, temperature, s_white):
+        # the paper's Bell closed form against the curve the CLI writes
+        qn = QuantumNoiseParams(s_white=s_white, temperature=temperature)
+        times = np.linspace(0.0, 5.0e4, 500) / OMEGA
+        state = EWLParams(r=1.0, a=INV_SQRT2, flavor=flavor)
+        live = interplay_concurrence(times, state, AD_OPT, AD_OPT, qn)
+        closed = interplay_concurrence_bell(times, flavor, AD_OPT, qn)
+        assert np.abs(live - closed).max() <= 1e-12
 
 
 class TestInterplayConcurrence:
@@ -201,7 +211,11 @@ class TestInterplayConcurrence:
             fast = interplay_concurrence(times, state, AD_OPT, AD_OPT, QN)
             piped = np.array(
                 [
-                    xstate_concurrence(evolve_ewl(t, state, AD_OPT, AD_OPT, QN))
+                    xstate_concurrence(compose_two_qubit(
+                        ewl_state(state),
+                        single_qubit_map(t, AD_OPT, QN),
+                        single_qubit_map(t, AD_OPT, QN),
+                    ))
                     for t in times
                 ]
             )

@@ -75,7 +75,7 @@ for key, sites in spans.SITES.items():
     assert len(found) == 1, key
 params = list(inspect.signature(evolve_trajectory).parameters)
 assert params[:4] == ["rho0", "paths_a", "paths_b", "cfg"], params
-assert list(inspect.signature(find_crossing_time).parameters)[2] == "level"
+assert list(inspect.signature(find_crossing_time).parameters) == ["c", "t_max"]
 assert "switch_times" in RtnPaths.__dataclass_fields__
 print(HAVE_NUMBA)
 """

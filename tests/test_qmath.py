@@ -3,58 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from esdlab.constants import EIGENSOLVER_RESIDUAL_TOL
 from esdlab.errors import InvalidStateError
 from esdlab.qmath import (
-    hermitian_eigenvalues,
-    is_x_state,
     validate_density_matrix,
     validate_single_qubit_map,
     wootters_concurrence,
 )
 
-from _oracles import jacobi_hermitian_eigenvalues
-from conftest import random_density_matrix, random_hermitian, random_unitary
+from _oracles import is_x_state
+from conftest import random_density_matrix, random_unitary
 
 
 def bell_state(i: int, j: int) -> np.ndarray:
     v = np.zeros(4, dtype=complex)
     v[i] = v[j] = 1.0 / math.sqrt(2.0)
     return np.outer(v, v.conj())
-
-
-class TestHermitianEigenvalues:
-    def test_scalar_matrix(self):
-        vals = hermitian_eigenvalues(np.eye(4) / 4.0)
-        assert np.allclose(vals, 0.25, atol=1e-15)
-
-    def test_diagonal(self):
-        vals = hermitian_eigenvalues(np.diag([1.0, 0.0, 0.0, 0.0]))
-        assert np.allclose(vals, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
-
-    def test_descending_order(self, rng):
-        vals = hermitian_eigenvalues(random_hermitian(rng))
-        assert np.all(np.diff(vals) <= 0.0)
-
-    def test_against_jacobi_oracle(self, rng):
-        for _ in range(200):
-            h = random_hermitian(rng)
-            got = hermitian_eigenvalues(h)
-            want = jacobi_hermitian_eigenvalues(h)
-            assert np.abs(got - want).max() <= EIGENSOLVER_RESIDUAL_TOL
-
-    def test_reconstruction_residual(self, rng):
-        h = random_hermitian(rng)
-        vals, vecs = np.linalg.eigh(h)
-        got = hermitian_eigenvalues(h)
-        for lam, v in zip(got, vecs[:, ::-1].T):
-            assert np.linalg.norm(h @ v - lam * v) <= EIGENSOLVER_RESIDUAL_TOL
-
-    def test_rejects_non_hermitian(self):
-        m = np.eye(4, dtype=complex)
-        m[0, 1] = 1e-6
-        with pytest.raises(InvalidStateError):
-            hermitian_eigenvalues(m)
 
 
 class TestWoottersConcurrence:
@@ -113,6 +76,7 @@ class TestWoottersConcurrence:
 
 
 class TestIsXState:
+    # the off-X check the X-form tests of states and markov rely on
     def test_diagonal_is_x(self):
         assert is_x_state(np.eye(4) / 4.0, 1e-14)
 

@@ -3,16 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from esdlab.errors import InvalidStateError, ParameterError
-from esdlab.qmath import is_x_state, wootters_concurrence
-from esdlab.states import (
-    EWLParams,
-    critical_purity,
-    ewl_state,
-    xstate_concurrence,
-    xstate_k,
-)
+from esdlab.errors import ParameterError
+from esdlab.qmath import wootters_concurrence
+from esdlab.states import EWLParams, ewl_state
 
+from _oracles import critical_purity, is_x_state, xstate_concurrence, xstate_k
 from conftest import random_x_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -72,6 +67,7 @@ class TestEWLState:
 
 
 class TestXStateConcurrence:
+    # the K1/K2 oracle against the exact concurrence
     def test_bell_value(self):
         assert xstate_concurrence(
             ewl_state(EWLParams(r=1.0, a=INV_SQRT2, flavor="psi"))
@@ -93,15 +89,9 @@ class TestXStateConcurrence:
         assert k1 == pytest.approx(-math.sqrt(0.04))
         assert k2 == pytest.approx(-math.sqrt(0.06))
 
-    def test_rejects_non_x_input(self):
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = rho[1, 1] = 0.5
-        rho[0, 1] = rho[1, 0] = 0.5
-        with pytest.raises(InvalidStateError, match="wootters"):
-            xstate_concurrence(rho)
-
 
 class TestCriticalPurity:
+    # the r* oracle that the separability-boundary tests read
     def test_balanced_amplitudes(self):
         assert critical_purity(INV_SQRT2) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
