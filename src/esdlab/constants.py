@@ -23,8 +23,5 @@ SPA_SIGMA_RATIO_WARN = 0.2
 # Fluctuator ensembles must realize the requested total variance.
 ENSEMBLE_VARIANCE_RTOL = 1e-9
 
-# Per-trajectory propagators must stay unitary to this level.
-UNITARITY_TOL = 1e-10
-
 # Default relative tolerance for disentanglement-time root finding.
 ESD_RELATIVE_TOL = 1e-9

@@ -10,29 +10,35 @@ rates drawn log-uniformly over a wide band give the familiar 1/f spectrum
 (two-sided, angular-frequency convention) inside the band. Trajectories are
 propagated exactly: between switch events the Hamiltonian is constant and
 the step propagator is an exact matrix exponential, so the only errors are
-statistical.
+statistical. The engine runs in two stages. Per trajectory,
+:func:`evolve_trajectory` carries a factor C of the initial state
+(rho0 = C C^dagger + f I, where no unitary moves f I) to every switch
+event. Per block of trajectories, the sample stage evaluates them on the
+time grid with elementwise arithmetic and sums their states with one Gram
+product per sample.
 
 Determinism: every random quantity derives from a root seed through
 ``numpy.random.SeedSequence`` spawn keys indexed by trajectory (or
 realization) number, and reductions run over chunks fixed by the
-configuration, in index order, so results are bit-identical regardless of
-worker count. ``STREAM_VERSION`` names the layout of those streams. The
-rates of an ensemble are drawn once (a device); every path drawn by
-:func:`rtn_paths` owns fresh stationary signs. PSD realization k uses spawn
-key (k,) and draws like one Monte Carlo path; realizations are transformed
-in blocks and their periodograms summed in realization order, so the PSD
-estimate is bit-identical for any block size.
+configuration, and blocks within them, in index order, so results are
+bit-identical regardless of worker count. ``STREAM_VERSION`` names the
+layout of those streams. The rates of an ensemble are drawn once (a
+device); every path drawn by :func:`rtn_paths` owns fresh stationary signs.
+PSD realization k uses spawn key (k,) and draws like one Monte Carlo path;
+realizations are transformed in blocks and their periodograms summed in
+realization order, so the PSD estimate is bit-identical for any block size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .adiabatic import AdiabaticParams
-from .constants import ENSEMBLE_VARIANCE_RTOL
+from .constants import ENSEMBLE_VARIANCE_RTOL, HERMITICITY_TOL
 from .errors import ParameterError
 from .qmath import SIGMA_X, SIGMA_Z, wootters_concurrence
 
@@ -62,6 +68,16 @@ __all__ = [
 # the averages independent of the worker count.
 CHUNK_SIZE = 32
 
+# A chunk's trajectories are sampled in blocks that hold this many columns of
+# the initial state's factor: four trajectories of a pure state, or of one
+# mixed with white noise, and one of a generic full-rank state. A block's
+# temporaries grow with its columns, and its one Gram product per sample
+# costs about the same at any width. On fig4b's 3 x 256 trajectories (2-vCPU
+# VM) the CLI's peak RSS is 38.5-38.8 MB for 1-4 trajectories a block, 39.2
+# for 8, 40.1 for 16 and 41.6 for 32, with no time gained that the VM's
+# noise does not swamp.
+BLOCK_COLUMNS = 4
+
 # The periodogram transforms realizations in blocks of about this many
 # samples. Each scipy call carries a fixed cost of several milliseconds that
 # does not grow with its row count, but a larger block holds more rows, and
@@ -75,6 +91,7 @@ PSD_BLOCK_SAMPLES = 100_000
 STREAM_VERSION = 2
 
 _EYE2 = np.eye(2, dtype=complex)
+_EYE4 = np.eye(4)
 # the one-qubit Pauli operators embedded in the two-qubit space
 _ZI, _XI = np.kron(SIGMA_Z, _EYE2), np.kron(SIGMA_X, _EYE2)
 _IZ, _IX = np.kron(_EYE2, SIGMA_Z), np.kron(_EYE2, SIGMA_X)
@@ -253,65 +270,129 @@ class SimConfig:
         if self.n_fluctuators < 1:
             raise ParameterError("n_fluctuators must be at least 1")
 
+    @cached_property
+    def coupling_term(self) -> np.ndarray:
+        """The fixed qubit-qubit term of the Hamiltonian, -g/2 n_a.sigma (x)
+        n_b.sigma, built once per configuration: the bath couples along the
+        laboratory z axis, which in each qubit's eigenbasis reads
+        sin(theta) sx + cos(theta) sz."""
+        qa, qb = self.qubit_a, self.qubit_b
+        axis_a = math.sin(qa.theta) * SIGMA_X + math.cos(qa.theta) * SIGMA_Z
+        axis_b = math.sin(qb.theta) * SIGMA_X + math.cos(qb.theta) * SIGMA_Z
+        return -0.5 * self.coupling_g * np.kron(axis_a, axis_b)
+
 
 @dataclass(frozen=True)
 class TrajectoryResult:
-    """One noise realization: sampled conditional unitaries and states."""
+    """One noise realization after the segment stage of the engine.
 
-    times: np.ndarray
-    unitaries: np.ndarray  # (n_samples, 4, 4)
-    states: np.ndarray     # (n_samples, 4, 4), U rho0 U^dagger
+    The engine runs in two stages. :func:`evolve_trajectory` does the work
+    of one trajectory that grows with its segments: the break points, and a
+    factor C of the initial state (rho0 = C C^dagger + floor I) carried to
+    the start of every segment and spread over four terms, so that at a
+    time tau into segment s the propagated factor is
 
-    def unitarity_defect(self) -> float:
-        uu = np.einsum("kij,kil->kjl", self.unitaries.conj(), self.unitaries)
-        return float(np.abs(uu - np.eye(4)).max())
+        U C = sum_u coef_u(tau) terms[s, u].
 
-
-def _pauli_axes(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation rates d = |(w, v)| and unit axes (w sz + v sx) / d, per entry
-    of arrays of any shape.
-
-    A zero rate gets a zero axis, so its steps are the identity.
+    Uncoupled qubits rotate by c_q - i s_q (n_q . sigma) with (c_q, s_q) the
+    cosine and sine of ``rates[s, q] * tau``; coef is (c_a c_b, c_a s_b,
+    s_a c_b, s_a s_b). Coupled qubits have coef_u = exp(-i rates[s, u] tau)
+    with ``rates`` the segment's eigen-energies. The sample stage evaluates
+    a block of trajectories on the grid at once; ``states`` runs it on this
+    trajectory alone.
     """
-    d = np.hypot(w, v)
-    scale = np.where(d > 0.0, d, 1.0)[..., None, None]
-    return d, (w[..., None, None] * SIGMA_Z + v[..., None, None] * SIGMA_X) / scale
+
+    times: np.ndarray    # (n_samples,) the sample grid
+    segment: np.ndarray  # (n_samples,) the segment holding each sample
+    taus: np.ndarray     # (n_samples,) each sample's time since its segment began
+    rates: np.ndarray    # (n_segments, 2) uncoupled, (n_segments, 4) coupled
+    terms: np.ndarray    # (n_segments, 4, 4, r) complex
+    floor: float         # rho0 = C C^dagger + floor I
+    coupled: bool
+
+    @property
+    def states(self) -> np.ndarray:
+        """(n_samples, 4, 4) conditional states U rho0 U^dagger on the grid."""
+        return _sampled_sum((self,))
 
 
-def _pauli_step(d: np.ndarray, axis: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Batched exp(-i d tau axis / 2), exactly unitary; ``taus`` broadcasts
-    against ``d``, whose entries align with the leading axes of ``axis``."""
-    half = 0.5 * d * taus
-    return (
-        np.cos(half)[..., None, None] * _EYE2
-        - 1j * np.sin(half)[..., None, None] * axis
-    )
+def _state_factor(rho0) -> tuple[np.ndarray, float]:
+    """A read-only (4, r) factor C and a floor f with rho0 = C C^dagger + f I.
+
+    No unitary moves f I, so only C needs propagating. f is the smallest
+    eigenvalue of rho0 once it is above rounding, which leaves C of rank 1
+    for a pure state mixed with white noise. C comes from the
+    eigen-decomposition and keeps the eigenvalues that stand above f by
+    more than rounding. A matrix that is not finite and Hermitian, or that
+    has an eigenvalue below minus that level, is not a state and raises
+    :class:`ParameterError`; nothing beyond rounding is dropped. Results
+    are cached by value, so a run factors its initial state once, not per
+    trajectory.
+    """
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (4, 4):
+        raise ParameterError(f"rho0 must be 4x4, got shape {rho0.shape}")
+    return _factor_of(rho0.tobytes())
 
 
-def _segment_starts(steps: np.ndarray) -> np.ndarray:
-    """Propagator at the start of each segment, from the per-segment steps
-    on the third-to-last axis; leading axes are independent batches."""
-    acc = np.empty_like(steps)
-    acc[..., 0, :, :] = np.eye(steps.shape[-1])
-    for i in range(1, steps.shape[-3]):
-        acc[..., i, :, :] = steps[..., i - 1, :, :] @ acc[..., i - 1, :, :]
-    return acc
+@lru_cache(maxsize=16)
+def _factor_of(data: bytes) -> tuple[np.ndarray, float]:
+    rho0 = np.frombuffer(data, dtype=complex).reshape(4, 4)
+    if not np.isfinite(rho0).all():
+        raise ParameterError("rho0 has a non-finite entry")
+    herm = np.abs(rho0 - rho0.conj().T).max()
+    if herm > HERMITICITY_TOL:
+        raise ParameterError(f"rho0 is not Hermitian: max |rho_ij - conj(rho_ji)| = {herm:.3e}")
+    lam, vec = np.linalg.eigh(rho0)
+    # eigh resolves an eigenvalue only to a few eps times the largest one:
+    # zero ones of 1e5 random pure states came out within 2.4 eps
+    tol = 16.0 * np.finfo(float).eps * np.abs(lam).max()
+    if lam[0] < -tol:
+        raise ParameterError(f"rho0 is not a state: eigenvalue {lam[0]:.3e}")
+    floor = float(lam[0]) if lam[0] > tol else 0.0
+    keep = lam - floor > tol
+    factor = vec[:, keep] * np.sqrt(lam[keep] - floor)
+    factor.flags.writeable = False
+    return factor, floor
+
+
+def _su2_starts(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running products of SU(2) steps [[alpha, -conj(beta)], [beta, conj(alpha)]]
+    along the last axis, in the same two-number form: entry s is the
+    product of steps s-1, ..., 0. Rows are independent batches.
+
+    Complex scalars keep each step of the sequential product free of
+    per-call array overhead, which dominates once a path has many switches.
+    """
+    out_a, out_b = np.empty_like(alpha), np.empty_like(beta)
+    for q, (steps_a, steps_b) in enumerate(zip(alpha[:, :-1].tolist(), beta[:, :-1].tolist())):
+        a, b = 1.0 + 0.0j, 0.0j
+        acc_a, acc_b = [a], [b]
+        for sa, sb in zip(steps_a, steps_b):
+            a, b = sa * a - sb.conjugate() * b, sb * a + sa.conjugate() * b
+            acc_a.append(a)
+            acc_b.append(b)
+        out_a[q], out_b[q] = acc_a, acc_b
+    return out_a, out_b
 
 
 def evolve_trajectory(
     rho0: np.ndarray, paths_a: RtnPaths, paths_b: RtnPaths, cfg: SimConfig
 ) -> TrajectoryResult:
-    """Propagate one noise realization exactly and sample it on a grid.
+    """Propagate one noise realization exactly to its break points.
 
-    The noise is piecewise constant, so between switch events the propagator
-    is an exact matrix exponential: a tensor product of 2x2 rotations when
-    the qubits are uncoupled, a diagonalized 4x4 exponential otherwise.
-    Every segment's step is built in one batch; only the running product
-    over segments is sequential. Uncoupled qubits are propagated together
-    as a batch of their 2x2 factors, whose tensor product is formed once
-    for all samples.
+    This is the engine's per-trajectory stage. The noise is piecewise
+    constant, so between switch events the propagator is an exact matrix
+    exponential: a tensor product of 2x2 rotations when the qubits are
+    uncoupled, a diagonalized 4x4 exponential otherwise. Every segment's
+    step is built in one batch; only the running product over segments is
+    sequential. The initial density matrix ``rho0`` enters as a factor C
+    (rho0 = C C^dagger + f I) carried to each break point: by the tensor
+    product of the two qubits' start propagators, or for coupled qubits
+    into each segment's eigenbasis. The result's ``states`` evaluates the
+    trajectory on the grid ``np.linspace(0, cfg.t_max, cfg.n_samples)``.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
+    factor, floor = _state_factor(rho0)
     times = np.linspace(0.0, cfg.t_max, cfg.n_samples)
     edges_a, vals_a = noise_segments(paths_a)
     edges_b, vals_b = noise_segments(paths_b)
@@ -322,9 +403,7 @@ def evolve_trajectory(
     mids = 0.5 * (brk[:-1] + brk[1:])
     xa = vals_a[np.searchsorted(edges_a, mids, side="right") - 1]
     xb = vals_b[np.searchsorted(edges_b, mids, side="right") - 1]
-    first = np.searchsorted(times, brk, side="left")
-    first[0], first[-1] = 0, cfg.n_samples
-    seg = np.repeat(np.arange(brk.size - 1), np.diff(first))
+    seg = np.searchsorted(brk[:-1], times, side="right") - 1
     taus = times - brk[seg]
     dts = np.diff(brk)
 
@@ -335,32 +414,86 @@ def evolve_trajectory(
     wb, vb = qb.omega + cb * xb, sb * xb
 
     if cfg.coupling_g != 0.0:
-        # the bath couples along the laboratory z axis; in each qubit's
-        # eigenbasis that axis reads sin(theta) sx + cos(theta) sz
-        axis_a = sa * SIGMA_X + ca * SIGMA_Z
-        axis_b = sb * SIGMA_X + cb * SIGMA_Z
-        h_int = -0.5 * cfg.coupling_g * np.kron(axis_a, axis_b)
         h = (
             0.5 * (wa[:, None, None] * _ZI + va[:, None, None] * _XI)
             + 0.5 * (wb[:, None, None] * _IZ + vb[:, None, None] * _IX)
-            + h_int
+            + cfg.coupling_term
         )
-        lam, vec = np.linalg.eigh(h)
+        rates, vec = np.linalg.eigh(h)
         vec_h = vec.conj().transpose(0, 2, 1)
-        steps = (vec * np.exp(-1j * lam * dts[:, None])[:, None, :]) @ vec_h
-        starts = _segment_starts(steps)
-        phases = np.exp(-1j * lam[seg] * taus[:, None])
-        out = (vec[seg] * phases[:, None, :]) @ vec_h[seg] @ starts[seg]
+        # the factor at each segment's start, in that segment's eigenbasis:
+        # z[0] = V_0^dagger C, z[s] = V_s^dagger V_{s-1} exp(-i lam_{s-1} dt_{s-1}) z[s-1]
+        turns = (vec_h[1:] @ vec[:-1]) * np.exp(-1j * rates[:-1] * dts[:-1, None])[:, None, :]
+        z = np.empty((dts.size, 4, factor.shape[1]), dtype=complex)
+        z[0] = vec_h[0] @ factor
+        for turn, prev, cur in zip(turns, z, z[1:]):
+            np.matmul(turn, prev, out=cur)
+        # term u: eigenvector u times row u of z
+        terms = vec.transpose(0, 2, 1)[..., None] * z[:, :, None, :]
     else:
-        # axis 0 is the qubit
-        d, axis = _pauli_axes(np.stack([wa, wb]), np.stack([va, vb]))
-        starts = _segment_starts(_pauli_step(d, axis, dts))
-        factors = _pauli_step(d[:, seg], axis[:, seg], taus) @ starts[:, seg]
-        out = np.einsum("kab,kcd->kacbd", *factors).reshape(-1, 4, 4)
+        # a qubit's steps and start propagators are SU(2) matrices
+        # [[alpha, -conj(beta)], [beta, conj(alpha)]]; axis 0 is the qubit
+        w, v = np.stack([wa, wb]), np.stack([va, vb])
+        d = np.hypot(w, v)
+        # a zero rate gets a zero axis, so its steps are the identity
+        scale = np.where(d > 0.0, d, 1.0)
+        nz, nx = w / scale, v / scale
+        rates = 0.5 * d
+        half = rates * dts
+        sin = np.sin(half)
+        alpha, beta = _su2_starts(np.cos(half) - 1j * (sin * nz), -1j * (sin * nx))
+        # at tau into a segment a qubit's propagator is c S + s (-i n.sigma) S;
+        # stack S and (-i n.sigma) S on axis 2, then each pair's 2x2 matrix
+        al = np.stack([alpha, -1j * (nz * alpha + nx * beta)], axis=-1)
+        be = np.stack([beta, -1j * (nx * alpha - nz * beta)], axis=-1)
+        pa, pb = np.stack([al, -be.conj(), be, al.conj()], axis=-1).reshape(*al.shape, 2, 2)
+        # terms[s, 2u + v] = (pa[s, u] (x) pb[s, v]) C, elementwise, one qubit
+        # at a time. As one (16 n_segments, 4) matrix product it took 8 ms a
+        # call inside the engine under OpenBLAS's default threads (2-vCPU VM,
+        # 141 segments), though 16 us in a tight loop.
+        c = factor.reshape(2, 2, -1)  # (b1, b2, column)
+        # qubit b on the second index: (s, v, a2, b1, column)
+        yb = pb[..., 0, None, None] * c[:, 0] + pb[..., 1, None, None] * c[:, 1]
+        # qubit a on the first index: (s, u, v, a1, a2, column)
+        terms = (pa[:, :, None, :, None, 0, None] * yb[:, None, :, None, :, 0]
+                 + pa[:, :, None, :, None, 1, None] * yb[:, None, :, None, :, 1])
+        terms = terms.reshape(dts.size, 4, 4, -1)
+        rates = rates.T
+    return TrajectoryResult(times=times, segment=seg, taus=taus, rates=rates,
+                            terms=terms, floor=floor, coupled=cfg.coupling_g != 0.0)
 
-    # one (n*4, 4) product applies rho0 to every sample at once
-    states = (out.reshape(-1, 4) @ rho0).reshape(out.shape) @ out.conj().transpose(0, 2, 1)
-    return TrajectoryResult(times=times, unitaries=out, states=states)
+
+def _sampled_sum(block) -> np.ndarray:
+    """The engine's sample stage: sum_j U_j rho0 U_j^dagger on the grid over
+    a block of trajectories from :func:`evolve_trajectory`.
+
+    Each (trajectory, sample) factor U C is a weighted sum of its segment's
+    four terms, formed with elementwise arithmetic, so no matrix product
+    runs per trajectory. The block's factor columns are then stacked and
+    reduced with one Gram product W W^dagger per sample.
+    """
+    # index every sample's segment into the block's concatenated segments
+    rows, start = [], 0
+    for t in block:
+        rows.append(t.segment + start)
+        start += t.terms.shape[0]
+    seg = np.stack(rows)  # (J, K)
+    taus = np.stack([t.taus for t in block])[..., None]
+    rates = np.concatenate([t.rates for t in block]).take(seg, axis=0)
+    terms = np.concatenate([t.terms for t in block]).take(seg, axis=0)  # (J, K, 4, 4, r)
+    # w[k] has the block's factor columns (trajectory, column) side by side
+    if block[0].coupled:
+        coef = np.exp(-1j * rates * taus)
+        w = np.einsum("jku,jkuac->kajc", coef, terms)
+    else:
+        half = rates * taus
+        cs = np.stack([np.cos(half), np.sin(half)], axis=-1)  # (J, K, qubit, cos|sin)
+        coef = (cs[..., 0, :, None] * cs[..., 1, None, :]).reshape(*seg.shape, 4)
+        # real weights: contract over the float view of the complex terms
+        flat = terms.view(float)
+        w = np.einsum("jku,jkuac->kajc", coef, flat).view(complex)
+    w = w.reshape(seg.shape[1], 4, -1)
+    return w @ w.conj().transpose(0, 2, 1) + len(block) * block[0].floor * _EYE4
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +517,15 @@ def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
 def _run_chunk(payload):
     rho0, cfg, ens_a, ens_b, start, stop = payload
     rho_sum = np.zeros((cfg.n_samples, 4, 4), dtype=complex)
-    for i in range(start, stop):
-        rng = _trajectory_rng(cfg.seed, i)
-        a = rtn_paths(ens_a, cfg.t_max, rng)
-        b = rtn_paths(ens_b, cfg.t_max, rng)
-        rho_sum += evolve_trajectory(rho0, a, b, cfg).states
+    size = BLOCK_COLUMNS // max(1, _state_factor(rho0)[0].shape[1])
+    for first in range(start, stop, size):
+        block = []
+        for i in range(first, min(first + size, stop)):
+            rng = _trajectory_rng(cfg.seed, i)
+            a = rtn_paths(ens_a, cfg.t_max, rng)
+            b = rtn_paths(ens_b, cfg.t_max, rng)
+            block.append(evolve_trajectory(rho0, a, b, cfg))
+        rho_sum += _sampled_sum(block)
     return rho_sum, wootters_concurrence(rho_sum / (stop - start), validate=False)
 
 
@@ -414,9 +551,11 @@ def monte_carlo_concurrence(
     Fluctuator rates are drawn once from the configuration seed (a device
     realization); switch times and initial signs are redrawn per trajectory.
     Identical (seed, config) give bit-identical results for any
-    ``n_workers``.
+    ``n_workers``. A ``rho0`` that is not a density matrix raises
+    :class:`ParameterError`.
     """
     rho0 = np.asarray(rho0, dtype=complex)
+    _state_factor(rho0)  # reject a non-state before any work starts
     ens_a, ens_b = (
         sample_ensemble(
             cfg.n_fluctuators, q.gamma_min, q.gamma_max, q.sigma,

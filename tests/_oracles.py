@@ -11,7 +11,11 @@ These deliberately avoid the code paths they check:
   Werner-like states;
 - the coherence oracle integrates the Gaussian phase average by composite
   quadrature instead of using the closed form;
-- the periodogram oracle is a numpy FFT instead of scipy.signal.
+- the periodogram oracle is a numpy FFT instead of scipy.signal;
+- ``trajectory_states`` propagates one noise realization and expands it onto
+  every sample with stacked matrix products, one trajectory at a time; it
+  gates the engine's blocked sampler, and shares with it only
+  ``noise_segments``, the piecewise-constant noise it propagates.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import math
 import numpy as np
 
 from esdlab.constants import HBAR, K_B
+from esdlab.qmath import SIGMA_X, SIGMA_Z
+from esdlab.stochastic import noise_segments
 
 # Indices of the eight off-X elements (everything outside diagonal and
 # anti-diagonal).
@@ -138,3 +144,77 @@ def hann_periodogram(x, fs: float) -> tuple[np.ndarray, np.ndarray]:
     pxx = np.abs(spectrum) ** 2 / (fs * np.sum(window**2))
     pxx[..., 1:(n + 1) // 2] *= 2.0
     return np.fft.rfftfreq(n, 1.0 / fs), pxx
+
+
+_EYE2 = np.eye(2, dtype=complex)
+_ZI, _XI = np.kron(SIGMA_Z, _EYE2), np.kron(SIGMA_X, _EYE2)
+_IZ, _IX = np.kron(_EYE2, SIGMA_Z), np.kron(_EYE2, SIGMA_X)
+
+
+def _rotations(w, v, taus):
+    """exp(-i (w sz + v sx) tau / 2) per entry, as 2x2 matrices."""
+    d = np.hypot(w, v)
+    scale = np.where(d > 0.0, d, 1.0)[..., None, None]
+    axis = (w[..., None, None] * SIGMA_Z + v[..., None, None] * SIGMA_X) / scale
+    half = 0.5 * d * taus
+    return np.cos(half)[..., None, None] * _EYE2 - 1j * np.sin(half)[..., None, None] * axis
+
+
+def _running_product(steps):
+    """Propagator at the start of each segment (third-to-last axis)."""
+    acc = np.empty_like(steps)
+    acc[..., 0, :, :] = np.eye(steps.shape[-1])
+    for i in range(1, steps.shape[-3]):
+        acc[..., i, :, :] = steps[..., i - 1, :, :] @ acc[..., i - 1, :, :]
+    return acc
+
+
+def trajectory_states(rho0, paths_a, paths_b, cfg) -> np.ndarray:
+    """(n_samples, 4, 4) conditional states U rho0 U^dagger of one noise
+    realization on ``np.linspace(0, cfg.t_max, cfg.n_samples)``.
+
+    Each segment's step is an exact exponential: a tensor product of 2x2
+    rotations for uncoupled qubits, a diagonalized 4x4 exponential
+    otherwise. The propagator at every sample is the step from its
+    segment's start times the running product of the earlier steps, and
+    rho0 is applied to each sample's 4x4 propagator.
+    """
+    rho0 = np.asarray(rho0, dtype=complex)
+    times = np.linspace(0.0, cfg.t_max, cfg.n_samples)
+    edges_a, vals_a = noise_segments(paths_a)
+    edges_b, vals_b = noise_segments(paths_b)
+    brk = np.unique(np.concatenate([edges_a, edges_b, [0.0, cfg.t_max]]))
+    brk = brk[brk <= cfg.t_max]
+    mids = 0.5 * (brk[:-1] + brk[1:])
+    xa = vals_a[np.searchsorted(edges_a, mids, side="right") - 1]
+    xb = vals_b[np.searchsorted(edges_b, mids, side="right") - 1]
+    first = np.searchsorted(times, brk, side="left")
+    first[0], first[-1] = 0, cfg.n_samples
+    seg = np.repeat(np.arange(brk.size - 1), np.diff(first))
+    taus = times - brk[seg]
+    dts = np.diff(brk)
+
+    qa, qb = cfg.qubit_a, cfg.qubit_b
+    ca, sa = math.cos(qa.theta), math.sin(qa.theta)
+    cb, sb = math.cos(qb.theta), math.sin(qb.theta)
+    wa, va = qa.omega + ca * xa, sa * xa
+    wb, vb = qb.omega + cb * xb, sb * xb
+    if cfg.coupling_g != 0.0:
+        axis_a = sa * SIGMA_X + ca * SIGMA_Z
+        axis_b = sb * SIGMA_X + cb * SIGMA_Z
+        h = (
+            0.5 * (wa[:, None, None] * _ZI + va[:, None, None] * _XI)
+            + 0.5 * (wb[:, None, None] * _IZ + vb[:, None, None] * _IX)
+            - 0.5 * cfg.coupling_g * np.kron(axis_a, axis_b)
+        )
+        lam, vec = np.linalg.eigh(h)
+        vec_h = vec.conj().transpose(0, 2, 1)
+        starts = _running_product((vec * np.exp(-1j * lam * dts[:, None])[:, None, :]) @ vec_h)
+        phases = np.exp(-1j * lam[seg] * taus[:, None])
+        out = (vec[seg] * phases[:, None, :]) @ vec_h[seg] @ starts[seg]
+    else:
+        w, v = np.stack([wa, wb]), np.stack([va, vb])
+        starts = _running_product(_rotations(w, v, dts))
+        factors = _rotations(w[:, seg], v[:, seg], taus) @ starts[:, seg]
+        out = np.einsum("kab,kcd->kacbd", *factors).reshape(-1, 4, 4)
+    return out @ rho0 @ out.conj().transpose(0, 2, 1)

@@ -88,6 +88,54 @@ print(HAVE_NUMBA)
     assert done.stdout.strip() == "False"
 
 
+# the benchmark's workloads in miniature: a traced run must call every
+# function that run.EXPECTED_CALLS names for its workload, and its call and
+# work counts must repeat from one process to the next, or perfbench/run.py
+# stops the workload with an error
+TRACED_RUNS = {
+    "mc_static": ["figure", "fig4b", "--config", "{cfg}", "--outdir", "{out}"],
+    "psd_1f": ["psd", "--realizations", "100", "--t-max-s", "1e-4", "--sample-hz", "1e6",
+               "--out", "{out}/psd.csv"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TRACED_RUNS))
+def test_benchmark_traced_run_calls_what_it_expects(tmp_path, workload):
+    root = Path(__file__).resolve().parents[1]
+    code = """
+import json, sys
+import run, spans
+from esdlab.cli import main
+
+tracer = spans.Tracer()
+tracer.install()
+try:
+    code = main(sys.argv[2:])
+finally:
+    tracer.close()
+assert code == 0, code
+report = tracer.report()
+missing = [f for f in run.EXPECTED_CALLS[sys.argv[1]] if report["calls"][f] == 0]
+assert missing == [], missing
+print(json.dumps({"calls": report["calls"], "counts": report["counts"]}))
+"""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY_FIG4B), encoding="utf-8")
+    path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+    env = {k: v for k, v in os.environ.items() if k != "ESDLAB_THREADS"}
+    runs = []
+    for k in range(2):
+        out = tmp_path / f"out{k}"
+        argv = [a.format(cfg=cfg, out=out) for a in TRACED_RUNS[workload]]
+        done = subprocess.run(
+            [sys.executable, "-c", code, workload, *argv], capture_output=True, text=True,
+            env={**env, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout.splitlines()[-1]))
+    assert runs[0] == runs[1]
+
+
 def test_benchmark_counts_one_periodogram_call_per_block():
     # perfbench/ wraps scipy.signal.periodogram at the module attribute and
     # requires psd_1f to call it; psd_estimate must look it up there once per

@@ -7,7 +7,6 @@ from scipy import stats
 
 from esdlab import stochastic
 from esdlab.adiabatic import AdiabaticParams, adiabatic_concurrence
-from esdlab.constants import UNITARITY_TOL
 from esdlab.errors import ParameterError
 from esdlab.states import EWLParams, ewl_state
 from esdlab.stochastic import (
@@ -24,7 +23,8 @@ from esdlab.stochastic import (
     sampled_noise,
 )
 
-from _oracles import hann_periodogram
+from _oracles import hann_periodogram, trajectory_states
+from conftest import random_density_matrix
 
 OMEGA = 1.0e11
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -294,18 +294,27 @@ class TestEvolveTrajectory:
             diag = np.einsum("kii->ki", res.states).real
             assert np.abs(diag - np.diag(rho0).real).max() < 1e-12
 
+    @staticmethod
+    def assert_unitary_image(states, rho0):
+        # U rho0 U^dagger keeps trace, hermiticity and purity; a propagator
+        # that is not unitary changes the last at first order
+        trace = np.einsum("kii->k", states)
+        assert np.abs(trace - 1.0).max() <= 1e-12
+        assert np.abs(states - states.conj().transpose(0, 2, 1)).max() <= 1e-12
+        purity = np.einsum("kij,kji->k", states, states).real
+        assert np.abs(purity - np.trace(rho0 @ rho0).real).max() <= 1e-12
+
     def test_unitarity_uncoupled(self):
         cfg = self.cfg(
             qubit_a=noisy_qubit(ratio=0.05), qubit_b=noisy_qubit(ratio=0.03),
             t_max=1.0e4 / OMEGA,
         )
-        rho0 = ewl_state(EWLParams(1.0, INV_SQRT2, "psi"))
         ens = sample_ensemble(50, 1.0, 1e6, cfg.qubit_a.sigma, 4)
         ens_b = sample_ensemble(50, 1.0, 1e6, cfg.qubit_b.sigma, 5)
-        res = evolve_trajectory(
-            rho0, rtn_paths(ens, cfg.t_max, 6), rtn_paths(ens_b, cfg.t_max, 7), cfg
-        )
-        assert res.unitarity_defect() <= UNITARITY_TOL
+        paths = rtn_paths(ens, cfg.t_max, 6), rtn_paths(ens_b, cfg.t_max, 7)
+        for r in (1.0, 0.91):
+            rho0 = ewl_state(EWLParams(r, INV_SQRT2, "psi"))
+            self.assert_unitary_image(evolve_trajectory(rho0, *paths, cfg).states, rho0)
 
     def test_unitarity_coupled_detuned(self):
         cfg = self.cfg(
@@ -314,13 +323,105 @@ class TestEvolveTrajectory:
             coupling_g=1.0e9,
             t_max=1.0e4 / OMEGA,
         )
-        rho0 = ewl_state(EWLParams(1.0, INV_SQRT2, "psi"))
         ens_a = sample_ensemble(50, 1.0, 1e6, cfg.qubit_a.sigma, 14)
         ens_b = sample_ensemble(50, 1.0, 1e6, cfg.qubit_b.sigma, 15)
-        res = evolve_trajectory(
-            rho0, rtn_paths(ens_a, cfg.t_max, 16), rtn_paths(ens_b, cfg.t_max, 17), cfg
+        paths = rtn_paths(ens_a, cfg.t_max, 16), rtn_paths(ens_b, cfg.t_max, 17)
+        for r in (1.0, 0.91):
+            rho0 = ewl_state(EWLParams(r, INV_SQRT2, "psi"))
+            self.assert_unitary_image(evolve_trajectory(rho0, *paths, cfg).states, rho0)
+
+    @pytest.mark.parametrize("rho0, match", [
+        (np.diag([1.0 + 1e-9, 0.0, 0.0, -1e-9]), "not a state"),
+        (np.diag([0.6, 0.5, 0.0, -0.1]), "not a state"),
+        (np.triu(np.full((4, 4), 0.25)), "not Hermitian"),
+        (np.diag([0.5, 0.5, math.nan, 0.0]), "non-finite"),
+        (np.ones((2, 2)) / 2.0, "shape"),
+    ])
+    def test_rejects_what_is_not_a_state(self, rho0, match):
+        # a negative eigenvalue beyond rounding is never clipped away
+        cfg = self.cfg()
+        paths = self.quiet_paths(cfg, "a"), self.quiet_paths(cfg, "b")
+        with pytest.raises(ParameterError, match=match):
+            evolve_trajectory(rho0, *paths, cfg)
+        with pytest.raises(ParameterError, match=match):
+            monte_carlo_concurrence(rho0, cfg)
+
+
+class TestBlockedSampler:
+    """The chunk sum of the two-stage engine against the per-trajectory
+    oracle, which expands every trajectory onto the grid with stacked matrix
+    products."""
+
+    @staticmethod
+    def chunk_and_oracle(cfg, rho0, start, stop):
+        ens_a, ens_b = (
+            sample_ensemble(cfg.n_fluctuators, q.gamma_min, q.gamma_max, q.sigma,
+                            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(key,)))
+            for key, q in enumerate((cfg.qubit_a, cfg.qubit_b))
         )
-        assert res.unitarity_defect() <= UNITARITY_TOL
+        rho_sum, _ = stochastic._run_chunk((rho0, cfg, ens_a, ens_b, start, stop))
+        want = np.zeros_like(rho_sum)
+        switches = 0
+        for i in range(start, stop):
+            rng = stochastic._trajectory_rng(cfg.seed, i)
+            a, b = rtn_paths(ens_a, cfg.t_max, rng), rtn_paths(ens_b, cfg.t_max, rng)
+            switches += sum(t.size for t in (*a.switch_times, *b.switch_times))
+            want += trajectory_states(rho0, a, b, cfg)
+        return rho_sum, want, switches / (2 * (stop - start))
+
+    @pytest.mark.parametrize("theta", [math.pi / 2, 0.3, 0.0])
+    @pytest.mark.parametrize("coupling_g", [0.0, 1.0e9])
+    @pytest.mark.parametrize("r", [1.0, 0.91])
+    def test_chunk_sum_matches_per_trajectory_oracle(self, theta, coupling_g, r):
+        cfg = SimConfig(
+            qubit_a=noisy_qubit(theta=theta),
+            qubit_b=AdiabaticParams(omega=1.2 * OMEGA, theta=theta, sigma=0.024 * OMEGA),
+            n_trajectories=16, t_max=5.0e3 / OMEGA, n_samples=41, seed=19,
+            coupling_g=coupling_g,
+        )
+        rho0 = ewl_state(EWLParams(r, INV_SQRT2, "psi"))
+        # 7 trajectories: blocks of 4 trajectories leave one part-filled
+        got, want, _ = self.chunk_and_oracle(cfg, rho0, 3, 10)
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("coupling_g", [0.0, 1.0e9])
+    def test_full_rank_state_matches_per_trajectory_oracle(self, coupling_g):
+        # three factor columns above the floor: a block of one trajectory
+        cfg = SimConfig(
+            qubit_a=noisy_qubit(theta=0.3),
+            qubit_b=AdiabaticParams(omega=1.2 * OMEGA, theta=0.3, sigma=0.024 * OMEGA),
+            n_trajectories=8, t_max=5.0e3 / OMEGA, n_samples=41, seed=29,
+            coupling_g=coupling_g,
+        )
+        rho0 = random_density_matrix(np.random.default_rng(30))
+        assert stochastic._state_factor(rho0)[0].shape[1] == 3
+        got, want, _ = self.chunk_and_oracle(cfg, rho0, 0, 3)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_maximally_mixed_state_stays_put(self):
+        # rho0 = I/4 is all floor: no column to propagate
+        cfg = SimConfig(
+            qubit_a=noisy_qubit(), qubit_b=noisy_qubit(), n_trajectories=5,
+            t_max=5.0e3 / OMEGA, n_samples=9, seed=3, coupling_g=1.0e9,
+        )
+        mc = monte_carlo_concurrence(np.eye(4) / 4.0, cfg)
+        assert np.abs(mc.rho_mean - np.eye(4) / 4.0).max() <= 1e-15
+        assert np.all(mc.concurrence == 0.0)
+
+    @pytest.mark.parametrize("coupling_g, detune", [(0.0, 1.0), (1.0e9, 1.2)])
+    def test_many_switches_match_per_trajectory_oracle(self, coupling_g, detune):
+        # omega t = 4e5: about 75 switches per path, so ~150 segments
+        cfg = SimConfig(
+            qubit_a=noisy_qubit(),
+            qubit_b=AdiabaticParams(omega=detune * OMEGA, theta=math.pi / 2,
+                                    sigma=0.02 * detune * OMEGA),
+            n_trajectories=8, t_max=4.0e5 / OMEGA, n_samples=101, seed=23,
+            coupling_g=coupling_g,
+        )
+        rho0 = ewl_state(EWLParams(1.0, INV_SQRT2, "psi"))
+        got, want, per_path = self.chunk_and_oracle(cfg, rho0, 0, 5)
+        assert 50 <= per_path <= 100
+        assert np.abs(got - want).max() <= 1e-12
 
 
 class TestMonteCarlo:
