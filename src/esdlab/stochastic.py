@@ -10,12 +10,15 @@ rates drawn log-uniformly over a wide band give the familiar 1/f spectrum
 (two-sided, angular-frequency convention) inside the band. Trajectories are
 propagated exactly: between switch events the Hamiltonian is constant and
 the step propagator is an exact matrix exponential, so the only errors are
-statistical. The engine runs in two stages. Per trajectory,
-:func:`evolve_trajectory` carries a factor C of the initial state
-(rho0 = C C^dagger + f I, where no unitary moves f I) to every switch
-event. Per block of trajectories, the sample stage evaluates them on the
-time grid with elementwise arithmetic and sums their states with one Gram
-product per sample.
+statistical. The engine runs in three stages. Per trajectory,
+:func:`evolve_trajectory` merges the switch events of both qubits' paths
+into segments of constant noise and finds each sample's segment. Per chunk
+of trajectories, the chunk stage builds the steps of all their segments in
+one batch and carries a factor C of the initial state (rho0 = C C^dagger +
+f I, where no unitary moves f I) to every segment's start. Per block of a
+chunk's trajectories, the sample stage evaluates them on the time grid with
+elementwise arithmetic and sums their states with one Gram product per
+sample.
 
 Determinism: every random quantity derives from a root seed through
 ``numpy.random.SeedSequence`` spawn keys indexed by trajectory (or
@@ -55,7 +58,6 @@ __all__ = [
     "OneOverFFit",
     "sample_ensemble",
     "rtn_paths",
-    "noise_segments",
     "sampled_noise",
     "evolve_trajectory",
     "monte_carlo_concurrence",
@@ -72,10 +74,12 @@ CHUNK_SIZE = 32
 # the initial state's factor: four trajectories of a pure state, or of one
 # mixed with white noise, and one of a generic full-rank state. A block's
 # temporaries grow with its columns, and its one Gram product per sample
-# costs about the same at any width. On fig4b's 3 x 256 trajectories (2-vCPU
-# VM) the CLI's peak RSS is 38.5-38.8 MB for 1-4 trajectories a block, 39.2
-# for 8, 40.1 for 16 and 41.6 for 32, with no time gained that the VM's
-# noise does not swamp.
+# costs about the same at any width. With the chunk stage in front of it, on
+# fig4b's 3 x 256 trajectories (2-vCPU VM) the CLI's peak RSS is 38.9 MB
+# for 1-2 trajectories a block, 39.2 for 4, 39.6 for 8, 40.3 for 16 and 41.7
+# for 32, with no time gained that the VM's noise does not swamp. The block
+# sets the Gram product's summation order, so a new value moves the bits of
+# every Monte Carlo output.
 BLOCK_COLUMNS = 4
 
 # The periodogram transforms realizations in blocks of about this many
@@ -210,24 +214,6 @@ def _switch_jumps(paths: RtnPaths):
         yield times, jumps
 
 
-def noise_segments(paths: RtnPaths) -> tuple[np.ndarray, np.ndarray]:
-    """Piecewise-constant X(t) as (edges, values).
-
-    ``X(t) = values[i]`` for ``edges[i] <= t < edges[i+1]``; the first edge
-    is 0 and the last segment extends to t_max.
-    """
-    x0 = float(np.sum(paths.ensemble.couplings * paths.initial_states))
-    switches = list(_switch_jumps(paths))
-    if not switches:
-        return np.array([0.0]), np.array([x0])
-    t_all, jump_all = zip(*switches)
-    t_merged = np.concatenate(t_all)
-    order = np.argsort(t_merged, kind="stable")
-    edges = np.concatenate([[0.0], t_merged[order]])
-    values = x0 + np.concatenate([[0.0], np.cumsum(np.concatenate(jump_all)[order])])
-    return edges, values
-
-
 def sampled_noise(paths: RtnPaths, n_samples: int) -> np.ndarray:
     """X(t) on ``np.linspace(0, paths.t_max, n_samples)``, the grid of
     :func:`evolve_trajectory`. Jumps are binned fluctuator by fluctuator at
@@ -271,6 +257,14 @@ class SimConfig:
             raise ParameterError("n_fluctuators must be at least 1")
 
     @cached_property
+    def times(self) -> np.ndarray:
+        """The read-only sample grid ``np.linspace(0, t_max, n_samples)``,
+        shared by every trajectory of the configuration."""
+        times = np.linspace(0.0, self.t_max, self.n_samples)
+        times.flags.writeable = False
+        return times
+
+    @cached_property
     def coupling_term(self) -> np.ndarray:
         """The fixed qubit-qubit term of the Hamiltonian, -g/2 n_a.sigma (x)
         n_b.sigma, built once per configuration: the bath couples along the
@@ -284,36 +278,47 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TrajectoryResult:
-    """One noise realization after the segment stage of the engine.
+    """One noise realization cut into segments of constant noise: the output
+    of the engine's first stage.
 
-    The engine runs in two stages. :func:`evolve_trajectory` does the work
-    of one trajectory that grows with its segments: the break points, and a
-    factor C of the initial state (rho0 = C C^dagger + floor I) carried to
-    the start of every segment and spread over four terms, so that at a
-    time tau into segment s the propagated factor is
+    The engine runs in three stages. :func:`evolve_trajectory` (stage 1)
+    merges the break points of one trajectory: segment s begins at
+    ``starts[s]`` and lasts ``dts[s]`` with the qubits' noise values
+    ``noise[s]``, and sample k lies in segment ``segment[k]``. The chunk
+    stage (stage 2) joins the segments of a chunk's trajectories and builds
+    all their steps in one batch. It carries the factor C of the initial
+    state (rho0 = C C^dagger + floor I) to the start of every segment,
+    spread over four terms, so that at a time tau into segment s the
+    propagated factor is
 
         U C = sum_u coef_u(tau) terms[s, u].
 
     Uncoupled qubits rotate by c_q - i s_q (n_q . sigma) with (c_q, s_q) the
     cosine and sine of ``rates[s, q] * tau``; coef is (c_a c_b, c_a s_b,
     s_a c_b, s_a s_b). Coupled qubits have coef_u = exp(-i rates[s, u] tau)
-    with ``rates`` the segment's eigen-energies. The sample stage evaluates
-    a block of trajectories on the grid at once; ``states`` runs it on this
-    trajectory alone.
+    with ``rates`` the segment's eigen-energies. The sample stage (stage 3)
+    evaluates a block of trajectories on the grid at once. ``states`` runs
+    stages 2 and 3 on this trajectory alone.
     """
 
-    times: np.ndarray    # (n_samples,) the sample grid
+    times: np.ndarray    # (n_samples,) the sample grid, SimConfig.times
     segment: np.ndarray  # (n_samples,) the segment holding each sample
-    taus: np.ndarray     # (n_samples,) each sample's time since its segment began
-    rates: np.ndarray    # (n_segments, 2) uncoupled, (n_segments, 4) coupled
-    terms: np.ndarray    # (n_segments, 4, 4, r) complex
-    floor: float         # rho0 = C C^dagger + floor I
-    coupled: bool
+    starts: np.ndarray   # (n_segments,) the time each segment begins
+    dts: np.ndarray      # (n_segments,) segment durations
+    noise: np.ndarray    # (n_segments, 2) the noise X of qubits a and b
+    factor: np.ndarray   # (4, r) with rho0 = factor factor^dagger + floor I
+    floor: float
+    cfg: SimConfig
+
+    @property
+    def taus(self) -> np.ndarray:
+        """(n_samples,) each sample's time since its segment began."""
+        return self.times - self.starts[self.segment]
 
     @property
     def states(self) -> np.ndarray:
         """(n_samples, 4, 4) conditional states U rho0 U^dagger on the grid."""
-        return _sampled_sum((self,))
+        return _chunk_sum((self,))
 
 
 def _state_factor(rho0) -> tuple[np.ndarray, float]:
@@ -356,56 +361,124 @@ def _factor_of(data: bytes) -> tuple[np.ndarray, float]:
     return factor, floor
 
 
-def _su2_starts(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def evolve_trajectory(
+    rho0: np.ndarray, paths_a: RtnPaths, paths_b: RtnPaths, cfg: SimConfig
+) -> TrajectoryResult:
+    """Cut one noise realization into segments of constant noise.
+
+    This is the engine's per-trajectory stage. The break points are 0, every
+    switch time of either qubit's fluctuators, and ``cfg.t_max``; between
+    two of them the noise is constant, so the later stages propagate each
+    segment with an exact matrix exponential. The switches of both paths are
+    merged in one sort, and each qubit's noise in every segment is its
+    initial value plus the running sum of its jumps in time order. Every
+    sample of the grid ``cfg.times`` is given its segment. ``rho0`` is
+    checked and factored here; a matrix that is not a density matrix raises
+    :class:`ParameterError`.
+    """
+    factor, floor = _state_factor(rho0)
+    times = cfg.times
+    # each fluctuator's initial value v*s0; a switch jumps by -2 times the value before it
+    vs_a = paths_a.ensemble.couplings * paths_a.initial_states
+    vs_b = paths_b.ensemble.couplings * paths_b.initial_states
+    x0 = np.array([np.add.reduce(vs_a), np.add.reduce(vs_b)])
+    sw_a, sw_b = list(paths_a.switching), list(paths_b.switching)
+    # times[:1] is [0.0] and times[-1:] is [t_max]
+    if not (sw_a or sw_b):  # one segment holds every sample
+        return TrajectoryResult(times=times, segment=np.zeros(times.size, np.intp),
+                                starts=times[:1], dts=times[-1:], noise=x0[None],
+                                factor=factor, floor=floor, cfg=cfg)
+    switch_times = [paths_a.switch_times[i] for i in sw_a] + [paths_b.switch_times[i] for i in sw_b]
+    counts = [t.size for t in switch_times]
+    t = np.concatenate(switch_times)
+    steps = np.concatenate([vs_a.take(sw_a), vs_b.take(sw_b)]) * -2.0
+    if t.size > len(counts):  # a fluctuator's k-th jump (k = 0, 1, ...) has the sign (-1)^k
+        steps = steps.repeat(counts)
+        k = np.arange(t.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        steps[k & 1 == 1] *= -1.0
+    # one column per qubit; qubit a's switches come first
+    n_a = sum(counts[:len(sw_a)])
+    jumps = np.zeros((t.size, 2))
+    jumps[:n_a, 0] = steps[:n_a]
+    jumps[n_a:, 1] = steps[n_a:]
+    # stable: a qubit's simultaneous switches keep their order
+    order = t.argsort(kind="stable")
+    noise = np.zeros((t.size + 1, 2))
+    np.add.accumulate(jumps.take(order, axis=0), axis=0, out=noise[1:])
+    noise += x0
+    brk = np.concatenate([times[:1], t.take(order), times[-1:]])
+    dts = brk[1:] - brk[:-1]
+    if np.count_nonzero(dts) < dts.size:  # simultaneous switches, or one at 0 or t_max
+        keep = dts > 0.0
+        noise, dts = noise[keep], dts[keep]
+        brk = np.concatenate([brk[:-1][keep], times[-1:]])
+    return TrajectoryResult(times=times, segment=brk[1:-1].searchsorted(times, side="right"),
+                            starts=brk[:-1], dts=dts, noise=noise, factor=factor, floor=floor,
+                            cfg=cfg)
+
+
+@dataclass(frozen=True)
+class _ChunkTerms:
+    """The segments of a chunk of trajectories, propagated (see
+    :class:`TrajectoryResult`): row j of ``segment`` and ``taus`` is
+    trajectory j, indexing the chunk's segments."""
+
+    segment: np.ndarray  # (n_trajectories, n_samples)
+    taus: np.ndarray     # (n_trajectories, n_samples)
+    rates: np.ndarray    # (n_segments, 2) uncoupled, (n_segments, 4) coupled
+    terms: np.ndarray    # (n_segments, 4, 4, r) complex
+    floor: float
+    coupled: bool
+
+
+def _su2_starts(alpha: np.ndarray, beta: np.ndarray, sizes: list) -> tuple[np.ndarray, np.ndarray]:
     """Running products of SU(2) steps [[alpha, -conj(beta)], [beta, conj(alpha)]]
-    along the last axis, in the same two-number form: entry s is the
-    product of steps s-1, ..., 0. Rows are independent batches.
+    along the last axis, in the same two-number form. The last axis holds
+    trajectories of ``sizes`` segments one after another; entry s is the
+    product of the steps of its trajectory's earlier segments, latest first.
+    Rows are independent batches.
 
     Complex scalars keep each step of the sequential product free of
     per-call array overhead, which dominates once a path has many switches.
     """
     out_a, out_b = np.empty_like(alpha), np.empty_like(beta)
-    for q, (steps_a, steps_b) in enumerate(zip(alpha[:, :-1].tolist(), beta[:, :-1].tolist())):
-        a, b = 1.0 + 0.0j, 0.0j
-        acc_a, acc_b = [a], [b]
-        for sa, sb in zip(steps_a, steps_b):
-            a, b = sa * a - sb.conjugate() * b, sb * a + sa.conjugate() * b
+    for q, (steps_a, steps_b) in enumerate(zip(alpha.tolist(), beta.tolist())):
+        acc_a, acc_b, stop = [], [], 0
+        for size in sizes:
+            start, stop = stop, stop + size
+            a, b = 1.0 + 0.0j, 0.0j
             acc_a.append(a)
             acc_b.append(b)
+            for sa, sb in zip(steps_a[start:stop - 1], steps_b[start:stop - 1]):
+                a, b = sa * a - sb.conjugate() * b, sb * a + sa.conjugate() * b
+                acc_a.append(a)
+                acc_b.append(b)
         out_a[q], out_b[q] = acc_a, acc_b
     return out_a, out_b
 
 
-def evolve_trajectory(
-    rho0: np.ndarray, paths_a: RtnPaths, paths_b: RtnPaths, cfg: SimConfig
-) -> TrajectoryResult:
-    """Propagate one noise realization exactly to its break points.
+def _chunk_terms(trajectories) -> _ChunkTerms:
+    """The engine's chunk stage: propagate the segments of every trajectory
+    from :func:`evolve_trajectory` in one batch.
 
-    This is the engine's per-trajectory stage. The noise is piecewise
-    constant, so between switch events the propagator is an exact matrix
-    exponential: a tensor product of 2x2 rotations when the qubits are
-    uncoupled, a diagonalized 4x4 exponential otherwise. Every segment's
-    step is built in one batch; only the running product over segments is
-    sequential. The initial density matrix ``rho0`` enters as a factor C
-    (rho0 = C C^dagger + f I) carried to each break point: by the tensor
-    product of the two qubits' start propagators, or for coupled qubits
-    into each segment's eigenbasis. The result's ``states`` evaluates the
-    trajectory on the grid ``np.linspace(0, cfg.t_max, cfg.n_samples)``.
+    The segments are joined in trajectory order, and every step is built at
+    once: a tensor product of 2x2 rotations when the qubits are uncoupled,
+    a diagonalized 4x4 exponential from one stacked ``eigh`` otherwise. The
+    running product restarts at each trajectory's first segment with the
+    initial state's factor C. Uncoupled qubits carry it by the two qubits'
+    start propagators, from a scalar scan over the segments. Coupled qubits
+    carry it into each segment's eigenbasis, one batched product per
+    segment position over the trajectories that reach it.
     """
-    factor, floor = _state_factor(rho0)
-    times = np.linspace(0.0, cfg.t_max, cfg.n_samples)
-    edges_a, vals_a = noise_segments(paths_a)
-    edges_b, vals_b = noise_segments(paths_b)
-    # the sorted distinct break points (np.unique would import numpy.ma);
-    # segment i is [brk[i], brk[i+1]) and the last one also holds t_max
-    brk = np.sort(np.concatenate([edges_a, edges_b, [0.0, cfg.t_max]]))
-    brk = brk[np.concatenate([[True], brk[1:] != brk[:-1]]) & (brk <= cfg.t_max)]
-    mids = 0.5 * (brk[:-1] + brk[1:])
-    xa = vals_a[np.searchsorted(edges_a, mids, side="right") - 1]
-    xb = vals_b[np.searchsorted(edges_b, mids, side="right") - 1]
-    seg = np.searchsorted(brk[:-1], times, side="right") - 1
-    taus = times - brk[seg]
-    dts = np.diff(brk)
+    first = trajectories[0]
+    cfg, factor = first.cfg, first.factor
+    sizes = [t.dts.size for t in trajectories]
+    first_segment = np.cumsum([0] + sizes[:-1])  # of each trajectory
+    dts = np.concatenate([t.dts for t in trajectories])
+    xa, xb = np.concatenate([t.noise for t in trajectories]).T
+    segment = np.concatenate([t.segment for t in trajectories]).reshape(len(sizes), -1)
+    segment += first_segment[:, None]
+    taus = first.times - np.concatenate([t.starts for t in trajectories])[segment]
 
     qa, qb = cfg.qubit_a, cfg.qubit_b
     ca, sa = math.cos(qa.theta), math.sin(qa.theta)
@@ -422,12 +495,16 @@ def evolve_trajectory(
         rates, vec = np.linalg.eigh(h)
         vec_h = vec.conj().transpose(0, 2, 1)
         # the factor at each segment's start, in that segment's eigenbasis:
-        # z[0] = V_0^dagger C, z[s] = V_s^dagger V_{s-1} exp(-i lam_{s-1} dt_{s-1}) z[s-1]
+        # z[s] = V_s^dagger C at a trajectory's first segment, else
+        # z[s] = V_s^dagger V_{s-1} exp(-i lam_{s-1} dt_{s-1}) z[s-1]
         turns = (vec_h[1:] @ vec[:-1]) * np.exp(-1j * rates[:-1] * dts[:-1, None])[:, None, :]
         z = np.empty((dts.size, 4, factor.shape[1]), dtype=complex)
-        z[0] = vec_h[0] @ factor
-        for turn, prev, cur in zip(turns, z, z[1:]):
-            np.matmul(turn, prev, out=cur)
+        z[first_segment] = vec_h[first_segment] @ factor
+        # segment p of every trajectory that has more than p of them, at once
+        reach = np.array(sizes)
+        for pos in range(1, reach.max()):
+            cur = first_segment[reach > pos] + pos
+            z[cur] = turns[cur - 1] @ z[cur - 1]
         # term u: eigenvector u times row u of z
         terms = vec.transpose(0, 2, 1)[..., None] * z[:, :, None, :]
     else:
@@ -441,7 +518,7 @@ def evolve_trajectory(
         rates = 0.5 * d
         half = rates * dts
         sin = np.sin(half)
-        alpha, beta = _su2_starts(np.cos(half) - 1j * (sin * nz), -1j * (sin * nx))
+        alpha, beta = _su2_starts(np.cos(half) - 1j * (sin * nz), -1j * (sin * nx), sizes)
         # at tau into a segment a qubit's propagator is c S + s (-i n.sigma) S;
         # stack S and (-i n.sigma) S on axis 2, then each pair's 2x2 matrix
         al = np.stack([alpha, -1j * (nz * alpha + nx * beta)], axis=-1)
@@ -459,30 +536,25 @@ def evolve_trajectory(
                  + pa[:, :, None, :, None, 1, None] * yb[:, None, :, None, :, 1])
         terms = terms.reshape(dts.size, 4, 4, -1)
         rates = rates.T
-    return TrajectoryResult(times=times, segment=seg, taus=taus, rates=rates,
-                            terms=terms, floor=floor, coupled=cfg.coupling_g != 0.0)
+    return _ChunkTerms(segment=segment, taus=taus, rates=rates, terms=terms,
+                       floor=first.floor, coupled=cfg.coupling_g != 0.0)
 
 
-def _sampled_sum(block) -> np.ndarray:
+def _sampled_sum(chunk: _ChunkTerms, lo: int, hi: int) -> np.ndarray:
     """The engine's sample stage: sum_j U_j rho0 U_j^dagger on the grid over
-    a block of trajectories from :func:`evolve_trajectory`.
+    the block of a chunk's trajectories lo, ..., hi - 1.
 
     Each (trajectory, sample) factor U C is a weighted sum of its segment's
     four terms, formed with elementwise arithmetic, so no matrix product
     runs per trajectory. The block's factor columns are then stacked and
     reduced with one Gram product W W^dagger per sample.
     """
-    # index every sample's segment into the block's concatenated segments
-    rows, start = [], 0
-    for t in block:
-        rows.append(t.segment + start)
-        start += t.terms.shape[0]
-    seg = np.stack(rows)  # (J, K)
-    taus = np.stack([t.taus for t in block])[..., None]
-    rates = np.concatenate([t.rates for t in block]).take(seg, axis=0)
-    terms = np.concatenate([t.terms for t in block]).take(seg, axis=0)  # (J, K, 4, 4, r)
+    seg = chunk.segment[lo:hi]  # (J, K)
+    taus = chunk.taus[lo:hi, :, None]
+    rates = chunk.rates.take(seg, axis=0)
+    terms = chunk.terms.take(seg, axis=0)  # (J, K, 4, 4, r)
     # w[k] has the block's factor columns (trajectory, column) side by side
-    if block[0].coupled:
+    if chunk.coupled:
         coef = np.exp(-1j * rates * taus)
         w = np.einsum("jku,jkuac->kajc", coef, terms)
     else:
@@ -493,7 +565,19 @@ def _sampled_sum(block) -> np.ndarray:
         flat = terms.view(float)
         w = np.einsum("jku,jkuac->kajc", coef, flat).view(complex)
     w = w.reshape(seg.shape[1], 4, -1)
-    return w @ w.conj().transpose(0, 2, 1) + len(block) * block[0].floor * _EYE4
+    return w @ w.conj().transpose(0, 2, 1) + (hi - lo) * chunk.floor * _EYE4
+
+
+def _chunk_sum(trajectories) -> np.ndarray:
+    """sum_j U_j rho0 U_j^dagger on the grid over a chunk of trajectories
+    from :func:`evolve_trajectory`: the chunk stage once, then the sample
+    stage block by block, in trajectory order."""
+    chunk = _chunk_terms(trajectories)
+    size = BLOCK_COLUMNS // max(1, trajectories[0].factor.shape[1])
+    rho_sum = np.zeros((trajectories[0].times.size, 4, 4), dtype=complex)
+    for lo in range(0, len(trajectories), size):
+        rho_sum += _sampled_sum(chunk, lo, min(lo + size, len(trajectories)))
+    return rho_sum
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +600,13 @@ def _trajectory_rng(seed: int, index: int) -> np.random.Generator:
 
 def _run_chunk(payload):
     rho0, cfg, ens_a, ens_b, start, stop = payload
-    rho_sum = np.zeros((cfg.n_samples, 4, 4), dtype=complex)
-    size = BLOCK_COLUMNS // max(1, _state_factor(rho0)[0].shape[1])
-    for first in range(start, stop, size):
-        block = []
-        for i in range(first, min(first + size, stop)):
-            rng = _trajectory_rng(cfg.seed, i)
-            a = rtn_paths(ens_a, cfg.t_max, rng)
-            b = rtn_paths(ens_b, cfg.t_max, rng)
-            block.append(evolve_trajectory(rho0, a, b, cfg))
-        rho_sum += _sampled_sum(block)
+    trajectories = []
+    for i in range(start, stop):
+        rng = _trajectory_rng(cfg.seed, i)
+        a = rtn_paths(ens_a, cfg.t_max, rng)
+        b = rtn_paths(ens_b, cfg.t_max, rng)
+        trajectories.append(evolve_trajectory(rho0, a, b, cfg))
+    rho_sum = _chunk_sum(trajectories)
     return rho_sum, wootters_concurrence(rho_sum / (stop - start), validate=False)
 
 

@@ -14,8 +14,9 @@ These deliberately avoid the code paths they check:
 - the periodogram oracle is a numpy FFT instead of scipy.signal;
 - ``trajectory_states`` propagates one noise realization and expands it onto
   every sample with stacked matrix products, one trajectory at a time; it
-  gates the engine's blocked sampler, and shares with it only
-  ``noise_segments``, the piecewise-constant noise it propagates.
+  gates the engine's three stages. Its piecewise-constant noise comes from
+  ``noise_segments``, which sorts each qubit's switches on their own,
+  instead of the engine's merge of both qubits' switches.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from esdlab.constants import HBAR, K_B
 from esdlab.qmath import SIGMA_X, SIGMA_Z
-from esdlab.stochastic import noise_segments
+from esdlab.stochastic import _switch_jumps
 
 # Indices of the eight off-X elements (everything outside diagonal and
 # anti-diagonal).
@@ -167,6 +168,24 @@ def _running_product(steps):
     for i in range(1, steps.shape[-3]):
         acc[..., i, :, :] = steps[..., i - 1, :, :] @ acc[..., i - 1, :, :]
     return acc
+
+
+def noise_segments(paths) -> tuple[np.ndarray, np.ndarray]:
+    """Piecewise-constant X(t) of one path as (edges, values).
+
+    ``X(t) = values[i]`` for ``edges[i] <= t < edges[i+1]``; the first edge
+    is 0 and the last segment extends to t_max.
+    """
+    x0 = float(np.sum(paths.ensemble.couplings * paths.initial_states))
+    switches = list(_switch_jumps(paths))
+    if not switches:
+        return np.array([0.0]), np.array([x0])
+    t_all, jump_all = zip(*switches)
+    t_merged = np.concatenate(t_all)
+    order = np.argsort(t_merged, kind="stable")
+    edges = np.concatenate([[0.0], t_merged[order]])
+    values = x0 + np.concatenate([[0.0], np.cumsum(np.concatenate(jump_all)[order])])
+    return edges, values
 
 
 def trajectory_states(rho0, paths_a, paths_b, cfg) -> np.ndarray:

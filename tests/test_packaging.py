@@ -91,7 +91,12 @@ print(HAVE_NUMBA)
 # the benchmark's workloads in miniature: a traced run must call every
 # function that run.EXPECTED_CALLS names for its workload, and its call and
 # work counts must repeat from one process to the next, or perfbench/run.py
-# stops the workload with an error
+# stops the workload with an error. spans.py counts trajectories and
+# segments from the arguments of each evolve_trajectory call, so the engine
+# must call it once per trajectory, and its segments must be those the
+# engine builds. The fig4b run spans omega t = 1e5, long enough that a path
+# switches about once.
+TRACED_FIG4B = {"sim": {**TINY_FIG4B["sim"], "t_max_omega": 1.0e5}}
 TRACED_RUNS = {
     "mc_static": ["figure", "fig4b", "--config", "{cfg}", "--outdir", "{out}"],
     "psd_1f": ["psd", "--realizations", "100", "--t-max-s", "1e-4", "--sample-hz", "1e6",
@@ -105,8 +110,18 @@ def test_benchmark_traced_run_calls_what_it_expects(tmp_path, workload):
     code = """
 import json, sys
 import run, spans
+from esdlab import stochastic
 from esdlab.cli import main
 
+built = [0]  # segments of every trajectory the engine cut
+evolve = stochastic.evolve_trajectory
+
+def counting(*args, **kwargs):
+    result = evolve(*args, **kwargs)
+    built[0] += result.dts.size
+    return result
+
+stochastic.evolve_trajectory = counting
 tracer = spans.Tracer()
 tracer.install()
 try:
@@ -117,10 +132,10 @@ assert code == 0, code
 report = tracer.report()
 missing = [f for f in run.EXPECTED_CALLS[sys.argv[1]] if report["calls"][f] == 0]
 assert missing == [], missing
-print(json.dumps({"calls": report["calls"], "counts": report["counts"]}))
+print(json.dumps({"calls": report["calls"], "counts": report["counts"], "built": built[0]}))
 """
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(TINY_FIG4B), encoding="utf-8")
+    cfg.write_text(json.dumps(TRACED_FIG4B), encoding="utf-8")
     path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
     env = {k: v for k, v in os.environ.items() if k != "ESDLAB_THREADS"}
     runs = []
@@ -134,6 +149,11 @@ print(json.dumps({"calls": report["calls"], "counts": report["counts"]}))
         assert done.returncode == 0, done.stderr
         runs.append(json.loads(done.stdout.splitlines()[-1]))
     assert runs[0] == runs[1]
+    if workload == "mc_static":
+        counts = runs[0]["counts"]
+        # fig4b draws three curves
+        assert counts["stochastic.trajectories"] == 3 * TRACED_FIG4B["sim"]["trajectories"]
+        assert counts["stochastic.segments"] == runs[0]["built"] > counts["stochastic.trajectories"]
 
 
 def test_benchmark_counts_one_periodogram_call_per_block():

@@ -16,14 +16,13 @@ from esdlab.stochastic import (
     evolve_trajectory,
     fit_one_over_f,
     monte_carlo_concurrence,
-    noise_segments,
     psd_estimate,
     rtn_paths,
     sample_ensemble,
     sampled_noise,
 )
 
-from _oracles import hann_periodogram, trajectory_states
+from _oracles import hann_periodogram, noise_segments, trajectory_states
 from conftest import random_density_matrix
 
 OMEGA = 1.0e11
@@ -304,14 +303,23 @@ class TestEvolveTrajectory:
         purity = np.einsum("kij,kji->k", states, states).real
         assert np.abs(purity - np.trace(rho0 @ rho0).real).max() <= 1e-12
 
+    @staticmethod
+    def many_switch_paths(cfg, seed):
+        # rates of 1-100 MHz over omega t = 1e4 (0.1 us): every path switches
+        # often enough that the running product over segments shapes the states
+        paths = tuple(
+            rtn_paths(sample_ensemble(50, 1.0e6, 1.0e8, q.sigma, seed + k), cfg.t_max, seed + 2 + k)
+            for k, q in enumerate((cfg.qubit_a, cfg.qubit_b))
+        )
+        assert all(sum(t.size for t in p.switch_times) >= 20 for p in paths)
+        return paths
+
     def test_unitarity_uncoupled(self):
         cfg = self.cfg(
             qubit_a=noisy_qubit(ratio=0.05), qubit_b=noisy_qubit(ratio=0.03),
             t_max=1.0e4 / OMEGA,
         )
-        ens = sample_ensemble(50, 1.0, 1e6, cfg.qubit_a.sigma, 4)
-        ens_b = sample_ensemble(50, 1.0, 1e6, cfg.qubit_b.sigma, 5)
-        paths = rtn_paths(ens, cfg.t_max, 6), rtn_paths(ens_b, cfg.t_max, 7)
+        paths = self.many_switch_paths(cfg, 4)
         for r in (1.0, 0.91):
             rho0 = ewl_state(EWLParams(r, INV_SQRT2, "psi"))
             self.assert_unitary_image(evolve_trajectory(rho0, *paths, cfg).states, rho0)
@@ -323,9 +331,7 @@ class TestEvolveTrajectory:
             coupling_g=1.0e9,
             t_max=1.0e4 / OMEGA,
         )
-        ens_a = sample_ensemble(50, 1.0, 1e6, cfg.qubit_a.sigma, 14)
-        ens_b = sample_ensemble(50, 1.0, 1e6, cfg.qubit_b.sigma, 15)
-        paths = rtn_paths(ens_a, cfg.t_max, 16), rtn_paths(ens_b, cfg.t_max, 17)
+        paths = self.many_switch_paths(cfg, 14)
         for r in (1.0, 0.91):
             rho0 = ewl_state(EWLParams(r, INV_SQRT2, "psi"))
             self.assert_unitary_image(evolve_trajectory(rho0, *paths, cfg).states, rho0)
@@ -422,6 +428,33 @@ class TestBlockedSampler:
         got, want, per_path = self.chunk_and_oracle(cfg, rho0, 0, 5)
         assert 50 <= per_path <= 100
         assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("coupling_g, detune", [(0.0, 1.0), (1.0e9, 1.2)])
+    @pytest.mark.parametrize("r", [1.0, 0.91])
+    def test_chunk_boundaries_match_per_trajectory_oracle(self, coupling_g, detune, r):
+        # the running product restarts at each trajectory's first segment:
+        # a chunk whose first and last trajectories never switch, around
+        # four with ~75 switches a path, and a chunk of one trajectory
+        cfg = SimConfig(
+            qubit_a=noisy_qubit(),
+            qubit_b=AdiabaticParams(omega=detune * OMEGA, theta=math.pi / 2,
+                                    sigma=0.02 * detune * OMEGA),
+            n_trajectories=6, t_max=4.0e5 / OMEGA, n_samples=101, seed=37,
+            coupling_g=coupling_g,
+        )
+        rho0 = ewl_state(EWLParams(r, INV_SQRT2, "psi"))
+        ens_a, ens_b = (sample_ensemble(250, 1.0, 1.0e6, q.sigma, 38 + k)
+                        for k, q in enumerate((cfg.qubit_a, cfg.qubit_b)))
+        busy = [(rtn_paths(ens_a, cfg.t_max, 40 + i), rtn_paths(ens_b, cfg.t_max, 50 + i))
+                for i in range(4)]
+        assert all(50 <= sum(t.size for t in p.switch_times) <= 100 for pair in busy for p in pair)
+        quiet = tuple(replace(p, switch_times=(np.empty(0),) * p.ensemble.n, switching=())
+                      for p in busy[0])
+        for paths in ([quiet, *busy, quiet], busy[:1]):
+            trajectories = [evolve_trajectory(rho0, a, b, cfg) for a, b in paths]
+            want = sum(trajectory_states(rho0, a, b, cfg) for a, b in paths)
+            got = stochastic._chunk_sum(trajectories)
+            assert np.abs(got - want).max() <= 1e-12
 
 
 class TestMonteCarlo:
