@@ -4,7 +4,8 @@ Slow environmental fluctuations are frozen to a random offset X drawn from a
 zero-mean Gaussian of width sigma. To second order the offset shifts the
 qubit splitting by ``cos(theta) X + sin(theta)^2 X^2 / (2 omega)``, and
 averaging the accumulated phase over X gives the coherence-suppression
-factor implemented here. Populations do not move in this channel.
+factor implemented here. Populations do not move in this channel; the
+closed-form disentanglement times solve :func:`esdlab.states.ewl_concurrence`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .constants import SPA_SIGMA_RATIO_WARN
 from .errors import ParameterError
-from .states import EWLParams
+from .states import EWLParams, ewl_concurrence
 
 __all__ = [
     "AdiabaticParams",
@@ -107,20 +108,16 @@ def spa_coherence_modulus(t, p: AdiabaticParams) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _k_at(state: EWLParams, m):
-    """K = r|ab| m - (1-r)/4 for the coherence-modulus product m (1 at t=0)."""
-    return state.r * state.ab_mod * m - (1.0 - state.r) / 4.0
-
-
 def adiabatic_concurrence(
     t, p_a: AdiabaticParams, p_b: AdiabaticParams, state: EWLParams
 ):
     """Concurrence of an extended Werner-like state under static noise.
 
-    Identical for both flavors: ``max(0, 2 r |ab| |z_A z_B| - (1-r)/2)``.
+    Both coherences scale by m = |z_A z_B|, so the curve is the same for
+    both flavors: ``max(0, 2 r |ab| m - (1-r)/2)``.
     """
     m = spa_coherence_modulus(t, p_a) * spa_coherence_modulus(t, p_b)
-    return np.maximum(0.0, 2.0 * _k_at(state, m))
+    return ewl_concurrence(state, m, m)
 
 
 @dataclass(frozen=True)
@@ -180,14 +177,15 @@ def esd_time_dephasing(state: EWLParams, sigma: float) -> ESDResult:
 def _esd_closed_form(state: EWLParams, sigma: float, formula) -> ESDResult:
     # Both closed forms share the same regime logic; `ratio` is |ab| r / (1 - r).
     r = state.r
-    if _k_at(state, 1.0) <= 0.0:  # the curve's own K(0): separable at t=0
+    if ewl_concurrence(state, 1.0, 1.0) <= 0.0:  # the curve's own C(0): separable at t=0
         return _closed_form(time=0.0, never_entangled=True)
     # an entangled pure state's concurrence stays positive, and without
     # static noise every concurrence stays at its initial value
     if r >= 1.0 or sigma == 0.0:
         return _closed_form(time=None)
-    # K(0) > 0 means fl(r |ab|) > fl(1 - r) / 4, and rounding the quotient is
-    # monotone, so ratio >= 1/4: both radicands, 16 ratio^2 - 1 and
-    # ln(4 ratio), are non-negative
+    # C(0) > 0 means K(0) = fl(r |ab|) - sqrt(fl(1 - r)^2 / 16) > 0, and in
+    # binary floating point sqrt(x*x) is x, so fl(r |ab|) > fl(1 - r) / 4.
+    # Rounding the quotient is monotone, so ratio >= 1/4: both radicands,
+    # 16 ratio^2 - 1 and ln(4 ratio), are non-negative
     ratio = state.ab_mod * r / (1.0 - r)
     return _closed_form(time=formula(ratio))

@@ -21,7 +21,7 @@ from .adiabatic import (
     esd_time_dephasing,
     esd_time_optimal,
 )
-from .constants import ESD_RELATIVE_TOL
+from .constants import ESD_RELATIVE_TOL, OPTIMAL_POINT_TOL
 from .errors import ParameterError
 from .markov import QuantumNoiseParams, interplay_concurrence
 from .states import EWLParams
@@ -178,7 +178,7 @@ def _adiabatic_closed_form(state, ad_a, ad_b) -> ESDResult | None:
     )
     if not symmetric:
         return None
-    if abs(ad_a.theta - math.pi / 2.0) <= 1e-12:
+    if abs(ad_a.theta - math.pi / 2.0) <= OPTIMAL_POINT_TOL:
         return esd_time_optimal(state, ad_a.sigma, ad_a.omega)
     if ad_a.theta == 0.0:
         return esd_time_dephasing(state, ad_a.sigma)

@@ -14,7 +14,8 @@ Config contract: a scenario has exactly the sections and fields of
 ``DEFAULT_CONFIG``. Each field takes its default's type (an ``int`` default
 makes an integer field; ``state.flavor`` is "phi" or "psi"), a finite value
 and the range ``_BOUNDS`` gives it. Any violation, from a file or a flag,
-exits 2 with ``invalid config at <path>: ...``.
+exits 2 with ``invalid config at <path>: ...``. The closed-form channels
+(all but ``--channel montecarlo`` and fig4) also exit 2 unless g_rad_s is 0.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -181,6 +182,14 @@ def _qubit_from(cfg: dict, which: str) -> AdiabaticParams:
     )
 
 
+def _closed_form_qubits(cfg: dict) -> tuple[AdiabaticParams, AdiabaticParams]:
+    """Both qubits for a closed-form channel, which holds for uncoupled qubits only."""
+    if cfg["coupling"]["g_rad_s"] != 0.0:
+        raise ConfigError("coupling/g_rad_s must be 0 for the closed-form channels, which "
+                          "describe uncoupled qubits; only the Monte Carlo engine couples them")
+    return _qubit_from(cfg, "a"), _qubit_from(cfg, "b")
+
+
 def _quantum_from(cfg: dict) -> QuantumNoiseParams:
     q = cfg["quantum"]
     return QuantumNoiseParams(s_white=q["s_white_per_s"], temperature=q["temperature_k"])
@@ -245,10 +254,6 @@ def _time_grid(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     return omega_t, omega_t / cfg["qubit_a"]["omega_rad_s"]
 
 
-def _column(values) -> list:
-    return np.atleast_1d(values).tolist()
-
-
 # ---------------------------------------------------------------------------
 # figure builders: each takes the merged config and returns (header, rows)
 
@@ -257,7 +262,7 @@ def _static_family(over: str, values: list[float]):
     """Fig. 1: static-path concurrence, one curve per value of ``over``."""
 
     def build(cfg: dict):
-        ad_a, ad_b = _qubit_from(cfg, "a"), _qubit_from(cfg, "b")
+        ad_a, ad_b = _closed_form_qubits(cfg)
         omega_t, times = _time_grid(cfg)
         rows = []
         for value in values:
@@ -278,7 +283,7 @@ def _esd_rows(over: str, grid: list[float], cfg: dict) -> list[list[float]]:
     """ESD times in omega_t over ``grid``, one row per value: the value, then
     interplay (phi, psi), static noise only, and quantum noise only (phi, psi)."""
     state = _state_from(cfg)
-    ad_a, ad_b = _qubit_from(cfg, "a"), _qubit_from(cfg, "b")
+    ad_a, ad_b = _closed_form_qubits(cfg)
     qn = _quantum_from(cfg)
     omega = ad_a.omega
     t_max = cfg["sim"]["t_max_omega"] / omega
@@ -303,16 +308,16 @@ def _fig2(cfg: dict):
 
 def _fig3(cfg: dict):
     """Concurrence of both flavors under static, quantum and both noises."""
-    ad_a, ad_b = _qubit_from(cfg, "a"), _qubit_from(cfg, "b")
+    ad_a, ad_b = _closed_form_qubits(cfg)
     quiet_a, quiet_b = replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0)
     qn = _quantum_from(cfg)
     omega_t, times = _time_grid(cfg)
     cols = {"omega_t": omega_t.tolist()}
     for flavor in ("phi", "psi"):
         st = _state_from(cfg, flavor)
-        cols[f"{flavor}_adiabatic"] = _column(adiabatic_concurrence(times, ad_a, ad_b, st))
-        cols[f"{flavor}_quantum"] = _column(interplay_concurrence(times, st, quiet_a, quiet_b, qn))
-        cols[f"{flavor}_interplay"] = _column(interplay_concurrence(times, st, ad_a, ad_b, qn))
+        cols[f"{flavor}_adiabatic"] = adiabatic_concurrence(times, ad_a, ad_b, st).tolist()
+        cols[f"{flavor}_quantum"] = interplay_concurrence(times, st, quiet_a, quiet_b, qn).tolist()
+        cols[f"{flavor}_interplay"] = interplay_concurrence(times, st, ad_a, ad_b, qn).tolist()
     return list(cols), zip(*cols.values())
 
 
@@ -342,7 +347,7 @@ def _monte_carlo_family(curves, spa_curves):
             cols += [mc.concurrence.tolist(), mc.stderr.tolist()]
         for label, detuned in spa_curves:
             header.append(f"spa_{label}")
-            cols.append(_column(adiabatic_concurrence(times, ad_a, qubit_b[detuned], st)))
+            cols.append(adiabatic_concurrence(times, ad_a, qubit_b[detuned], st).tolist())
         return header, zip(*cols)
 
     return build
@@ -413,7 +418,6 @@ def cmd_concurrence(args) -> int:
         "t_max_omega": "sim/t_max_omega", "samples": "sim/samples",
     })
     state = _state_from(cfg)
-    ad_a, ad_b = _qubit_from(cfg, "a"), _qubit_from(cfg, "b")
     omega_t, times = _time_grid(cfg)
 
     if args.channel == "montecarlo":
@@ -421,12 +425,13 @@ def cmd_concurrence(args) -> int:
         header = ["omega_t", "concurrence", "stderr"]
         rows = zip(omega_t.tolist(), mc.concurrence.tolist(), mc.stderr.tolist())
     else:
+        ad_a, ad_b = _closed_form_qubits(cfg)
         if args.channel == "adiabatic":
             values = adiabatic_concurrence(times, ad_a, ad_b, state)
         else:
             values = interplay_concurrence(times, state, ad_a, ad_b, _quantum_from(cfg))
         header = ["omega_t", "concurrence"]
-        rows = zip(omega_t.tolist(), _column(values))
+        rows = zip(omega_t.tolist(), values.tolist())
 
     out = Path(args.out)
     write_csv(out, header, rows)

@@ -16,6 +16,9 @@ EIGENVALUE_FLOOR = -1e-10
 # Transfer-tensor (single-qubit map) validity.
 MAP_TOL = 1e-12
 
+# An operating angle theta within this of pi/2 is the optimal point.
+OPTIMAL_POINT_TOL = 1e-12
+
 # Static-path treatment is a low-frequency approximation; warn beyond this
 # noise-to-splitting ratio.
 SPA_SIGMA_RATIO_WARN = 0.2

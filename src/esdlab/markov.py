@@ -12,6 +12,9 @@ coherence is
 
 which is what this module implements there; away from the optimal point the
 decay factorizes into the static-path kernel times exp(-i omega t - t/2T1).
+
+Populations relax by one map, ``_population_map``, and the
+concurrence is :func:`esdlab.states.ewl_concurrence` of what the channel leaves.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import AdiabaticParams, spa_kernel
-from .constants import HBAR, K_B
+from .adiabatic import AdiabaticParams, _check_times, spa_kernel
+from .constants import HBAR, K_B, OPTIMAL_POINT_TOL
 from .errors import ParameterError
 from .qmath import validate_density_matrix, validate_single_qubit_map
-from .states import EWLParams, ewl_state
+from .states import EWLParams, ewl_concurrence, ewl_populations
 
 __all__ = [
     "QuantumNoiseParams",
@@ -36,8 +39,6 @@ __all__ = [
     "compose_two_qubit",
     "interplay_concurrence",
 ]
-
-_THETA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,14 @@ def gibbs_populations(omega: float, temperature: float) -> GibbsPopulations:
     return GibbsPopulations(p0_inf=0.5 * (1.0 + x), p1_inf=0.5 * (1.0 - x))
 
 
-def relaxation_weight(t, qn: QuantumNoiseParams):
-    """exp(-t/T1); the fraction of the initial populations still present."""
-    return np.exp(-np.asarray(t, dtype=float) / qn.t1)
+def _population_map(t, ad: AdiabaticParams, qn: QuantumNoiseParams) -> np.ndarray:
+    """(..., 2, 2) map e I + (1 - e) G of one qubit's populations (p0, p1) at
+    times ``t``: e = exp(-t/T1) of them stays, and G sends the rest to the
+    Gibbs populations. Every channel here reads it, so it checks ``t``."""
+    e = np.exp(-_check_times(t) / qn.t1)[..., None, None]
+    p = gibbs_populations(ad.omega, qn.temperature)
+    gibbs = np.array([[p.p0_inf, p.p0_inf], [p.p1_inf, p.p1_inf]])
+    return e * np.eye(2) + (1.0 - e) * gibbs
 
 
 def coherence_factor(t, ad: AdiabaticParams, qn: QuantumNoiseParams):
@@ -100,7 +106,7 @@ def coherence_factor(t, ad: AdiabaticParams, qn: QuantumNoiseParams):
     """
     t = np.asarray(t, dtype=float)
     base = np.exp(-1j * ad.omega * t - 0.5 * t / qn.t1)
-    if abs(ad.theta - math.pi / 2.0) <= _THETA_TOL and math.isfinite(qn.t1):
+    if abs(ad.theta - math.pi / 2.0) <= OPTIMAL_POINT_TOL and math.isfinite(qn.t1):
         bracket = 1.0 + (1j * ad.omega + 1.0 / qn.t1) * ad.sigma**2 * t / ad.omega**2
         out = base / np.sqrt(bracket)
     else:
@@ -118,16 +124,11 @@ def single_qubit_map(
     multiplied by :func:`coherence_factor`. The map is trace and hermiticity
     preserving, and the identity at t=0.
     """
-    if t < 0.0:
-        raise ParameterError("time must be non-negative")
-    e = float(relaxation_weight(t, qn))
-    p = gibbs_populations(ad.omega, qn.temperature)
+    populations = _population_map(t, ad, qn)
     z = coherence_factor(t, ad, qn)
     m = np.zeros((2, 2, 2, 2), dtype=complex)
-    m[0, 0, 0, 0] = e + (1.0 - e) * p.p0_inf
-    m[0, 0, 1, 1] = (1.0 - e) * p.p0_inf
-    m[1, 1, 0, 0] = (1.0 - e) * p.p1_inf
-    m[1, 1, 1, 1] = e + (1.0 - e) * p.p1_inf
+    for i in range(2):  # T[i, i, l, l] = populations[i, l]
+        m[i, i, (0, 1), (0, 1)] = populations[i]
     m[0, 1, 0, 1] = z
     m[1, 0, 1, 0] = np.conj(z)
     return m
@@ -147,22 +148,6 @@ def compose_two_qubit(rho0: np.ndarray, map_a: np.ndarray, map_b: np.ndarray) ->
     return validate_density_matrix(out.reshape(4, 4), name="composed state")
 
 
-def _relaxed_diagonal(diag0: np.ndarray, e: np.ndarray,
-                      pa: GibbsPopulations, pb: GibbsPopulations) -> np.ndarray:
-    """Joint populations after independent single-qubit relaxation.
-
-    ``e`` is a vector of exp(-t/T1) weights; returns shape (len(e), 4).
-    """
-    eye = np.eye(2)
-    gibbs_a = np.array([[pa.p0_inf, pa.p0_inf], [pa.p1_inf, pa.p1_inf]])
-    gibbs_b = np.array([[pb.p0_inf, pb.p0_inf], [pb.p1_inf, pb.p1_inf]])
-    e = e[:, None, None]
-    ka = e * eye + (1.0 - e) * gibbs_a
-    kb = e * eye + (1.0 - e) * gibbs_b
-    joint = np.einsum("kil,kjm,lm->kij", ka, kb, diag0.reshape(2, 2))
-    return joint.reshape(-1, 4)
-
-
 def interplay_concurrence(
     times,
     state: EWLParams,
@@ -176,23 +161,11 @@ def interplay_concurrence(
     single-qubit maps and composing them at each instant, exploiting that the
     evolved state stays in X form.
     """
-    scalar = np.ndim(times) == 0
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0.0):
-        raise ParameterError("times must be non-negative")
-    rho0 = ewl_state(state)
-    diag0 = rho0.diagonal().real
     za = coherence_factor(times, ad_a, qn)
     zb = coherence_factor(times, ad_b, qn)
-    e = relaxation_weight(times, qn)
-    pa = gibbs_populations(ad_a.omega, qn.temperature)
-    pb = gibbs_populations(ad_b.omega, qn.temperature)
-
-    coh12 = np.abs(rho0[1, 2]) * np.abs(za * np.conj(zb))
-    coh03 = np.abs(rho0[0, 3]) * np.abs(za * zb)
-    diag = _relaxed_diagonal(diag0, np.atleast_1d(e), pa, pb)
-    k1 = coh12 - np.sqrt(np.maximum(diag[:, 0] * diag[:, 3], 0.0))
-    k2 = coh03 - np.sqrt(np.maximum(diag[:, 1] * diag[:, 2], 0.0))
-    c = 2.0 * np.maximum(0.0, np.maximum(k1, k2))
-    return float(c[0]) if scalar else c
+    # the joint populations: each qubit's map acts on its own index
+    ka, kb = _population_map(times, ad_a, qn), _population_map(times, ad_b, qn)
+    joint = np.einsum("...il,...jm,lm->...ij", ka, kb, ewl_populations(state).reshape(2, 2))
+    diag = joint.reshape(*joint.shape[:-2], 4)
+    return ewl_concurrence(state, np.abs(za * np.conj(zb)), np.abs(za * zb), diag)
 

@@ -34,13 +34,15 @@ _SPIN_FLIP = np.kron(SIGMA_Y, SIGMA_Y).real
 def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     """Check the two-qubit density-matrix invariants and return ``rho``.
 
-    Raises :class:`InvalidStateError` when ``rho`` is not 4x4, Hermitian
-    within 1e-12, unit trace within 1e-12, or has an eigenvalue below
-    -1e-10.
+    Raises :class:`InvalidStateError` when ``rho`` is not 4x4 and finite,
+    Hermitian within 1e-12, unit trace within 1e-12, or has an eigenvalue
+    below -1e-10.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"{name} must be 4x4, got shape {rho.shape}")
+    if not np.isfinite(rho).all():  # a nan passes every tolerance test below
+        raise InvalidStateError(f"{name} has a non-finite entry")
     herm = np.abs(rho - rho.conj().T).max()
     if herm > HERMITICITY_TOL:
         raise InvalidStateError(
@@ -52,7 +54,7 @@ def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     lam_min = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
     if lam_min < EIGENVALUE_FLOOR:
         raise InvalidStateError(
-            f"{name} is not positive semidefinite: min eigenvalue {lam_min:.3e}"
+            f"{name} is not a state: not positive semidefinite, min eigenvalue {lam_min:.3e}"
         )
     return rho
 

@@ -41,9 +41,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .adiabatic import AdiabaticParams
-from .constants import ENSEMBLE_VARIANCE_RTOL, HERMITICITY_TOL
-from .errors import ParameterError
-from .qmath import SIGMA_X, SIGMA_Z, wootters_concurrence
+from .constants import ENSEMBLE_VARIANCE_RTOL
+from .errors import InvalidStateError, ParameterError
+from .qmath import SIGMA_X, SIGMA_Z, validate_density_matrix, wootters_concurrence
 
 # no compiled PSD engine exists; perfbench/run.py:408 records this flag
 HAVE_NUMBA = False
@@ -104,10 +104,6 @@ _NO_SWITCHES = np.empty(0)
 _NO_SWITCHES.flags.writeable = False
 
 
-def _rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class FluctuatorEnsemble:
     """A bath realization: switching rates and couplings."""
@@ -130,11 +126,8 @@ class FluctuatorEnsemble:
             raise ParameterError("switching rates leave the [gamma_min, gamma_max] band")
         var = float(np.sum(couplings**2))
         target = self.sigma**2
-        if target == 0.0:
-            ok = var == 0.0
-        else:
-            ok = abs(var - target) <= ENSEMBLE_VARIANCE_RTOL * target
-        if not ok:
+        # at sigma = 0 the relative rule asks for var == 0 exactly; a nan fails it
+        if not abs(var - target) <= ENSEMBLE_VARIANCE_RTOL * target:
             raise ParameterError(
                 f"coupling variance {var:.6e} does not realize sigma^2 = {target:.6e}"
             )
@@ -155,7 +148,7 @@ def sample_ensemble(
         raise ParameterError(
             f"need 0 < gamma_min < gamma_max, got [{gamma_min}, {gamma_max}]"
         )
-    rng = _rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)  # a Generator comes back as it is
     rates = gamma_min * (gamma_max / gamma_min) ** rng.random(n)
     couplings = np.full(n, sigma / math.sqrt(n))
     return FluctuatorEnsemble(
@@ -185,7 +178,7 @@ def rtn_paths(ens: FluctuatorEnsemble, t_max: float, rng_seed) -> RtnPaths:
     count (rate = its gamma), then all switch times."""
     if t_max <= 0.0:
         raise ParameterError(f"t_max must be positive, got {t_max}")
-    rng = _rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     signs = rng.integers(0, 2, ens.n) * 2.0 - 1.0
     counts = rng.poisson(ens.rates * t_max)
     # all switch times of the path in one draw, fluctuator by fluctuator
@@ -311,11 +304,6 @@ class TrajectoryResult:
     cfg: SimConfig
 
     @property
-    def taus(self) -> np.ndarray:
-        """(n_samples,) each sample's time since its segment began."""
-        return self.times - self.starts[self.segment]
-
-    @property
     def states(self) -> np.ndarray:
         """(n_samples, 4, 4) conditional states U rho0 U^dagger on the grid."""
         return _chunk_sum((self,))
@@ -328,26 +316,24 @@ def _state_factor(rho0) -> tuple[np.ndarray, float]:
     eigenvalue of rho0 once it is above rounding, which leaves C of rank 1
     for a pure state mixed with white noise. C comes from the
     eigen-decomposition and keeps the eigenvalues that stand above f by
-    more than rounding. A matrix that is not finite and Hermitian, or that
-    has an eigenvalue below minus that level, is not a state and raises
+    more than rounding. A matrix that fails
+    :func:`~esdlab.qmath.validate_density_matrix`, or that has an
+    eigenvalue below minus that level, is not a state and raises
     :class:`ParameterError`; nothing beyond rounding is dropped. Results
     are cached by value, so a run factors its initial state once, not per
     trajectory.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (4, 4):
-        raise ParameterError(f"rho0 must be 4x4, got shape {rho0.shape}")
-    return _factor_of(rho0.tobytes())
+    return _factor_of(rho0.tobytes(), rho0.shape)
 
 
 @lru_cache(maxsize=16)
-def _factor_of(data: bytes) -> tuple[np.ndarray, float]:
-    rho0 = np.frombuffer(data, dtype=complex).reshape(4, 4)
-    if not np.isfinite(rho0).all():
-        raise ParameterError("rho0 has a non-finite entry")
-    herm = np.abs(rho0 - rho0.conj().T).max()
-    if herm > HERMITICITY_TOL:
-        raise ParameterError(f"rho0 is not Hermitian: max |rho_ij - conj(rho_ji)| = {herm:.3e}")
+def _factor_of(data: bytes, shape: tuple) -> tuple[np.ndarray, float]:
+    rho0 = np.frombuffer(data, dtype=complex).reshape(shape)
+    try:
+        validate_density_matrix(rho0, name="rho0")
+    except InvalidStateError as exc:  # this engine's bad input is a ParameterError
+        raise ParameterError(str(exc)) from None
     lam, vec = np.linalg.eigh(rho0)
     # eigh resolves an eigenvalue only to a few eps times the largest one:
     # zero ones of 1e5 random pure states came out within 2.4 eps
@@ -668,8 +654,8 @@ def monte_carlo_concurrence(
         stderr = chunk_conc.std(axis=0, ddof=1) / math.sqrt(chunk_conc.shape[0])
     else:  # a single trajectory has no spread to estimate
         stderr = np.full(cfg.n_samples, math.nan)
-    times = np.linspace(0.0, cfg.t_max, cfg.n_samples)
-    return MonteCarloResult(times=times, concurrence=conc, stderr=stderr, rho_mean=rho_mean)
+    return MonteCarloResult(times=cfg.times.copy(), concurrence=conc, stderr=stderr,
+                            rho_mean=rho_mean)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ These deliberately avoid the code paths they check:
   Bell state, with its own relaxation weight and Gibbs populations; it gates
   the library's composed-channel curve;
 - ``xstate_k`` is the K1/K2 rule of an X-state density matrix, read off the
-  matrix elements, and ``is_x_state`` checks that a state has X form;
+  matrix elements; it gates the package's one X-state evaluator,
+  ``esdlab.states.ewl_concurrence``, which never builds that matrix, and
+  ``is_x_state`` checks that a state has X form;
 - ``critical_purity`` is the separability threshold r* of the extended
   Werner-like states;
 - the coherence oracle integrates the Gaussian phase average by composite

@@ -321,6 +321,20 @@ class TestConfigErrors:
         assert f"invalid config at {path}:" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["concurrence", "--preset", "fig4b", "--channel", "interplay", "--out"],
+        ["concurrence", "--preset", "fig4b", "--channel", "adiabatic", "--out"],
+        ["esd", "--preset", "fig4b", "--sweep", "r", "--from", "0.5", "--to", "0.9", "--out"],
+        ["figure", "fig3", "--config", "coupled", "--outdir"],
+    ], ids=["interplay", "adiabatic", "esd", "fig3"])
+    def test_closed_forms_refuse_a_coupling(self, tmp_path, capsys, argv):
+        # they describe uncoupled qubits and would drop the coupling unread
+        coupled = write_config(tmp_path, {"coupling": {"g_rad_s": 1.0e9}})
+        argv = [coupled if arg == "coupled" else arg for arg in argv]
+        assert main([*argv, str(tmp_path / "out")]) == 2
+        assert "coupling/g_rad_s must be 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         assert main(["psd", "--seed", "-1", "--out", str(tmp_path / "psd.csv")]) == 2
         assert "invalid config at sim/seed:" in capsys.readouterr().err

@@ -51,6 +51,8 @@ class TestWoottersConcurrence:
     def test_rejects_invalid_state(self):
         with pytest.raises(InvalidStateError):
             wootters_concurrence(np.eye(4))  # trace 4
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            wootters_concurrence(np.full((4, 4), math.nan))  # eigh would fail on it
 
     def test_stack_matches_per_matrix_bit_for_bit(self, rng):
         states = []
@@ -102,6 +104,15 @@ class TestValidators:
         rho = np.eye(4, dtype=complex) / 4.0
         rho[0, 1] = 1e-3
         with pytest.raises(InvalidStateError, match="Hermitian"):
+            validate_density_matrix(rho)
+
+    @pytest.mark.parametrize("rho", [
+        np.diag([0.5, 0.5, math.nan, 0.0]),  # passed every check before
+        np.full((4, 4), math.nan),
+        np.diag([math.inf, 0.0, 0.0, 0.0]),
+    ], ids=["nan_on_diagonal", "all_nan", "inf"])
+    def test_rejects_non_finite(self, rho):
+        with pytest.raises(InvalidStateError, match="non-finite"):
             validate_density_matrix(rho)
 
     def test_rejects_negative_eigenvalue(self):

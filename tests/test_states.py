@@ -5,7 +5,7 @@ import pytest
 
 from esdlab.errors import ParameterError
 from esdlab.qmath import wootters_concurrence
-from esdlab.states import EWLParams, ewl_state
+from esdlab.states import EWLParams, ewl_concurrence, ewl_populations, ewl_state
 
 from _oracles import critical_purity, is_x_state, xstate_concurrence, xstate_k
 from conftest import random_x_state
@@ -88,6 +88,43 @@ class TestXStateConcurrence:
         k1, k2 = xstate_k(rho)
         assert k1 == pytest.approx(-math.sqrt(0.04))
         assert k2 == pytest.approx(-math.sqrt(0.06))
+
+
+class TestEWLConcurrence:
+    """The package's one X-state evaluator against the K1/K2 oracle, read off
+    the matrix the channel leaves: the EWL state's coherences scaled by
+    f12 and f03, on the given populations."""
+
+    @staticmethod
+    def random_state(rng, flavor):
+        a = math.sqrt(rng.random()) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        return EWLParams(r=rng.random(), a=a, flavor=flavor,
+                         b_phase=rng.uniform(0.0, 2.0 * math.pi))
+
+    @pytest.mark.parametrize("flavor", ["phi", "psi"])
+    def test_matches_xstate_oracle(self, rng, flavor):
+        for _ in range(40):
+            state = self.random_state(rng, flavor)
+            rho0 = ewl_state(state)
+            f12, f03 = rng.random(50), rng.random(50)
+            rows = rng.dirichlet(np.ones(4), 50)
+            for diag, got in ((rows, ewl_concurrence(state, f12, f03, rows)),
+                              (np.tile(rho0.diagonal().real, (50, 1)),
+                               ewl_concurrence(state, f12, f03))):
+                assert got.shape == (50,)
+                for k in range(50):
+                    rho = np.diag(diag[k]).astype(complex)
+                    rho[1, 2] = rho0[1, 2] * f12[k]
+                    rho[0, 3] = rho0[0, 3] * f03[k]
+                    assert abs(got[k] - 2.0 * max(0.0, *xstate_k(rho))) <= 1e-12
+
+    @pytest.mark.parametrize("flavor", ["phi", "psi"])
+    def test_untouched_state_is_its_own_concurrence(self, rng, flavor):
+        for _ in range(200):
+            state = self.random_state(rng, flavor)
+            rho0 = ewl_state(state)
+            assert np.abs(ewl_populations(state) - rho0.diagonal().real).max() <= 1e-15
+            assert abs(ewl_concurrence(state, 1.0, 1.0) - wootters_concurrence(rho0)) <= 1e-9
 
 
 class TestCriticalPurity:

@@ -342,6 +342,7 @@ class TestEvolveTrajectory:
         (np.triu(np.full((4, 4), 0.25)), "not Hermitian"),
         (np.diag([0.5, 0.5, math.nan, 0.0]), "non-finite"),
         (np.ones((2, 2)) / 2.0, "shape"),
+        (np.eye(4) / 2.0, "trace"),  # ran, with a mean state of trace 2
     ])
     def test_rejects_what_is_not_a_state(self, rho0, match):
         # a negative eigenvalue beyond rounding is never clipped away
