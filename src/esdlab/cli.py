@@ -16,6 +16,8 @@ makes an integer field; ``state.flavor`` is "phi" or "psi"), a finite value
 and the range ``_BOUNDS`` gives it. Any violation, from a file or a flag,
 exits 2 with ``invalid config at <path>: ...``. The closed-form channels
 (all but ``--channel montecarlo`` and fig4) also exit 2 unless g_rad_s is 0.
+Fig. 4 derives qubit B from qubit A, so it exits 2 on a qubit_b other than
+the default, and on a nonzero g_rad_s when none of its curves is coupled.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -325,9 +327,18 @@ def _monte_carlo_family(curves, spa_curves):
     """Fig. 4: a Monte Carlo curve and its stderr per ``(label, detuned,
     coupled)`` in ``curves``, then the static-path average per ``(label,
     detuned)`` in ``spa_curves``. Coupled curves use coupling.g_rad_s, the
-    others no coupling."""
+    others no coupling. Config that no curve reads is refused before any
+    trajectory runs."""
+    coupled_curves = any(coupled for *_, coupled in curves)
 
     def build(cfg: dict):
+        if cfg["coupling"]["g_rad_s"] != 0.0 and not coupled_curves:
+            raise ConfigError("coupling/g_rad_s must be 0 for this figure: none of its curves "
+                              "is coupled")
+        if cfg["qubit_b"] != DEFAULT_CONFIG["qubit_b"]:
+            raise ConfigError("qubit_b must keep its defaults for this figure, which derives "
+                              "qubit B from qubit_a: resonant, or with omega and sigma "
+                              f"{_DETUNE_FACTOR} times qubit A's")
         st = _state_from(cfg)
         rho0 = ewl_state(st)
         ad_a = _qubit_from(cfg, "a")

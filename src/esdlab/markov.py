@@ -89,7 +89,7 @@ def gibbs_populations(omega: float, temperature: float) -> GibbsPopulations:
 def _population_map(t, ad: AdiabaticParams, qn: QuantumNoiseParams) -> np.ndarray:
     """(..., 2, 2) map e I + (1 - e) G of one qubit's populations (p0, p1) at
     times ``t``: e = exp(-t/T1) of them stays, and G sends the rest to the
-    Gibbs populations. Every channel here reads it, so it checks ``t``."""
+    Gibbs populations. A negative time raises :class:`ParameterError`."""
     e = np.exp(-_check_times(t) / qn.t1)[..., None, None]
     p = gibbs_populations(ad.omega, qn.temperature)
     gibbs = np.array([[p.p0_inf, p.p0_inf], [p.p1_inf, p.p1_inf]])
@@ -102,9 +102,9 @@ def coherence_factor(t, ad: AdiabaticParams, qn: QuantumNoiseParams):
     At theta = pi/2 the exact combined form is used (the relaxation rate
     enters the defocusing bracket); elsewhere the static-path kernel and the
     Markovian factor multiply. With ``s_white = 0`` both reduce to the pure
-    static-path result.
+    static-path result. A negative time raises :class:`ParameterError`.
     """
-    t = np.asarray(t, dtype=float)
+    t = _check_times(t)
     base = np.exp(-1j * ad.omega * t - 0.5 * t / qn.t1)
     if abs(ad.theta - math.pi / 2.0) <= OPTIMAL_POINT_TOL and math.isfinite(qn.t1):
         bracket = 1.0 + (1j * ad.omega + 1.0 / qn.t1) * ad.sigma**2 * t / ad.omega**2

@@ -279,10 +279,10 @@ class TrajectoryResult:
     ``starts[s]`` and lasts ``dts[s]`` with the qubits' noise values
     ``noise[s]``, and sample k lies in segment ``segment[k]``. The chunk
     stage (stage 2) joins the segments of a chunk's trajectories and builds
-    all their steps in one batch. It carries the factor C of the initial
-    state (rho0 = C C^dagger + floor I) to the start of every segment,
-    spread over four terms, so that at a time tau into segment s the
-    propagated factor is
+    all their steps in one batch. With one batched product per segment
+    position it carries the factor C of the initial state (rho0 = C C^dagger
+    + floor I) to the start of every segment, spread over four terms, so
+    that at a time tau into segment s the propagated factor is
 
         U C = sum_u coef_u(tau) terms[s, u].
 
@@ -417,32 +417,6 @@ class _ChunkTerms:
     coupled: bool
 
 
-def _su2_starts(alpha: np.ndarray, beta: np.ndarray, sizes: list) -> tuple[np.ndarray, np.ndarray]:
-    """Running products of SU(2) steps [[alpha, -conj(beta)], [beta, conj(alpha)]]
-    along the last axis, in the same two-number form. The last axis holds
-    trajectories of ``sizes`` segments one after another; entry s is the
-    product of the steps of its trajectory's earlier segments, latest first.
-    Rows are independent batches.
-
-    Complex scalars keep each step of the sequential product free of
-    per-call array overhead, which dominates once a path has many switches.
-    """
-    out_a, out_b = np.empty_like(alpha), np.empty_like(beta)
-    for q, (steps_a, steps_b) in enumerate(zip(alpha.tolist(), beta.tolist())):
-        acc_a, acc_b, stop = [], [], 0
-        for size in sizes:
-            start, stop = stop, stop + size
-            a, b = 1.0 + 0.0j, 0.0j
-            acc_a.append(a)
-            acc_b.append(b)
-            for sa, sb in zip(steps_a[start:stop - 1], steps_b[start:stop - 1]):
-                a, b = sa * a - sb.conjugate() * b, sb * a + sa.conjugate() * b
-                acc_a.append(a)
-                acc_b.append(b)
-        out_a[q], out_b[q] = acc_a, acc_b
-    return out_a, out_b
-
-
 def _chunk_terms(trajectories) -> _ChunkTerms:
     """The engine's chunk stage: propagate the segments of every trajectory
     from :func:`evolve_trajectory` in one batch.
@@ -451,18 +425,21 @@ def _chunk_terms(trajectories) -> _ChunkTerms:
     once: a tensor product of 2x2 rotations when the qubits are uncoupled,
     a diagonalized 4x4 exponential from one stacked ``eigh`` otherwise. The
     running product restarts at each trajectory's first segment with the
-    initial state's factor C. Uncoupled qubits carry it by the two qubits'
-    start propagators, from a scalar scan over the segments. Coupled qubits
-    carry it into each segment's eigenbasis, one batched product per
-    segment position over the trajectories that reach it.
+    initial state's factor C and runs over segment positions: position p
+    holds segment p of every trajectory that has more than p of them, and
+    one batched product per position carries the whole chunk. Uncoupled
+    qubits carry the two qubits' start propagators, coupled qubits C in
+    each segment's eigenbasis.
     """
     first = trajectories[0]
     cfg, factor = first.cfg, first.factor
-    sizes = [t.dts.size for t in trajectories]
-    first_segment = np.cumsum([0] + sizes[:-1])  # of each trajectory
+    sizes = np.array([t.dts.size for t in trajectories])
+    first_segment = np.cumsum(sizes) - sizes  # of each trajectory
+    # segment p of every trajectory that has more than p of them, p = 1, 2, ...
+    positions = [first_segment[sizes > pos] + pos for pos in range(1, sizes.max())]
     dts = np.concatenate([t.dts for t in trajectories])
     xa, xb = np.concatenate([t.noise for t in trajectories]).T
-    segment = np.concatenate([t.segment for t in trajectories]).reshape(len(sizes), -1)
+    segment = np.concatenate([t.segment for t in trajectories]).reshape(sizes.size, -1)
     segment += first_segment[:, None]
     taus = first.times - np.concatenate([t.starts for t in trajectories])[segment]
 
@@ -486,30 +463,35 @@ def _chunk_terms(trajectories) -> _ChunkTerms:
         turns = (vec_h[1:] @ vec[:-1]) * np.exp(-1j * rates[:-1] * dts[:-1, None])[:, None, :]
         z = np.empty((dts.size, 4, factor.shape[1]), dtype=complex)
         z[first_segment] = vec_h[first_segment] @ factor
-        # segment p of every trajectory that has more than p of them, at once
-        reach = np.array(sizes)
-        for pos in range(1, reach.max()):
-            cur = first_segment[reach > pos] + pos
+        for cur in positions:
             z[cur] = turns[cur - 1] @ z[cur - 1]
         # term u: eigenvector u times row u of z
         terms = vec.transpose(0, 2, 1)[..., None] * z[:, :, None, :]
     else:
         # a qubit's steps and start propagators are SU(2) matrices
-        # [[alpha, -conj(beta)], [beta, conj(alpha)]]; axis 0 is the qubit
-        w, v = np.stack([wa, wb]), np.stack([va, vb])
+        # [[alpha, -conj(beta)], [beta, conj(alpha)]]; axis 1 is the qubit
+        w, v = np.stack([wa, wb], axis=1), np.stack([va, vb], axis=1)
         d = np.hypot(w, v)
         # a zero rate gets a zero axis, so its steps are the identity
         scale = np.where(d > 0.0, d, 1.0)
         nz, nx = w / scale, v / scale
         rates = 0.5 * d
-        half = rates * dts
+        half = rates * dts[:, None]
         sin = np.sin(half)
-        alpha, beta = _su2_starts(np.cos(half) - 1j * (sin * nz), -1j * (sin * nx), sizes)
+        alpha, beta = np.cos(half) - 1j * (sin * nz), -1j * (sin * nx)
+        steps = np.stack([alpha, -beta.conj(), beta, alpha.conj()], -1).reshape(-1, 2, 2, 2)
+        # a start propagator is carried as its first column [alpha; beta]
+        start = np.empty_like(steps[..., :1])
+        start[first_segment] = [[1.0], [0.0]]
+        for cur in positions:
+            start[cur] = steps[cur - 1] @ start[cur - 1]
+        alpha, beta = start[..., 0, 0], start[..., 1, 0]
         # at tau into a segment a qubit's propagator is c S + s (-i n.sigma) S;
         # stack S and (-i n.sigma) S on axis 2, then each pair's 2x2 matrix
         al = np.stack([alpha, -1j * (nz * alpha + nx * beta)], axis=-1)
         be = np.stack([beta, -1j * (nx * alpha - nz * beta)], axis=-1)
-        pa, pb = np.stack([al, -be.conj(), be, al.conj()], axis=-1).reshape(*al.shape, 2, 2)
+        p = np.stack([al, -be.conj(), be, al.conj()], axis=-1).reshape(*al.shape, 2, 2)
+        pa, pb = p[:, 0], p[:, 1]
         # terms[s, 2u + v] = (pa[s, u] (x) pb[s, v]) C, elementwise, one qubit
         # at a time. As one (16 n_segments, 4) matrix product it took 8 ms a
         # call inside the engine under OpenBLAS's default threads (2-vCPU VM,
@@ -521,7 +503,6 @@ def _chunk_terms(trajectories) -> _ChunkTerms:
         terms = (pa[:, :, None, :, None, 0, None] * yb[:, None, :, None, :, 0]
                  + pa[:, :, None, :, None, 1, None] * yb[:, None, :, None, :, 1])
         terms = terms.reshape(dts.size, 4, 4, -1)
-        rates = rates.T
     return _ChunkTerms(segment=segment, taus=taus, rates=rates, terms=terms,
                        floor=first.floor, coupled=cfg.coupling_g != 0.0)
 

@@ -335,6 +335,23 @@ class TestConfigErrors:
         assert "coupling/g_rad_s must be 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, cfg, path", [
+        ("fig4a", {"coupling": {"g_rad_s": 1.0e9}}, "coupling/g_rad_s"),
+        ("fig4b", {"qubit_b": {"sigma_rad_s": 5.0e9}}, "qubit_b"),
+    ], ids=["fig4a-coupling", "fig4b-qubit_b"])
+    def test_monte_carlo_figures_refuse_unread_config(self, tmp_path, monkeypatch, capsys,
+                                                      name, cfg, path):
+        # fig4 derives qubit B from qubit A and couples only its coupled curves
+        def no_trajectories(*args, **kwargs):
+            raise AssertionError("a trajectory ran")
+
+        monkeypatch.setattr("esdlab.cli.monte_carlo_concurrence", no_trajectories)
+        cfg = write_config(tmp_path, {**cfg, "sim": {"trajectories": 8, "samples": 11,
+                                                     "fluctuators": 10}})
+        assert main(["figure", name, "--config", cfg, "--outdir", str(tmp_path / "out")]) == 2
+        assert f"{path} must" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         assert main(["psd", "--seed", "-1", "--out", str(tmp_path / "psd.csv")]) == 2
         assert "invalid config at sim/seed:" in capsys.readouterr().err

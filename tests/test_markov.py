@@ -116,6 +116,9 @@ class TestSingleQubitMap:
     def test_rejects_negative_time(self):
         with pytest.raises(ParameterError):
             single_qubit_map(-1.0, AD_OPT, QN)
+        # the optimal point's combined form checks its time too
+        with pytest.raises(ParameterError):
+            coherence_factor(-1.0e-6, AD_OPT, QN)
 
 
 class TestComposeTwoQubit:
