@@ -129,8 +129,10 @@ class ESDResult:
     entangled pure state (r = 1, |ab| > 0) and for any entangled state
     without static noise (sigma = 0), whose concurrence stays constant.
     ``never_entangled`` marks an initial state that is already separable
-    (time 0). ``method`` is "closed_form", "bisection" or "grid";
-    ``bracket`` encloses a searched root and is None for closed forms.
+    (time 0). ``method`` is "closed_form", "bisection" (the array search of
+    :func:`esdlab.analysis.find_crossing_time`, which splits its bracket in
+    64 parts per curve call) or "grid" (a sampled curve); ``bracket``
+    encloses a searched root and is None for closed forms.
     """
 
     time: float | None

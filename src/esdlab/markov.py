@@ -165,7 +165,7 @@ def interplay_concurrence(
     zb = coherence_factor(times, ad_b, qn)
     # the joint populations: each qubit's map acts on its own index
     ka, kb = _population_map(times, ad_a, qn), _population_map(times, ad_b, qn)
-    joint = np.einsum("...il,...jm,lm->...ij", ka, kb, ewl_populations(state).reshape(2, 2))
+    joint = ka @ ewl_populations(state).reshape(2, 2) @ np.swapaxes(kb, -1, -2)
     diag = joint.reshape(*joint.shape[:-2], 4)
     return ewl_concurrence(state, np.abs(za * np.conj(zb)), np.abs(za * zb), diag)
 

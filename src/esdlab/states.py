@@ -84,6 +84,10 @@ def ewl_concurrence(state: EWLParams, f12, f03, diag=None):
     if diag is None:
         diag = ewl_populations(state)
     phi = state.flavor == "phi"
-    k1 = (coherence if phi else 0.0) * f12 - np.sqrt(np.maximum(diag[..., 0] * diag[..., 3], 0.0))
-    k2 = (0.0 if phi else coherence) * f03 - np.sqrt(np.maximum(diag[..., 1] * diag[..., 2], 0.0))
+    # scaling by 2^500 is exact (sqrt(x*x) = x still holds) and keeps the
+    # product of two populations near 1e-162 from underflowing to 0
+    d = diag * 2.0**500
+    roots = np.sqrt(np.maximum(d[..., (0, 1)] * d[..., (3, 2)], 0.0)) / 2.0**500
+    k1 = (coherence if phi else 0.0) * f12 - roots[..., 0]
+    k2 = (0.0 if phi else coherence) * f03 - roots[..., 1]
     return 2.0 * np.maximum(0.0, np.maximum(k1, k2))

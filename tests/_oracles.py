@@ -11,6 +11,9 @@ These deliberately avoid the code paths they check:
   ``is_x_state`` checks that a state has X form;
 - ``critical_purity`` is the separability threshold r* of the extended
   Werner-like states;
+- ``bisect_first_zero`` is the scalar ESD search: the log-grid scan's first
+  sign-change bracket halved with one scalar curve call per step, instead of
+  the library's array search that splits it in 64 parts per call;
 - the coherence oracle integrates the Gaussian phase average by composite
   quadrature instead of using the closed form;
 - the periodogram oracle is a numpy FFT instead of scipy.signal;
@@ -27,7 +30,7 @@ import math
 
 import numpy as np
 
-from esdlab.constants import HBAR, K_B
+from esdlab.constants import ESD_RELATIVE_TOL, HBAR, K_B
 from esdlab.qmath import SIGMA_X, SIGMA_Z
 from esdlab.stochastic import _switch_jumps
 
@@ -64,6 +67,28 @@ def critical_purity(a: complex) -> float:
     mod_a = abs(a)
     ab = mod_a * math.sqrt(max(0.0, 1.0 - mod_a**2))
     return 1.0 / (1.0 + 4.0 * ab)
+
+
+def bisect_first_zero(c, t_max: float) -> tuple[float, float, float]:
+    """(root, lo, hi) of the first zero of ``c`` on [0, t_max], with the
+    invariant c(lo) > 0 >= c(hi) and relative width ``ESD_RELATIVE_TOL``.
+
+    The bracket comes from the same log grid as the library's scan; bisection
+    then calls ``c`` on one scalar time per step. The curve clamps at zero
+    past the root, so bisection homes in on the first touch point.
+    """
+    grid = np.concatenate([[0.0], np.geomspace(t_max * 1e-12, t_max, 10_000)])
+    i = int(np.nonzero(np.asarray(c(grid)) <= 0.0)[0][0])
+    lo, hi = grid[i - 1], grid[i]
+    while hi - lo > ESD_RELATIVE_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if float(c(mid)) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), lo, hi
 
 
 def interplay_concurrence_bell(t, flavor: str, ad, qn):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +16,13 @@ from esdlab.analysis import (
     find_crossing_time,
     sweep,
 )
+from esdlab.constants import ESD_RELATIVE_TOL
 from esdlab.errors import ParameterError
-from esdlab.markov import QuantumNoiseParams
+from esdlab.markov import QuantumNoiseParams, interplay_concurrence
 from esdlab.states import EWLParams, ewl_state
 from esdlab.stochastic import SimConfig, monte_carlo_concurrence
+
+from _oracles import bisect_first_zero
 
 OMEGA = 1.0e11
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -27,6 +31,30 @@ QN = QuantumNoiseParams(s_white=2.0e6, temperature=0.04)
 
 def qubit(theta, ratio=0.02):
     return AdiabaticParams(omega=OMEGA, theta=theta, sigma=ratio * OMEGA)
+
+
+def _searched_curves():
+    """(curve, t_max) of both closed-form cases, and of fig2's four searched
+    columns at a few r: interplay and quantum noise only, each flavor, on
+    fig2's qubits, quantum noise, |a|^2 = 0.5 and horizon omega t = 2e7."""
+    opt, deph = qubit(math.pi / 2), qubit(0.0)
+    curves = {
+        "optimal": (lambda t: adiabatic_concurrence(t, opt, opt, EWLParams(0.9, INV_SQRT2)),
+                    1.0e6 / OMEGA),
+        "dephasing": (lambda t: adiabatic_concurrence(t, deph, deph, EWLParams(0.7, 0.6)),
+                      10.0 / deph.sigma),
+    }
+    for column, p in (("interplay", opt), ("quantum", replace(opt, sigma=0.0))):
+        for flavor in ("phi", "psi"):
+            for r in (0.5, 0.8, 0.99):
+                s = EWLParams(r, INV_SQRT2, flavor)
+                curves[f"{column}_{flavor}_r{r}"] = (
+                    lambda t, s=s, p=p: interplay_concurrence(t, s, p, p, QN), 2.0e7 / OMEGA
+                )
+    return curves
+
+
+SEARCHED = _searched_curves()
 
 
 class TestFindEsdTime:
@@ -106,6 +134,45 @@ class TestFindEsdTime:
             assert esd.method == "grid" and not esd.is_infinite
             # 32 trajectories make two batches, so the error bar has a width
             assert esd.bracket[0] < esd.time < esd.bracket[1]
+
+    @pytest.mark.parametrize("name", SEARCHED)
+    def test_matches_scalar_bisection(self, name):
+        curve, t_max = SEARCHED[name]
+        shapes = []
+
+        def c(t):
+            shapes.append(np.shape(t))
+            return curve(t)
+
+        res = find_crossing_time(c, t_max)
+        want, _, _ = bisect_first_zero(curve, t_max)
+        assert abs(res.time - want) <= ESD_RELATIVE_TOL * want
+        lo, hi = res.bracket
+        assert lo <= res.time <= hi and hi - lo <= ESD_RELATIVE_TOL * hi
+        assert curve(np.array([lo]))[0] > 0.0 >= curve(np.array([hi]))[0]
+        # the scan and at most four narrowing calls, each on a 1-d array
+        assert len(shapes) <= 5 and all(len(shape) == 1 for shape in shapes)
+
+    def test_curve_is_never_called_on_a_scalar(self):
+        def c(t):
+            if np.ndim(t) != 1:
+                raise TypeError("this curve takes a 1-d array of times")
+            return np.clip(1.0 - t, 0.0, 1.0)
+
+        assert find_crossing_time(c, 2.0).time == pytest.approx(1.0, rel=ESD_RELATIVE_TOL)
+
+    def test_revival_after_the_first_zero_warns(self):
+        # zero on [0.3, 0.6], positive again after it
+        c = lambda t: np.clip(np.abs(t - 0.45) - 0.15, 0.0, None)
+        with pytest.warns(UserWarning, match="recovers"):
+            res = find_crossing_time(c, 1.0)
+        assert res.time == pytest.approx(0.3, rel=1e-8)
+
+    def test_monotone_decay_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = find_crossing_time(lambda t: np.clip(1.0 - t, 0.0, 1.0), 2.0)
+        assert res.time == pytest.approx(1.0, rel=ESD_RELATIVE_TOL)
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ParameterError):

@@ -131,6 +131,23 @@ class TestEsd:
         assert cols["omega_t_esd_psi"] == cols["omega_t_esd_quantum_psi"]
 
 
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_no_concurrence_returns_from_underflowing_populations(tmp_path):
+    # at this temperature p1 = 0.0, and the populations product rho_11 rho_22
+    # underflowed to 0 near omega t = 5000 while the coherence (~1e-162) did
+    # not: the curve came back after its zero, and the ESD search warned
+    cfg = write_config(tmp_path, {
+        "state": {"flavor": "psi", "r": 0.99},
+        "quantum": {"s_white_per_s": 14874938495.0, "temperature_k": 0.015625},
+    })
+    out = tmp_path / "c.csv"
+    assert main(["concurrence", "--channel", "interplay", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert rows[-1] == ["5000.0", "0.0"]
+    assert main(["esd", "--config", cfg, "--sweep", "r", "--from", "0.3", "--to", "0.99",
+                 "--points", "2", "--out", str(tmp_path / "esd.csv")]) == 0
+
+
 class TestQuantumNoiseOff:
     """``quantum.s_white_per_s = 0`` is how a config switches quantum noise off."""
 
