@@ -26,10 +26,13 @@ realization) number, and reductions run over chunks fixed by the
 configuration, and blocks within them, in index order, so results are
 bit-identical regardless of worker count. ``STREAM_VERSION`` names the
 layout of those streams. The rates of an ensemble are drawn once (a
-device); every path drawn by :func:`rtn_paths` owns fresh stationary signs.
-PSD realization k uses spawn key (k,) and draws like one Monte Carlo path;
-realizations are transformed in blocks and their periodograms summed in
-realization order, so the PSD estimate is bit-identical for any block size.
+device); every path owns fresh stationary signs. One routine draws a path,
+one switching fluctuator at a time: :func:`rtn_paths` keeps its switch
+times for the Monte Carlo engine, while PSD realization k, drawn from spawn
+key (k,), bins each fluctuator's jumps onto its sample grid as it is drawn
+and then drops them. Realizations are transformed in blocks and their
+periodograms summed in realization order, so the PSD estimate is
+bit-identical for any block size.
 """
 
 from __future__ import annotations
@@ -85,13 +88,15 @@ BLOCK_COLUMNS = 4
 # The periodogram transforms realizations in blocks of about this many
 # samples. Each scipy call carries a fixed cost of several milliseconds that
 # does not grow with its row count, but a larger block holds more rows, and
-# scipy's copies of them, in memory at once. With 5e4-sample realizations
-# (2-vCPU VM, scipy 1.17), two rows a block add about 1 % to the CLI's peak
-# RSS, three 3.5 % and four 5 %, and neither of the last two runs faster.
+# scipy's work arrays for them, in memory at once. With 5e4-sample
+# realizations (2-vCPU VM, scipy 1.17), the CLI's peak RSS is 110.0 MiB at
+# one row a block, 113.7 at two, 116.4 at three and 119.0 at four; the VM's
+# noise swamps any time the larger blocks save.
 PSD_BLOCK_SAMPLES = 100_000
 
 # Layout of the random stream behind a Monte Carlo run. Version 2 draws a
-# path's signs, every Poisson switch count in one call, then all switch times.
+# path's signs, every Poisson switch count in one call, then all switch
+# times, fluctuator by fluctuator in index order.
 STREAM_VERSION = 2
 
 _EYE2 = np.eye(2, dtype=complex)
@@ -172,54 +177,66 @@ class RtnPaths:
     switching: tuple  # ascending indices of the fluctuators that switch
 
 
-def rtn_paths(ens: FluctuatorEnsemble, t_max: float, rng_seed) -> RtnPaths:
-    """Draw one path: equiprobable initial signs (the stationary state of a
-    symmetric telegraph process), then every fluctuator's Poisson switch
-    count (rate = its gamma), then all switch times."""
-    if t_max <= 0.0:
-        raise ParameterError(f"t_max must be positive, got {t_max}")
-    rng = np.random.default_rng(rng_seed)
+def _draw_path(ens: FluctuatorEnsemble, t_max: float, rng: np.random.Generator):
+    """Draw one path in the ``STREAM_VERSION`` 2 order: equiprobable initial
+    signs (the stationary state of a symmetric telegraph process), every
+    fluctuator's Poisson switch count (rate = its gamma), then the switch
+    times of each fluctuator that switches, in index order. Returns the
+    signs and an iterator of (index, sorted switch times) that draws each
+    fluctuator's times when it reaches them; use it up before ``rng`` draws
+    again. PCG64 hands out doubles in order, so these draws give the bits of
+    one draw of all the path's switch times."""
     signs = rng.integers(0, 2, ens.n) * 2.0 - 1.0
     counts = rng.poisson(ens.rates * t_max)
-    # all switch times of the path in one draw, fluctuator by fluctuator
-    flat = rng.random(int(counts.sum())) * t_max
-    times = [_NO_SWITCHES] * ens.n
-    switching = tuple(np.flatnonzero(counts).tolist())
-    start = 0
-    for i in switching:
-        stop = start + int(counts[i])
-        times[i] = flat[start:stop]
-        times[i].sort()
-        start = stop
+
+    def switches():
+        for i in np.flatnonzero(counts).tolist():
+            times = rng.random(counts[i])
+            times *= t_max
+            times.sort()
+            yield i, times
+
+    return signs, switches()
+
+
+def rtn_paths(ens: FluctuatorEnsemble, t_max: float, rng_seed) -> RtnPaths:
+    """Draw one path with :func:`_draw_path` and keep every fluctuator's
+    sorted switch times, an empty array for one that does not switch."""
+    if t_max <= 0.0:
+        raise ParameterError(f"t_max must be positive, got {t_max}")
+    signs, switches = _draw_path(ens, t_max, np.random.default_rng(rng_seed))
+    times, switching = [_NO_SWITCHES] * ens.n, []
+    for i, t in switches:
+        times[i] = t
+        switching.append(i)
     return RtnPaths(ensemble=ens, t_max=t_max, initial_states=signs,
-                    switch_times=tuple(times), switching=switching)
+                    switch_times=tuple(times), switching=tuple(switching))
 
 
-def _switch_jumps(paths: RtnPaths):
-    """(switch times, jumps) of each fluctuator that switches: starting at
-    v*s0, its k-th switch (k = 1, 2, ...) jumps by 2*v*s0*(-1)^k."""
-    couplings = paths.ensemble.couplings
-    for i in paths.switching:
-        times = paths.switch_times[i]
-        jump = 2.0 * couplings[i] * paths.initial_states[i]
+def _binned_noise(couplings, signs, switches, t_max: float, n_samples: int, out=None):
+    """X(t) on ``np.linspace(0, t_max, n_samples)`` from the initial signs and
+    the (index, sorted switch times) of each fluctuator that switches.
+    Starting at v*s0, a fluctuator's k-th switch (k = 1, 2, ...) jumps by
+    2*v*s0*(-1)^k, binned at the first sample at or after its time."""
+    # a spare bin takes a switch that rounding puts past the last sample
+    delta = np.zeros(n_samples + 1)
+    delta[0] = np.sum(couplings * signs)
+    scale = (n_samples - 1) / t_max
+    for i, times in switches:
+        jump = 2.0 * couplings[i] * signs[i]
         jumps = np.full(times.size, jump)
         jumps[::2] = -jump
-        yield times, jumps
+        np.add.at(delta, np.ceil(times * scale).astype(np.intp), jumps)
+    return np.cumsum(delta[:n_samples], out=out)
 
 
 def sampled_noise(paths: RtnPaths, n_samples: int) -> np.ndarray:
     """X(t) on ``np.linspace(0, paths.t_max, n_samples)``, the grid of
-    :func:`evolve_trajectory`. Jumps are binned fluctuator by fluctuator at
-    the first sample at or after their switch time. All switches of the path
-    sit in one flat array drawn by :func:`rtn_paths`; each ``switch_times``
-    entry is a view of its fluctuator's slice, sorted in place."""
-    # a spare bin takes a switch that rounding puts past the last sample
-    delta = np.zeros(n_samples + 1)
-    delta[0] = np.sum(paths.ensemble.couplings * paths.initial_states)
-    scale = (n_samples - 1) / paths.t_max
-    for times, jumps in _switch_jumps(paths):
-        np.add.at(delta, np.ceil(times * scale).astype(np.intp), jumps)
-    return np.cumsum(delta[:n_samples])
+    :func:`evolve_trajectory`, binned by :func:`_binned_noise` as the PSD
+    bins its realizations."""
+    switches = ((i, paths.switch_times[i]) for i in paths.switching)
+    return _binned_noise(paths.ensemble.couplings, paths.initial_states, switches,
+                         paths.t_max, n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -673,11 +690,11 @@ def psd_estimate(
     """Estimate the ensemble power spectrum by periodogram averaging.
 
     Each realization draws fresh initial signs and switch times (quenched
-    rates, stationary initial conditions) with :func:`rtn_paths`, exactly as
-    one Monte Carlo path does, samples the summed signal at ``sample_hz``
-    with :func:`sampled_noise` and accumulates a Hann-windowed, mean-removed
-    periodogram. Realizations are transformed in blocks of
-    ``max(1, PSD_BLOCK_SAMPLES // n_samples)`` rows, one periodogram call
+    rates, stationary initial conditions) as one Monte Carlo path does and
+    bins each fluctuator's jumps onto the grid at ``sample_hz`` as it draws
+    them, giving :func:`sampled_noise` of :func:`rtn_paths`. Realizations are
+    transformed in blocks of ``max(1, PSD_BLOCK_SAMPLES // n_samples)``
+    rows, their means removed in place, one Hann-windowed periodogram call
     per block, and the rows are summed in realization order, so the
     estimate is bit-identical for any block size.
 
@@ -717,10 +734,13 @@ def psd_estimate(
     for start in range(0, n_realizations, rows):
         part = children[start:start + rows]
         for x, child in zip(block, part):
-            x[:] = sampled_noise(rtn_paths(ens, horizon, np.random.default_rng(child)), n_samples)
+            signs, switches = _draw_path(ens, horizon, np.random.default_rng(child))
+            _binned_noise(ens.couplings, signs, switches, horizon, n_samples, out=x)
+        # scipy's detrend="constant" would subtract the same means from a copy
+        signals = block[:len(part)]
+        signals -= signals.mean(axis=-1, keepdims=True)
         freqs, pxx = _signal.periodogram(
-            block[:len(part)], fs=sample_hz, window=window, detrend="constant",
-            scaling="density", axis=-1,
+            signals, fs=sample_hz, window=window, detrend=False, scaling="density", axis=-1,
         )
         for row in pxx:  # realization order, as one periodogram at a time
             acc += row

@@ -6,7 +6,8 @@ These deliberately avoid the code paths they check:
   Bell state, with its own relaxation weight and Gibbs populations; it gates
   the library's composed-channel curve;
 - ``xstate_k`` is the K1/K2 rule of an X-state density matrix, read off the
-  matrix elements; it gates the package's one X-state evaluator,
+  matrix elements with one root per population, so that no product of two
+  populations can underflow; it gates the package's one X-state evaluator,
   ``esdlab.states.ewl_concurrence``, which never builds that matrix, and
   ``is_x_state`` checks that a state has X form;
 - ``critical_purity`` is the separability threshold r* of the extended
@@ -17,11 +18,16 @@ These deliberately avoid the code paths they check:
 - the coherence oracle integrates the Gaussian phase average by composite
   quadrature instead of using the closed form;
 - the periodogram oracle is a numpy FFT instead of scipy.signal;
+- ``stream_v2_paths`` is the ``STREAM_VERSION`` 2 reference draw: all switch
+  times of a path in one ``rng.random`` call, then each fluctuator's slice
+  sorted in place, instead of the library's draw one fluctuator at a time;
 - ``trajectory_states`` propagates one noise realization and expands it onto
   every sample with stacked matrix products, one trajectory at a time; it
   gates the engine's three stages. Its piecewise-constant noise comes from
-  ``noise_segments``, which sorts each qubit's switches on their own,
-  instead of the engine's merge of both qubits' switches.
+  ``noise_segments``, which builds each fluctuator's jumps as the
+  differences of its alternating values from ``switch_times`` and
+  ``initial_states`` and sorts each qubit's switches on their own, instead
+  of the engine's jump rule and its merge of both qubits' switches.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ import numpy as np
 
 from esdlab.constants import ESD_RELATIVE_TOL, HBAR, K_B
 from esdlab.qmath import SIGMA_X, SIGMA_Z
-from esdlab.stochastic import _switch_jumps
 
 # Indices of the eight off-X elements (everything outside diagonal and
 # anti-diagonal).
@@ -52,9 +57,11 @@ def xstate_k(rho) -> tuple[float, float]:
     two-excitation counterpart.
     """
     rho = np.asarray(rho, dtype=complex)
-    d = rho.diagonal().real
-    k1 = abs(rho[1, 2]) - math.sqrt(max(d[0] * d[3], 0.0))
-    k2 = abs(rho[0, 3]) - math.sqrt(max(d[1] * d[2], 0.0))
+    # one root per population: their product can underflow while the
+    # coherence it is compared with does not
+    root = np.sqrt(np.maximum(rho.diagonal().real, 0.0))
+    k1 = abs(rho[1, 2]) - root[0] * root[3]
+    k2 = abs(rho[0, 3]) - root[1] * root[2]
     return float(k1), float(k2)
 
 
@@ -197,17 +204,37 @@ def _running_product(steps):
     return acc
 
 
+def stream_v2_paths(ens, t_max: float, rng) -> tuple[np.ndarray, list]:
+    """(initial signs, sorted switch times of every fluctuator) of one path,
+    drawn from the generator ``rng`` in the ``STREAM_VERSION`` 2 layout:
+    the signs, every Poisson count in one call, then all switch times in
+    one call, cut into each fluctuator's slice in index order."""
+    signs = rng.integers(0, 2, ens.n) * 2.0 - 1.0
+    counts = rng.poisson(ens.rates * t_max)
+    flat = rng.random(int(counts.sum())) * t_max
+    stops = np.cumsum(counts)
+    times = [flat[stop - count:stop] for count, stop in zip(counts, stops)]
+    for t in times:
+        t.sort()
+    return signs, times
+
+
 def noise_segments(paths) -> tuple[np.ndarray, np.ndarray]:
     """Piecewise-constant X(t) of one path as (edges, values).
 
     ``X(t) = values[i]`` for ``edges[i] <= t < edges[i+1]``; the first edge
     is 0 and the last segment extends to t_max.
     """
-    x0 = float(np.sum(paths.ensemble.couplings * paths.initial_states))
-    switches = list(_switch_jumps(paths))
-    if not switches:
+    values0 = paths.ensemble.couplings * paths.initial_states
+    x0 = float(np.sum(values0))
+    t_all, jump_all = [], []
+    for value, times in zip(values0, paths.switch_times):
+        if times.size:
+            # the fluctuator's value alternates v s0, -v s0, v s0, ... from t = 0
+            t_all.append(times)
+            jump_all.append(np.diff(value * (-1.0) ** np.arange(times.size + 1)))
+    if not t_all:
         return np.array([0.0]), np.array([x0])
-    t_all, jump_all = zip(*switches)
     t_merged = np.concatenate(t_all)
     order = np.argsort(t_merged, kind="stable")
     edges = np.concatenate([[0.0], t_merged[order]])

@@ -1,5 +1,5 @@
 """Pinned CLI outputs: every run below must write the bytes under golden/out,
-and the pinned concurrence and esd runs must hold the values the library
+and the pinned concurrence, esd and psd runs must hold the values the library
 computes.
 
 The runs cover each figure, ESD sweeps with their boundary cases (r = 1,
@@ -25,7 +25,7 @@ from esdlab.analysis import sweep
 from esdlab.cli import load_config, main
 from esdlab.markov import QuantumNoiseParams, interplay_concurrence
 from esdlab.states import EWLParams, ewl_state
-from esdlab.stochastic import SimConfig, monte_carlo_concurrence
+from esdlab.stochastic import SimConfig, monte_carlo_concurrence, psd_estimate, sample_ensemble
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -37,6 +37,9 @@ ESD_RUNS = {
     "esd_a2.csv": (None, "a2", 0.0, 1.0),
     "esd_no_static_noise.csv": ("no_static_noise", "r", 0.3, 0.9),
 }
+
+# the pinned psd run on golden/config/psd.json: realizations, segment (s), sampling rate (Hz)
+PSD_RUN = (100, 0.002, 1.0e5)
 
 
 def runs(out: Path) -> list[list[str]]:
@@ -61,8 +64,9 @@ def runs(out: Path) -> list[list[str]]:
           for name in ("fig4a", "fig4b")),
         *(esd(name, *run) for name, run in ESD_RUNS.items()),
         *(concurrence(channel) for channel in ("adiabatic", "interplay", "montecarlo")),
-        ["psd", "--config", cfg("psd"), "--realizations", "100", "--t-max-s", "0.002",
-         "--sample-hz", "1e5", "--out", str(out / "psd.csv")],
+        ["psd", "--config", cfg("psd"), "--realizations", str(PSD_RUN[0]),
+         "--t-max-s", repr(PSD_RUN[1]), "--sample-hz", repr(PSD_RUN[2]),
+         "--out", str(out / "psd.csv")],
     ]
 
 
@@ -154,6 +158,19 @@ def test_esd_cells_hold_the_computed_times(name):
     assert header == ["sweep_value", "omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic",
                       "omega_t_esd_quantum_phi", "omega_t_esd_quantum_psi"]
     assert [[float(cell) for cell in row] for row in rows] == want
+
+
+def test_psd_cells_hold_the_computed_spectrum():
+    cfg = load_config(None, str(GOLDEN / "config" / "psd.json"), {})
+    q, sim = cfg["qubit_a"], cfg["sim"]
+    ens = sample_ensemble(sim["fluctuators"], q["gamma_min_hz"], q["gamma_max_hz"],
+                          q["sigma_rad_s"], sim["seed"])
+    n_realizations, t_max, sample_hz = PSD_RUN
+    est = psd_estimate(ens, t_max, n_realizations, sim["seed"], sample_hz=sample_hz)
+    header, rows = read_golden("psd.csv")
+    assert header == ["omega_rad_s", "s_estimated", "s_target"]
+    for i, values in enumerate((est.omega, est.s_estimated, est.s_target)):
+        assert [float(row[i]) for row in rows] == values.tolist(), header[i]
 
 
 if __name__ == "__main__":

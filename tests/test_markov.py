@@ -224,6 +224,25 @@ class TestInterplayConcurrence:
             )
             assert np.abs(fast - piped).max() <= 1e-12
 
+    def test_pipeline_agrees_where_populations_underflow(self):
+        # at 0.015625 K the excited Gibbs population is 0.0, and by omega t =
+        # 5000 rho_11 rho_22 underflows while the coherence is still ~1e-162:
+        # the oracle must not read a concurrence the live curve does not
+        ad = AdiabaticParams(omega=OMEGA, theta=math.pi / 2, sigma=0.02 * OMEGA)
+        qn = QuantumNoiseParams(s_white=14874938495.0, temperature=0.015625)
+        state = EWLParams(r=0.99, a=INV_SQRT2, flavor="psi")
+        times = np.linspace(0.0, 5.0e3, 201) / OMEGA
+        live = interplay_concurrence(times, state, ad, ad, qn)
+        piped = np.array([
+            xstate_concurrence(compose_two_qubit(
+                ewl_state(state), single_qubit_map(t, ad, qn), single_qubit_map(t, ad, qn),
+            ))
+            for t in times
+        ])
+        assert live[-1] == 0.0
+        assert np.abs(live - piped).max() <= 1e-12
+        assert np.array_equal(piped > 0.0, live > 0.0)
+
     def test_quantum_noise_off_reduces_to_static_path(self):
         from esdlab.adiabatic import adiabatic_concurrence
 

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import signal, stats
 
 from esdlab import stochastic
 from esdlab.adiabatic import AdiabaticParams, adiabatic_concurrence
@@ -22,7 +23,7 @@ from esdlab.stochastic import (
     sampled_noise,
 )
 
-from _oracles import hann_periodogram, noise_segments, trajectory_states
+from _oracles import hann_periodogram, noise_segments, stream_v2_paths, trajectory_states
 from conftest import random_density_matrix
 
 OMEGA = 1.0e11
@@ -113,15 +114,41 @@ class TestRtnPaths:
         ens = sample_ensemble(40, 1.0e3, 1.0e5, 1.0, 8)
         t_max = 1.0e-3
         paths = rtn_paths(ens, t_max, np.random.default_rng(9))
-        rng = np.random.default_rng(9)
-        signs = rng.integers(0, 2, ens.n) * 2.0 - 1.0
-        counts = rng.poisson(ens.rates * t_max)
-        flat = rng.random(int(counts.sum())) * t_max
+        signs, times = stream_v2_paths(ens, t_max, np.random.default_rng(9))
         assert np.array_equal(paths.initial_states, signs)
-        assert [t.size for t in paths.switch_times] == counts.tolist()
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        for i, times in enumerate(paths.switch_times):
-            assert np.array_equal(times, np.sort(flat[starts[i]:starts[i + 1]]))
+        assert [t.size for t in paths.switch_times] == [t.size for t in times]
+        for got, want in zip(paths.switch_times, times):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "baths, switches, idle",
+        [
+            # the bath of the psd_1f benchmark at the PSD's horizon, 5e4 samples at 2 MHz
+            ([(250, 1.0, 1.0e6, 19, 49_999 / 2.0e6)], (400_000, 500_000), 1),
+            # two many-switch paths drawn a then b from one generator, as a
+            # Monte Carlo trajectory draws its qubits' paths
+            ([(50, 1.0e6, 1.0e8, 4, 1.0e-6), (60, 1.0e6, 1.0e8, 5, 1.0e-6)], (1_000, 2_000), 0),
+            # most fluctuators never switch
+            ([(100, 1.0, 1.0e4, 6, 1.0e-3)], (50, 500), 50),
+        ],
+        ids=["psd_1f", "pair", "quiet"],
+    )
+    def test_matches_the_stream_reference(self, baths, switches, idle):
+        # one fluctuator's switch times at a time give the bits of one draw
+        # of all of them: PCG64 hands out its doubles one after another
+        got_rng, want_rng = np.random.default_rng(77), np.random.default_rng(77)
+        for n, gamma_min, gamma_max, seed, t_max in baths:
+            ens = sample_ensemble(n, gamma_min, gamma_max, 1.0, seed)
+            paths = rtn_paths(ens, t_max, got_rng)
+            signs, times = stream_v2_paths(ens, t_max, want_rng)
+            assert np.array_equal(paths.initial_states, signs)
+            assert len(paths.switch_times) == n
+            for got, want in zip(paths.switch_times, times):
+                assert np.array_equal(got, want)
+            assert paths.switching == tuple(i for i, t in enumerate(times) if t.size)
+            assert switches[0] <= sum(t.size for t in times) <= switches[1]
+            assert idle <= n - len(paths.switching) < n
+        assert got_rng.random() == want_rng.random()  # both streams stop at the same draw
 
     def test_switch_counts_poissonian(self):
         gamma, t_max, n_real = 1000.0, 0.1, 300
@@ -587,9 +614,10 @@ class TestPsdEstimate:
         assert np.allclose(b.s_estimated, 4.0 * a.s_estimated, rtol=1e-12, atol=0.0)
 
     def test_seed_pinned_regression(self):
-        # values recorded when the PSD began to draw its signal through
-        # rtn_paths and sampled_noise; any change to its random stream or
-        # arithmetic shows here
+        # values recorded when the PSD began to draw its signal like one
+        # Monte Carlo path; they held when it came to draw and bin one
+        # fluctuator at a time and to remove the row means itself. Any change
+        # to its random stream or arithmetic shows here
         ens = sample_ensemble(30, 10.0, 1.0e5, 1.0, 21)
         est = psd_estimate(ens, 0.01, 100, 3, sample_hz=1.0e5)
         assert est.s_estimated.size == 500
@@ -628,6 +656,62 @@ class TestPsdEstimate:
         freqs, pxx = hann_periodogram(signals, sample_hz)
         np.testing.assert_allclose(est.omega, 2.0 * math.pi * freqs[1:], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(est.s_estimated, pxx.mean(axis=0)[1:] / 2.0, rtol=1e-12, atol=0.0)
+
+    def test_rows_are_the_sampled_noise_of_rtn_paths(self, monkeypatch):
+        # realization k is drawn and binned one fluctuator at a time, never
+        # kept as an RtnPaths, and reaches the periodogram with its mean removed
+        ens = sample_ensemble(30, 10.0, 1.0e5, 1.0, 21)
+        n_samples, sample_hz, seed = 1000, 1.0e5, 3
+        horizon = (n_samples - 1) * (1.0 / sample_hz)  # as psd_estimate rounds it
+        want = np.array([
+            sampled_noise(rtn_paths(ens, horizon, np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(k,)))), n_samples)
+            for k in range(101)
+        ])
+        rows, transformed = [], []
+        binned_noise, periodogram = stochastic._binned_noise, signal.periodogram
+
+        def spy_binned(*args, **kwargs):
+            row = binned_noise(*args, **kwargs)
+            rows.append(row.copy())
+            return row
+
+        def spy_periodogram(x, **kwargs):
+            assert kwargs["detrend"] is False
+            transformed.append(x.copy())
+            return periodogram(x, **kwargs)
+
+        def no_paths(*args, **kwargs):
+            raise AssertionError("psd_estimate kept a realization as an RtnPaths")
+
+        monkeypatch.setattr(stochastic, "_binned_noise", spy_binned)
+        monkeypatch.setattr(stochastic, "rtn_paths", no_paths)
+        monkeypatch.setattr(signal, "periodogram", spy_periodogram)
+        psd_estimate(ens, n_samples / sample_hz, 101, seed, sample_hz=sample_hz)
+        assert np.array_equal(np.array(rows), want)
+        # what scipy's detrend="constant" would hand on
+        assert np.array_equal(np.concatenate(transformed), want - want.mean(axis=-1, keepdims=True))
+
+    def test_synthesis_holds_one_fluctuator_at_a_time(self):
+        # psd_estimate's step per realization on the bath of the psd_1f
+        # benchmark: 250 fluctuators, 1 Hz-1 MHz, 5e4 samples at 2 MHz. Its
+        # ~4.5e5 switch times take 3.6 MB; drawing them all at once and
+        # binning them from RtnPaths peaked at 4.6 MB traced.
+        ens = sample_ensemble(250, 1.0, 1.0e6, 2.0e9, 19)
+        n_samples = 50_000
+        horizon = (n_samples - 1) / 2.0e6
+        seed = np.random.SeedSequence(3, spawn_key=(0,))
+        want = sampled_noise(rtn_paths(ens, horizon, np.random.default_rng(seed)), n_samples)
+        row, rng = np.empty(n_samples), np.random.default_rng(seed)
+        tracemalloc.start()
+        try:
+            signs, switches = stochastic._draw_path(ens, horizon, rng)
+            stochastic._binned_noise(ens.couplings, signs, switches, horizon, n_samples, out=row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(row, want)
+        assert peak < 2.0e6, peak
 
     def test_small_ensemble_one_over_f_shape(self):
         sigma = 1.0
