@@ -11,7 +11,6 @@ from .adiabatic import (
     adiabatic_concurrence,
     esd_time_dephasing,
     esd_time_optimal,
-    spa_coherence_modulus,
     spa_kernel,
 )
 from .analysis import (

@@ -3,9 +3,11 @@
 Slow environmental fluctuations are frozen to a random offset X drawn from a
 zero-mean Gaussian of width sigma. To second order the offset shifts the
 qubit splitting by ``cos(theta) X + sin(theta)^2 X^2 / (2 omega)``, and
-averaging the accumulated phase over X gives the coherence-suppression
-factor implemented here. Populations do not move in this channel; the
-closed-form disentanglement times solve :func:`esdlab.states.ewl_concurrence`.
+averaging the accumulated phase over X gives the complex
+coherence-suppression factor :func:`spa_kernel`; the concurrence scales
+with its modulus. Populations do not move in this channel; the closed-form
+disentanglement times solve :func:`esdlab.states.ewl_concurrence`, with
+``inf`` for a proven never and ``nan`` for a time past float range.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "AdiabaticParams",
     "ESDResult",
     "spa_kernel",
-    "spa_coherence_modulus",
     "adiabatic_concurrence",
     "esd_time_optimal",
     "esd_time_dephasing",
@@ -92,22 +93,6 @@ def spa_kernel(t, p: AdiabaticParams) -> np.ndarray | complex:
     return out if out.ndim else complex(out)
 
 
-def spa_coherence_modulus(t, p: AdiabaticParams) -> np.ndarray | float:
-    """|spa_kernel|: 1 at t=0, non-increasing, dimensionless.
-
-    Computed from the real closed form
-    ``exp(-(c sigma t)^2 / (2 (1 + u^2))) / (1 + u^2)^(1/4)`` with
-    ``u = (s sigma)^2 t / omega``.
-    """
-    t = _check_times(t)
-    c = math.cos(p.theta)
-    s = math.sin(p.theta)
-    u = (s * p.sigma) ** 2 * t / p.omega
-    one_plus = 1.0 + u * u
-    out = np.exp(-0.5 * (c * p.sigma * t) ** 2 / one_plus) / one_plus**0.25
-    return out if out.ndim else float(out)
-
-
 def adiabatic_concurrence(
     t, p_a: AdiabaticParams, p_b: AdiabaticParams, state: EWLParams
 ):
@@ -116,7 +101,7 @@ def adiabatic_concurrence(
     Both coherences scale by m = |z_A z_B|, so the curve is the same for
     both flavors: ``max(0, 2 r |ab| m - (1-r)/2)``.
     """
-    m = spa_coherence_modulus(t, p_a) * spa_coherence_modulus(t, p_b)
+    m = np.abs(spa_kernel(t, p_a) * spa_kernel(t, p_b))
     return ewl_concurrence(state, m, m)
 
 
@@ -124,25 +109,22 @@ def adiabatic_concurrence(
 class ESDResult:
     """Disentanglement time of a concurrence curve.
 
-    ``time is None`` means the concurrence never reaches zero: by t_max for
-    a search; for a closed form, at any finite time, which happens for an
-    entangled pure state (r = 1, |ab| > 0) and for any entangled state
-    without static noise (sigma = 0), whose concurrence stays constant.
-    ``never_entangled`` marks an initial state that is already separable
-    (time 0). ``method`` is "closed_form", "bisection" (the array search of
+    ``time`` is ``math.inf`` only for a proven never: a closed form for an
+    entangled pure state (r = 1, |ab| > 0), or for any entangled state
+    without static noise (sigma = 0), whose concurrence stays constant. It
+    is ``math.nan`` when no zero was found: a search reached t_max, or a
+    closed-form time lies past float range. ``never_entangled`` marks an
+    initial state that is already separable (time 0). ``method`` is
+    "closed_form", "bisection" (the array search of
     :func:`esdlab.analysis.find_crossing_time`, which splits its bracket in
     64 parts per curve call) or "grid" (a sampled curve); ``bracket``
-    encloses a searched root and is None for closed forms.
+    encloses a found root and is None otherwise.
     """
 
-    time: float | None
+    time: float
     bracket: tuple[float, float] | None
     method: str
     never_entangled: bool = False
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.time is None
 
 
 _closed_form = partial(ESDResult, bracket=None, method="closed_form")
@@ -184,10 +166,15 @@ def _esd_closed_form(state: EWLParams, sigma: float, formula) -> ESDResult:
     # an entangled pure state's concurrence stays positive, and without
     # static noise every concurrence stays at its initial value
     if r >= 1.0 or sigma == 0.0:
-        return _closed_form(time=None)
+        return _closed_form(time=math.inf)
     # C(0) > 0 means K(0) = fl(r |ab|) - sqrt(fl(1 - r)^2 / 16) > 0, and in
     # binary floating point sqrt(x*x) is x, so fl(r |ab|) > fl(1 - r) / 4.
     # Rounding the quotient is monotone, so ratio >= 1/4: both radicands,
     # 16 ratio^2 - 1 and ln(4 ratio), are non-negative
     ratio = state.ab_mod * r / (1.0 - r)
-    return _closed_form(time=formula(ratio))
+    try:
+        time = formula(ratio)
+    except ZeroDivisionError:  # sigma^2 underflowed to 0
+        time = math.inf
+    # a time past float range is not a proven never: no zero was found
+    return _closed_form(time=time if math.isfinite(time) else math.nan)

@@ -68,7 +68,8 @@ def find_crossing_time(c, t_max: float) -> ESDResult:
     parts per call; a scan value positive after the first zero warns.
     Sampled curves are interpolated linearly, with the mean +/- 2 stderr
     crossings reported as the bracket when finite errors are available, and
-    the enclosing grid interval otherwise.
+    the enclosing grid interval otherwise. No zero by t_max, or by a
+    curve's last sample, gives ``time = nan``: not found, not never.
     """
     if isinstance(c, ConcurrenceCurve):
         return _crossing_from_curve(c)
@@ -84,7 +85,7 @@ def find_crossing_time(c, t_max: float) -> ESDResult:
         return ESDResult(time=0.0, bracket=(0.0, 0.0), method="bisection", never_entangled=True)
     i = _first_zero(vals)
     if i == grid.size:
-        return ESDResult(time=None, bracket=None, method="bisection")
+        return ESDResult(time=math.nan, bracket=None, method="bisection")
     if np.any(vals[i + 1:] > 0.0):
         warnings.warn("concurrence recovers after its first zero; reported time is "
                       "the first touch, not a permanent loss", stacklevel=2)
@@ -123,7 +124,7 @@ def _interp_crossing(times, vals) -> float | None:
 def _crossing_from_curve(curve: ConcurrenceCurve) -> ESDResult:
     t = _interp_crossing(curve.times, curve.values)
     if t is None:
-        return ESDResult(time=None, bracket=None, method="grid")
+        return ESDResult(time=math.nan, bracket=None, method="grid")
     if t == curve.times[0] and curve.values[0] <= 0.0:
         return ESDResult(time=t, bracket=(t, t), method="grid", never_entangled=True)
     # a single Monte Carlo trajectory has no error bar (nan): use the grid
@@ -188,11 +189,12 @@ def sweep(
     """Disentanglement times over a parameter grid.
 
     ``over`` selects the swept quantity ("r" or "a2"); all other parameters
-    stay fixed. With ``qn is None`` only the low-frequency noise acts: the
-    result is flavor independent and comes from a closed form where one
-    exists, else from a search on :func:`adiabatic_concurrence`. Any other
-    ``qn`` searches each flavor on the composed channel,
-    :func:`interplay_concurrence`. Rows come back in grid order.
+    stay fixed. With ``qn is None``, or a ``qn`` whose ``s_white`` is 0,
+    only the low-frequency noise acts: the result is flavor independent and
+    comes from a closed form where one exists, else from a search on
+    :func:`adiabatic_concurrence`. Any other ``qn`` searches each flavor on
+    the composed channel, :func:`interplay_concurrence`. Rows come back in
+    grid order.
     """
     if over not in ("r", "a2"):
         raise ParameterError(f"sweep variable must be 'r' or 'a2', got {over!r}")
@@ -205,7 +207,7 @@ def sweep(
     rows = []
     for value in grid:
         s = _with_value(state, over, value)
-        if qn is None:
+        if qn is None or qn.s_white == 0.0:
             esd = _adiabatic_closed_form(s, ad_a, ad_b) or find_crossing_time(
                 lambda t, s=s: adiabatic_concurrence(t, ad_a, ad_b, s), t_max
             )

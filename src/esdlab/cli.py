@@ -8,7 +8,10 @@ reproduces the exact values written.
 The presets are the ``FIGURES`` table: each paper figure is a set of config
 overrides plus the builder of its CSV table, and ``--preset NAME`` applies
 the overrides to any subcommand. ``quantum.s_white_per_s: 0`` switches the
-quantum noise off (infinite T1); the static-noise figures set it so.
+quantum noise off (infinite T1); the static-noise figures (fig1, fig4) set
+it so and refuse any other value. An ESD cell (``esd``, fig2) is ``inf`` for
+a proven never and ``nan`` where no zero was found: a search reached t_max,
+or a closed-form time lies past float range.
 
 Config contract: a scenario has exactly the sections and fields of
 ``DEFAULT_CONFIG``. Each field takes its default's type (an ``int`` default
@@ -16,8 +19,9 @@ makes an integer field; ``state.flavor`` is "phi" or "psi"), a finite value
 and the range ``_BOUNDS`` gives it. Any violation, from a file or a flag,
 exits 2 with ``invalid config at <path>: ...``. The closed-form channels
 (all but ``--channel montecarlo`` and fig4) also exit 2 unless g_rad_s is 0.
-Fig. 4 derives qubit B from qubit A, so it exits 2 on a qubit_b other than
-the default, and on a nonzero g_rad_s when none of its curves is coupled.
+Fig. 4's resonant curves take qubit A twice and its detuned ones read
+qubit_b, which its presets set 20% above qubit A; it exits 2 on a nonzero
+g_rad_s when none of its curves is coupled.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -91,11 +95,6 @@ _BOUNDS = {
     "seed": (0, False, math.inf),  # numpy's SeedSequence takes no negative seed
     "fluctuators": (1, False, math.inf),
 }
-
-# Caption geometry for the detuned panels: qubit B 20% above qubit A with
-# the same relative noise amplitude.
-_DETUNE_FACTOR = 1.2
-
 
 class ConfigError(Exception):
     pass
@@ -283,7 +282,8 @@ _ESD_COLUMNS = ["omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic",
 
 def _esd_rows(over: str, grid: list[float], cfg: dict) -> list[list[float]]:
     """ESD times in omega_t over ``grid``, one row per value: the value, then
-    interplay (phi, psi), static noise only, and quantum noise only (phi, psi)."""
+    interplay (phi, psi), static noise only, and quantum noise only (phi, psi).
+    A cell is inf for a proven never and nan where no zero was found."""
     state = _state_from(cfg)
     ad_a, ad_b = _closed_form_qubits(cfg)
     qn = _quantum_from(cfg)
@@ -295,11 +295,13 @@ def _esd_rows(over: str, grid: list[float], cfg: dict) -> list[list[float]]:
     quantum = sweep(
         over, grid, state, replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0), qn, t_max
     )
+
+    def omega_t(e) -> float:  # a finite time past float range in omega_t is not found either
+        wt = e.time * omega
+        return wt if math.isfinite(wt) or e.time == math.inf else math.nan
+
     return [
-        [c.value] + [
-            (math.inf if e.is_infinite else e.time) * omega
-            for e in (c.esd_phi, c.esd_psi, s.esd_phi, q.esd_phi, q.esd_psi)
-        ]
+        [c.value] + [omega_t(e) for e in (c.esd_phi, c.esd_psi, s.esd_phi, q.esd_phi, q.esd_psi)]
         for c, s, q in zip(combined, static, quantum)
     ]
 
@@ -326,8 +328,9 @@ def _fig3(cfg: dict):
 def _monte_carlo_family(curves, spa_curves):
     """Fig. 4: a Monte Carlo curve and its stderr per ``(label, detuned,
     coupled)`` in ``curves``, then the static-path average per ``(label,
-    detuned)`` in ``spa_curves``. Coupled curves use coupling.g_rad_s, the
-    others no coupling. Config that no curve reads is refused before any
+    detuned)`` in ``spa_curves``. Detuned curves take qubit B from qubit_b,
+    resonant ones take qubit A twice. Coupled curves use coupling.g_rad_s,
+    the others no coupling. Config that no curve reads is refused before any
     trajectory runs."""
     coupled_curves = any(coupled for *_, coupled in curves)
 
@@ -335,17 +338,11 @@ def _monte_carlo_family(curves, spa_curves):
         if cfg["coupling"]["g_rad_s"] != 0.0 and not coupled_curves:
             raise ConfigError("coupling/g_rad_s must be 0 for this figure: none of its curves "
                               "is coupled")
-        if cfg["qubit_b"] != DEFAULT_CONFIG["qubit_b"]:
-            raise ConfigError("qubit_b must keep its defaults for this figure, which derives "
-                              "qubit B from qubit_a: resonant, or with omega and sigma "
-                              f"{_DETUNE_FACTOR} times qubit A's")
         st = _state_from(cfg)
         rho0 = ewl_state(st)
         ad_a = _qubit_from(cfg, "a")
-        # qubit B by "detuned?": resonant with qubit A, or _DETUNE_FACTOR above it
-        qubit_b = {False: ad_a, True: replace(
-            ad_a, omega=_DETUNE_FACTOR * ad_a.omega, sigma=_DETUNE_FACTOR * ad_a.sigma
-        )}
+        # qubit B by "detuned?": resonant with qubit A, or qubit_b
+        qubit_b = {False: ad_a, True: _qubit_from(cfg, "b")}
         workers = _n_workers()
         sim = _sim_from(cfg)
         omega_t, times = _time_grid(cfg)
@@ -370,8 +367,11 @@ class Figure(NamedTuple):
     monte_carlo: bool = False  # the manifest records the seed and stream
 
 
-# the static-noise figures read no quantum noise; the manifest says so
+# the static-noise figures read no quantum noise; the manifest says so, and
+# `figure` refuses any other value
 _NO_QUANTUM = {"s_white_per_s": 0.0}
+# fig. 4's detuned qubit B: 20% above qubit A with the same relative noise
+_DETUNED_QUBIT = {"omega_rad_s": 1.2e11, "sigma_rad_s": 2.4e9}
 
 FIGURES: dict[str, Figure] = {
     "fig1a": Figure(
@@ -387,7 +387,7 @@ FIGURES: dict[str, Figure] = {
     "fig2": Figure({"state": {"a2": 0.5}, "sim": {"t_max_omega": 2.0e7}}, _fig2),
     "fig3": Figure({"state": {"r": 0.95}, "sim": {"t_max_omega": 2.5e4, "samples": 501}}, _fig3),
     "fig4a": Figure(
-        {"state": {"flavor": "psi", "r": 1.0}, "quantum": _NO_QUANTUM,
+        {"state": {"flavor": "psi", "r": 1.0}, "qubit_b": _DETUNED_QUBIT, "quantum": _NO_QUANTUM,
          "sim": {"t_max_omega": 5.0e3, "samples": 201}},
         _monte_carlo_family(
             [("resonant", False, False), ("detuned", True, False)],
@@ -396,7 +396,7 @@ FIGURES: dict[str, Figure] = {
         monte_carlo=True,
     ),
     "fig4b": Figure(
-        {"state": {"flavor": "psi", "r": 1.0}, "quantum": _NO_QUANTUM,
+        {"state": {"flavor": "psi", "r": 1.0}, "qubit_b": _DETUNED_QUBIT, "quantum": _NO_QUANTUM,
          "coupling": {"g_rad_s": 1.0e9}, "sim": {"t_max_omega": 5.0e3, "samples": 201}},
         _monte_carlo_family(
             [("coupled_detuned", True, True), ("uncoupled_detuned", True, False),
@@ -498,6 +498,9 @@ def cmd_figure(args) -> int:
     name = args.name
     figure = FIGURES[name]
     cfg = load_config(name, args.config, {})
+    if figure.preset.get("quantum") == _NO_QUANTUM and cfg["quantum"]["s_white_per_s"] != 0.0:
+        raise ConfigError("quantum/s_white_per_s must be 0 for this figure: its curves "
+                          "have static noise only")
     outdir = Path(args.outdir)
     header, rows = figure.build(cfg)
     write_csv(outdir / f"{name}.csv", header, rows)
@@ -590,7 +593,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # finite inputs far outside the physical range can still overflow or
-        # divide by zero; that must stop the run, not leave inf or nan in the output
+        # divide by zero; that must stop the run, not leave inf or nan in the
+        # output. The only inf and nan written are ESD cells that say so.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
     except (ConfigError, ParameterError) as exc:

@@ -99,14 +99,15 @@ def _population_map(t, ad: AdiabaticParams, qn: QuantumNoiseParams) -> np.ndarra
 def coherence_factor(t, ad: AdiabaticParams, qn: QuantumNoiseParams):
     """Full complex single-qubit coherence multiplier at time t.
 
-    At theta = pi/2 the exact combined form is used (the relaxation rate
-    enters the defocusing bracket); elsewhere the static-path kernel and the
-    Markovian factor multiply. With ``s_white = 0`` both reduce to the pure
+    At theta = pi/2 the exact combined form is used for every T1 (the
+    relaxation rate enters the defocusing bracket, where 1/T1 = 0 leaves the
+    static-path bracket); elsewhere the static-path kernel and the Markovian
+    factor multiply. With ``s_white = 0`` both reduce to the pure
     static-path result. A negative time raises :class:`ParameterError`.
     """
     t = _check_times(t)
     base = np.exp(-1j * ad.omega * t - 0.5 * t / qn.t1)
-    if abs(ad.theta - math.pi / 2.0) <= OPTIMAL_POINT_TOL and math.isfinite(qn.t1):
+    if abs(ad.theta - math.pi / 2.0) <= OPTIMAL_POINT_TOL:
         bracket = 1.0 + (1j * ad.omega + 1.0 / qn.t1) * ad.sigma**2 * t / ad.omega**2
         out = base / np.sqrt(bracket)
     else:

@@ -374,10 +374,11 @@ def evolve_trajectory(
     two of them the noise is constant, so the later stages propagate each
     segment with an exact matrix exponential. The switches of both paths are
     merged in one sort, and each qubit's noise in every segment is its
-    initial value plus the running sum of its jumps in time order. Every
-    sample of the grid ``cfg.times`` is given its segment. ``rho0`` is
-    checked and factored here; a matrix that is not a density matrix raises
-    :class:`ParameterError`.
+    initial value plus the running sum of its jumps in time order; a
+    trajectory without a switch takes the same code and comes out as one
+    segment. Every sample of the grid ``cfg.times`` is given its segment.
+    ``rho0`` is checked and factored here; a matrix that is not a density
+    matrix raises :class:`ParameterError`.
     """
     factor, floor = _state_factor(rho0)
     times = cfg.times
@@ -386,21 +387,16 @@ def evolve_trajectory(
     vs_b = paths_b.ensemble.couplings * paths_b.initial_states
     x0 = np.array([np.add.reduce(vs_a), np.add.reduce(vs_b)])
     sw_a, sw_b = list(paths_a.switching), list(paths_b.switching)
-    # times[:1] is [0.0] and times[-1:] is [t_max]
-    if not (sw_a or sw_b):  # one segment holds every sample
-        return TrajectoryResult(times=times, segment=np.zeros(times.size, np.intp),
-                                starts=times[:1], dts=times[-1:], noise=x0[None],
-                                factor=factor, floor=floor, cfg=cfg)
     switch_times = [paths_a.switch_times[i] for i in sw_a] + [paths_b.switch_times[i] for i in sw_b]
-    counts = [t.size for t in switch_times]
-    t = np.concatenate(switch_times)
-    steps = np.concatenate([vs_a.take(sw_a), vs_b.take(sw_b)]) * -2.0
-    if t.size > len(counts):  # a fluctuator's k-th jump (k = 0, 1, ...) has the sign (-1)^k
-        steps = steps.repeat(counts)
-        k = np.arange(t.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        steps[k & 1 == 1] *= -1.0
+    # integer even when empty: the parities below need an integer cumsum
+    counts = np.array([t.size for t in switch_times], dtype=np.intp)
+    t = np.concatenate([_NO_SWITCHES, *switch_times])
+    # a fluctuator's k-th jump (k = 0, 1, ...) has the sign (-1)^k
+    steps = (np.concatenate([vs_a.take(sw_a), vs_b.take(sw_b)]) * -2.0).repeat(counts)
+    k = np.arange(t.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    steps[k & 1 == 1] *= -1.0
     # one column per qubit; qubit a's switches come first
-    n_a = sum(counts[:len(sw_a)])
+    n_a = int(counts[:len(sw_a)].sum())
     jumps = np.zeros((t.size, 2))
     jumps[:n_a, 0] = steps[:n_a]
     jumps[n_a:, 1] = steps[n_a:]
@@ -409,6 +405,7 @@ def evolve_trajectory(
     noise = np.zeros((t.size + 1, 2))
     np.add.accumulate(jumps.take(order, axis=0), axis=0, out=noise[1:])
     noise += x0
+    # times[:1] is [0.0] and times[-1:] is [t_max]
     brk = np.concatenate([times[:1], t.take(order), times[-1:]])
     dts = brk[1:] - brk[:-1]
     if np.count_nonzero(dts) < dts.size:  # simultaneous switches, or one at 0 or t_max

@@ -76,8 +76,13 @@ class TestFindEsdTime:
         assert abs(res.time - want) <= 1e-9 * want
 
     def test_constant_curve_never_crosses(self):
-        res = find_crossing_time(lambda t: 0.5 * np.ones_like(np.asarray(t, dtype=float)), 1.0)
-        assert res.is_infinite
+        # a search that reaches t_max, or a curve's last sample, found no
+        # zero; that proves no never
+        times = np.linspace(0.0, 1.0, 11)
+        for c in (lambda t: 0.5 * np.ones_like(np.asarray(t, dtype=float)),
+                  ConcurrenceCurve(times, np.full(11, 0.5))):
+            res = find_crossing_time(c, 1.0)
+            assert math.isnan(res.time) and res.bracket is None
 
     def test_initially_separable_flagged(self):
         res = find_crossing_time(lambda t: np.zeros_like(np.asarray(t, dtype=float)), 1.0)
@@ -131,7 +136,7 @@ class TestFindEsdTime:
             esd = find_crossing_time(
                 ConcurrenceCurve(mc.times, mc.concurrence, mc.stderr), sim.t_max
             )
-            assert esd.method == "grid" and not esd.is_infinite
+            assert esd.method == "grid" and math.isfinite(esd.time)
             # 32 trajectories make two batches, so the error bar has a width
             assert esd.bracket[0] < esd.time < esd.bracket[1]
 
@@ -217,7 +222,7 @@ class TestSweep:
             "r", [1.0], EWLParams(0.9, INV_SQRT2), p, p, None,
             t_max=1.0e7 / OMEGA,
         )
-        assert rows[0].esd_phi.is_infinite
+        assert rows[0].esd_phi.time == math.inf
 
     def test_zero_amplitude_row_never_entangled(self):
         p = qubit(math.pi / 2)
@@ -240,8 +245,8 @@ class TestSweep:
             t_max=1.0e7 / OMEGA,
         )
         for row in rows:
-            assert not row.esd_phi.is_infinite
-            assert not row.esd_psi.is_infinite
+            assert math.isfinite(row.esd_phi.time)
+            assert math.isfinite(row.esd_psi.time)
             assert row.esd_phi.time >= row.esd_psi.time
 
     def test_static_search_without_closed_form(self):
@@ -260,7 +265,20 @@ class TestSweep:
                     lambda t: adiabatic_concurrence(t, p, ad_b, s), t_max
                 )
                 assert row.esd_phi == want and row.esd_psi == want
-                assert want.method == "bisection" and not want.is_infinite
+                assert want.method == "bisection" and math.isfinite(want.time)
+
+    def test_quantum_noise_off_takes_the_static_path(self):
+        # s_white = 0 leaves the static noise alone, which has a closed form,
+        # so a switched-off channel on quiet qubits is a proven never
+        p = qubit(math.pi / 2)
+        off = replace(QN, s_white=0.0)
+        state, grid, t_max = EWLParams(0.9, INV_SQRT2), [0.6, 0.9], 1.0e6 / OMEGA
+        assert sweep("r", grid, state, p, p, off, t_max) == sweep(
+            "r", grid, state, p, p, None, t_max
+        )
+        quiet = replace(p, sigma=0.0)
+        for row in sweep("r", grid, state, quiet, quiet, off, t_max):
+            assert row.esd_phi.time == row.esd_psi.time == math.inf
 
     def test_rejects_unknown_variable_and_empty_grid(self):
         p = qubit(math.pi / 2)
