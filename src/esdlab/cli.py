@@ -6,24 +6,28 @@ are RFC-4180, LF, UTF-8, with shortest-round-trip floats, so re-parsing
 reproduces the exact values written.
 
 The presets are the ``FIGURES`` table: each paper figure is a set of config
-overrides plus the builder of its CSV table, and ``--preset NAME`` applies
-the overrides to any subcommand. ``quantum.s_white_per_s: 0`` switches the
-quantum noise off (infinite T1); the static-noise figures (fig1, fig4) set
-it so and refuse any other value. An ESD cell (``esd``, fig2) is ``inf`` for
+overrides plus the builder of its CSV table; ``figure NAME`` applies them,
+and so does ``--preset NAME`` on ``concurrence`` and ``esd``. Every scenario
+value comes from the config, merged as defaults < preset < ``--config``
+file; the options set only what no config field holds (channel, sweep, PSD
+segment, output). ``quantum.s_white_per_s: 0`` switches the quantum noise
+off (infinite T1); the static-noise figures (fig1, fig4) set it so and
+refuse any other value. An ESD cell (``esd``, fig2) is ``inf`` for
 a proven never and ``nan`` where no zero was found: a search reached t_max,
 or a closed-form time lies past float range.
 
 Config contract: a scenario has exactly the sections and fields of
 ``DEFAULT_CONFIG``. Each field takes its default's type (an ``int`` default
 makes an integer field; ``state.flavor`` is "phi" or "psi"), a finite value
-and the range ``_BOUNDS`` gives it. Any violation, from a file or a flag,
-exits 2 with ``invalid config at <path>: ...``. The closed-form channels
+and the range ``_BOUNDS`` gives it. Any violation in the config file exits 2
+with ``invalid config at <path>: ...``. The closed-form channels
 (all but ``--channel montecarlo`` and fig4) also exit 2 unless g_rad_s is 0.
 Fig. 4's resonant curves take qubit A twice and its detuned ones read
 qubit_b, which its presets set 20% above qubit A; it exits 2 on a nonzero
 g_rad_s when none of its curves is coupled.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error.
+Exit codes: 0 success, 2 configuration error, 3 runtime error (running out
+of memory included).
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ _BOUNDS = {
     "gamma_max_hz": (0, True, math.inf),
     "s_white_per_s": (0, False, math.inf),
     "temperature_k": (0, True, math.inf),
-    "trajectories": (1, False, math.inf),
+    "trajectories": (2, False, math.inf),  # one trajectory has no stderr
     "t_max_omega": (0, True, math.inf),
     "samples": (2, False, math.inf),
     "seed": (0, False, math.inf),  # numpy's SeedSequence takes no negative seed
@@ -141,8 +145,8 @@ def _check_field(path: str, value, default) -> None:
         )
 
 
-def load_config(preset: str | None, config_path: str | None, overrides: dict) -> dict:
-    """defaults < preset < --config file < flags; every field checked by _check_field."""
+def load_config(preset: str | None, config_path: str | None) -> dict:
+    """defaults < preset < --config file; every field checked by _check_field."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if preset is not None:  # argparse has checked it against FIGURES
         cfg = _deep_merge(cfg, FIGURES[preset].preset)
@@ -157,7 +161,6 @@ def load_config(preset: str | None, config_path: str | None, overrides: dict) ->
         if not isinstance(user, dict):  # _deep_merge merges objects only
             raise ConfigError(f"invalid config at <root>: {user!r} is not an object")
         cfg = _deep_merge(cfg, user)
-    cfg = _deep_merge(cfg, overrides)
     _check_field("", cfg, DEFAULT_CONFIG)
     return cfg
 
@@ -412,22 +415,8 @@ FIGURES: dict[str, Figure] = {
 # subcommands
 
 
-def _config_from(args, flags: dict[str, str]) -> dict:
-    """The config of --preset and --config, with --seed and the given flags
-    (argparse dest -> "section/key") on top wherever they were passed."""
-    overrides: dict = {}
-    for dest, path in {"seed": "sim/seed", **flags}.items():
-        if getattr(args, dest) is not None:
-            section, key = path.split("/")
-            overrides.setdefault(section, {})[key] = getattr(args, dest)
-    return load_config(args.preset, args.config, overrides)
-
-
 def cmd_concurrence(args) -> int:
-    cfg = _config_from(args, {
-        "flavor": "state/flavor", "r": "state/r", "a2": "state/a2",
-        "t_max_omega": "sim/t_max_omega", "samples": "sim/samples",
-    })
+    cfg = load_config(args.preset, args.config)
     state = _state_from(cfg)
     omega_t, times = _time_grid(cfg)
 
@@ -452,7 +441,7 @@ def cmd_concurrence(args) -> int:
 
 
 def cmd_esd(args) -> int:
-    cfg = _config_from(args, {})
+    cfg = load_config(args.preset, args.config)
     if args.points < 1:
         raise ConfigError("--points must be at least 1")
     grid = np.linspace(args.sweep_from, args.sweep_to, args.points).tolist()
@@ -461,7 +450,7 @@ def cmd_esd(args) -> int:
 
 
 def cmd_psd(args) -> int:
-    cfg = _config_from(args, {"fluctuators": "sim/fluctuators"})
+    cfg = load_config(None, args.config)
     qa = _qubit_from(cfg, "a")
     ens = sample_ensemble(
         cfg["sim"]["fluctuators"],
@@ -497,7 +486,7 @@ def cmd_psd(args) -> int:
 def cmd_figure(args) -> int:
     name = args.name
     figure = FIGURES[name]
-    cfg = load_config(name, args.config, {})
+    cfg = load_config(name, args.config)
     if figure.preset.get("quantum") == _NO_QUANTUM and cfg["quantum"]["s_white_per_s"] != 0.0:
         raise ConfigError("quantum/s_white_per_s must be 0 for this figure: its curves "
                           "have static noise only")
@@ -540,29 +529,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"esdlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--preset", choices=sorted(FIGURES), help="figure preset")
-        p.add_argument("--config", help="JSON scenario file (flags win)")
-        p.add_argument("--seed", type=int, help="override sim.seed")
-
     p = sub.add_parser("concurrence", help="concurrence curve as CSV")
-    common(p)
+    p.add_argument("--preset", choices=sorted(FIGURES), help="figure preset")
+    p.add_argument("--config", help="JSON scenario file overriding the preset")
     p.add_argument(
         "--channel",
         choices=["adiabatic", "interplay", "montecarlo"],
         default="interplay",
     )
-    p.add_argument("--flavor", choices=["phi", "psi"])
-    p.add_argument("--r", type=_finite_float, help="purity override")
-    p.add_argument("--a2", type=_finite_float, help="|a|^2 override")
-    p.add_argument("--t-max-omega", type=_finite_float, dest="t_max_omega")
-    p.add_argument("--samples", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--gnuplot", action="store_true", help="emit a gnuplot sidecar")
     p.set_defaults(func=cmd_concurrence)
 
     p = sub.add_parser("esd", help="disentanglement-time table as CSV")
-    common(p)
+    p.add_argument("--preset", choices=sorted(FIGURES), help="figure preset")
+    p.add_argument("--config", help="JSON scenario file overriding the preset")
     p.add_argument("--sweep", choices=["r", "a2"], required=True)
     p.add_argument("--from", type=_finite_float, dest="sweep_from", required=True)
     p.add_argument("--to", type=_finite_float, dest="sweep_to", required=True)
@@ -571,11 +552,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_esd)
 
     p = sub.add_parser("psd", help="ensemble spectrum vs the 1/f law as CSV")
-    common(p)
+    # no preset sets a field the PSD reads
+    p.add_argument("--config", help="JSON scenario file overriding the defaults")
     p.add_argument("--realizations", type=int, default=200)
     p.add_argument("--t-max-s", type=_finite_float, default=0.2, dest="t_max_s")
     p.add_argument("--sample-hz", type=_finite_float, default=2.0e6, dest="sample_hz")
-    p.add_argument("--fluctuators", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_psd)
 
@@ -606,6 +587,9 @@ def main(argv=None) -> int:
         return 2
     except (EsdlabError, OSError) as exc:
         print(f"esdlab: error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"esdlab: error: not enough memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -773,8 +773,8 @@ class OneOverFFit:
 def fit_one_over_f(est: PsdEstimate) -> OneOverFFit:
     """Fit slope and amplitude over the trustworthy band [10 gm, gM/10] (Hz).
 
-    The band must span at least one decade, i.e. gamma_max/gamma_min >= 1000.
-    The amplitude is compared against the 1/f law at the geometric band
+    The band must span at least one decade, i.e. gamma_max/gamma_min >= 1000,
+    and hold power in each of its log-spaced bins. The amplitude is compared against the 1/f law at the geometric band
     center, where band-edge roll-off is negligible.
     """
     if est.gamma_max / est.gamma_min < 1000.0:
@@ -797,6 +797,8 @@ def fit_one_over_f(est: PsdEstimate) -> OneOverFFit:
     ok = counts > 0
     w_binned = np.bincount(idx, weights=w, minlength=n_bins)[ok] / counts[ok]
     s_binned = np.bincount(idx, weights=s, minlength=n_bins)[ok] / counts[ok]
+    if (s_binned <= 0.0).any():  # no low-frequency noise: a log-log fit has nothing to fit
+        raise ParameterError("no power in the fit band")
     slope, intercept = np.polyfit(np.log(w_binned), np.log(s_binned), 1)
     w_center = math.sqrt(w_lo * w_hi)
     fitted_center = math.exp(intercept + slope * math.log(w_center))

@@ -1,5 +1,6 @@
 """Round trips through the command-line front end, run in-process at tiny sizes."""
 
+import argparse
 import csv
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from esdlab.cli import _BOUNDS, DEFAULT_CONFIG, main
+from esdlab.cli import _BOUNDS, DEFAULT_CONFIG, build_parser, main
 from esdlab.constants import ESD_RELATIVE_TOL
 
 SMALL_MC = {"sim": {"trajectories": 8, "samples": 5, "fluctuators": 5}}
@@ -40,8 +41,8 @@ class TestConcurrence:
     @pytest.mark.parametrize("channel", ["adiabatic", "interplay"])
     def test_analytic_channels(self, tmp_path, channel):
         out = tmp_path / "c.csv"
-        argv = ["concurrence", "--channel", channel, "--samples", "7",
-                "--t-max-omega", "2e4", "--out", str(out)]
+        cfg = write_config(tmp_path, {"sim": {"samples": 7, "t_max_omega": 2e4}})
+        argv = ["concurrence", "--channel", channel, "--config", cfg, "--out", str(out)]
         assert main(argv) == 0
         header, rows = read_csv(out)
         assert header == ["omega_t", "concurrence"]
@@ -58,8 +59,12 @@ class TestConcurrence:
         assert header == ["omega_t", "concurrence", "stderr"]
         assert len(rows) == 5
         assert_cells_round_trip(rows)
-        script = (tmp_path / "mc.gp").read_text(encoding="utf-8")
-        assert "'mc.csv' using 1:2 with lines, 'mc.csv' using 1:3 with lines" in script
+        # the gnuplot sidecar beside the CSV plots every column after omega_t
+        script = tmp_path / "mc.gp"
+        assert script.is_file()
+        lines = script.read_text(encoding="utf-8").splitlines()
+        assert "set datafile separator ','" in lines
+        assert lines[-1] == "plot 'mc.csv' using 1:2 with lines, 'mc.csv' using 1:3 with lines"
 
     def test_montecarlo_time_column_is_the_shared_grid(self, tmp_path):
         # 11 samples over omega_t = 5e3: seconds times omega gave 1500.0000000000002
@@ -210,14 +215,92 @@ class TestQuantumNoiseOff:
 
 def test_psd(tmp_path, capsys):
     out = tmp_path / "psd.csv"
-    argv = ["psd", "--realizations", "100", "--t-max-s", "0.002",
-            "--sample-hz", "1e5", "--fluctuators", "20", "--out", str(out)]
+    argv = ["psd", "--config", write_config(tmp_path, {"sim": {"fluctuators": 20}}),
+            "--realizations", "100", "--t-max-s", "0.002", "--sample-hz", "1e5",
+            "--out", str(out)]
     assert main(argv) == 0
     header, rows = read_csv(out)
     assert header == ["omega_rad_s", "s_estimated", "s_target"]
     assert len(rows) == 100  # 200 samples -> 100 positive frequencies
     assert_cells_round_trip(rows)
     assert capsys.readouterr().out.startswith("1/f fit: slope ")
+
+
+def test_psd_without_low_frequency_noise(tmp_path, capsys):
+    # a flat zero spectrum has no log-log slope: the fit is skipped, the run is not
+    out = tmp_path / "psd.csv"
+    argv = ["psd", "--config", write_config(tmp_path, {"qubit_a": {"sigma_rad_s": 0.0}}),
+            "--realizations", "100", "--t-max-s", "1e-3", "--sample-hz", "1e5",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == "1/f fit skipped: no power in the fit band\n"
+    _, rows = read_csv(out)
+    assert {cell for row in rows for cell in row[1:]} == {"0.0"}
+
+
+# every option sets what no config field holds; scenario values come from the config
+OPTIONS = {
+    "esdlab": ["--version"],
+    "concurrence": ["--preset", "--config", "--channel", "--out", "--gnuplot"],
+    "esd": ["--preset", "--config", "--sweep", "--from", "--to", "--points", "--out"],
+    "psd": ["--config", "--realizations", "--t-max-s", "--sample-hz", "--out"],
+    "figure": ["--config", "--outdir"],
+}
+
+
+def test_options_are_not_config_fields():
+    parser = build_parser()
+    commands = {"esdlab": parser}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            commands.update(action.choices)
+    options = {
+        name: [opt for action in command._actions if not isinstance(action, argparse._HelpAction)
+               for opt in action.option_strings]
+        for name, command in commands.items()
+    }
+    assert options == OPTIONS
+    assert sum(map(len, options.values())) == 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["concurrence", "--r", "0.8"],
+    ["esd", "--sweep", "r", "--from", "0.5", "--to", "0.9", "--seed", "1"],
+    ["psd", "--preset", "fig2"],
+    ["psd", "--fluctuators", "5"],
+], ids=["concurrence-r", "esd-seed", "psd-preset", "psd-fluctuators"])
+def test_removed_options_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig4a", "--config", "{cfg}", "--outdir", "{out}"],
+    ["concurrence", "--channel", "montecarlo", "--config", "{cfg}", "--out", "{out}/c.csv"],
+], ids=["fig4a", "montecarlo"])
+def test_one_trajectory_is_refused(tmp_path, capsys, argv):
+    # one trajectory leaves the standard error undefined: nan in every stderr cell
+    cfg = write_config(tmp_path, {"sim": {"trajectories": 1, "samples": 5, "fluctuators": 5}})
+    out = tmp_path / "out"
+    assert main([arg.format(cfg=cfg, out=out) for arg in argv]) == 2
+    assert "invalid config at sim/trajectories" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # 2^53 samples ask for 64 PiB, 2e15 PSD samples for 14 PiB: refused at once
+    ["concurrence", "--channel", "adiabatic", "--config", "{big}", "--out", "{out}"],
+    ["psd", "--t-max-s", "1e9", "--out", "{out}"],
+], ids=["samples", "psd-segment"])
+def test_out_of_memory_exits_3(tmp_path, capsys, argv):
+    big = write_config(tmp_path, {"sim": {"samples": 2**53}})
+    out = tmp_path / "out.csv"
+    assert main([arg.format(big=big, out=out) for arg in argv]) == 3
+    assert capsys.readouterr().err.startswith("esdlab: error: not enough memory: ")
+    assert not out.exists()
 
 
 class TestFigure:
@@ -416,10 +499,6 @@ class TestConfigErrors:
         assert moved == {f"{kind}_{curve}_detuned" for kind in ("mc", "stderr")
                          for curve in ("coupled", "uncoupled")}
 
-    def test_negative_seed_flag(self, tmp_path, capsys):
-        assert main(["psd", "--seed", "-1", "--out", str(tmp_path / "psd.csv")]) == 2
-        assert "invalid config at sim/seed:" in capsys.readouterr().err
-
     @pytest.mark.parametrize("text", ["[]", "5", "null"])
     def test_top_level_not_an_object(self, tmp_path, capsys, text):
         path = tmp_path / "cfg.json"
@@ -476,7 +555,9 @@ OVERRIDE_CONFIGS = st.fixed_dictionaries({}, optional={
 # a warning is a defect the run let through, so it fails the example
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_config_contract(cfg, channel):
-    _assert_contract(["concurrence", "--channel", channel, "--samples", "3"], cfg, 3)
+    # three samples keep each run small; a drawn config may ask for 2^53
+    cfg = {**cfg, "sim": {**cfg.get("sim", {}), "samples": 3}}
+    _assert_contract(["concurrence", "--channel", channel], cfg, 3)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

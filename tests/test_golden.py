@@ -147,7 +147,7 @@ def monte_carlo(cfg: dict, state, ad_a, ad_b, g: float = 0.0):
 
 
 def test_concurrence_cells_hold_the_computed_values():
-    cfg = load_config(None, str(GOLDEN / "config" / "concurrence.json"), {})
+    cfg = load_config(None, str(GOLDEN / "config" / "concurrence.json"))
     state, ad_a, ad_b, qn = library_params(cfg)
     omega_t, times = time_grid(cfg, ad_a)
     mc = monte_carlo(cfg, state, ad_a, ad_b)
@@ -204,14 +204,14 @@ def figure_columns(name: str, cfg: dict) -> dict:
 
 @pytest.mark.parametrize("name", FIGURE_RUNS)
 def test_figure_cells_hold_the_computed_values(name):
-    cfg = load_config(name, str(GOLDEN / "config" / f"{FIGURE_RUNS[name]}.json"), {})
+    cfg = load_config(name, str(GOLDEN / "config" / f"{FIGURE_RUNS[name]}.json"))
     assert_columns(f"{name}.csv", figure_columns(name, cfg))
 
 
 @pytest.mark.parametrize("name", ESD_RUNS)
 def test_esd_cells_hold_the_computed_times(name):
     config, over, lo, hi = ESD_RUNS[name]
-    cfg = load_config("fig2", config and str(GOLDEN / "config" / f"{config}.json"), {})
+    cfg = load_config("fig2", config and str(GOLDEN / "config" / f"{config}.json"))
     state, ad_a, ad_b, qn = library_params(cfg)
     t_max = cfg["sim"]["t_max_omega"] / ad_a.omega
     grid = np.linspace(lo, hi, 5).tolist()
@@ -232,7 +232,7 @@ def test_esd_cells_hold_the_computed_times(name):
 
 
 def test_psd_cells_hold_the_computed_spectrum():
-    cfg = load_config(None, str(GOLDEN / "config" / "psd.json"), {})
+    cfg = load_config(None, str(GOLDEN / "config" / "psd.json"))
     q, sim = cfg["qubit_a"], cfg["sim"]
     ens = sample_ensemble(sim["fluctuators"], q["gamma_min_hz"], q["gamma_max_hz"],
                           q["sigma_rad_s"], sim["seed"])

@@ -185,6 +185,28 @@ tracer.close()
     assert done.returncode == 0, done.stderr
 
 
+def test_module_entry_point_prints_the_version():
+    from esdlab import __version__
+
+    done = subprocess.run(
+        [sys.executable, "-m", "esdlab", "--version"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"esdlab {__version__}\n"
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")  # "still beta"
+def test_version_has_one_source():
+    # pyproject.toml reads the version from esdlab.__version__, statically
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    from esdlab import __version__
+
+    assert "version" not in PROJECT and PROJECT["dynamic"] == ["version"]
+    config = pyprojecttoml.read_configuration(PYPROJECT, expand=True)
+    assert config["project"]["version"] == __version__
+
+
 def _unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
