@@ -1,9 +1,9 @@
 """Command-line front end: scenario configs, figure presets, CSV output.
 
 All externally visible times are dimensionless (omega_t = splitting of
-qubit A times seconds); seconds appear only inside the library. CSV files
-are RFC-4180, LF, UTF-8, with shortest-round-trip floats, so re-parsing
-reproduces the exact values written.
+qubit A times seconds); seconds appear only inside the library. Builders
+return named columns, and ``write_csv`` alone formats them: LF, UTF-8, and
+each cell the ``repr`` of a Python float, which reads back bit for bit.
 
 The presets are the ``FIGURES`` table: each paper figure is a set of config
 overrides plus the builder of its CSV table; ``figure NAME`` applies them,
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import json
 import math
 import os
@@ -221,35 +220,29 @@ def _n_workers() -> int:
     return int(env)
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+_CSV_BLOCK_ROWS = 1024  # write_csv makes Python floats of this many rows at a time
+
+
+def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """Write equal-length 1-d ``columns`` under a header of their names,
+    never making a whole column a Python list."""
+    cols = [np.asarray(col, dtype=float) for col in columns.values()]
+    if len({col.shape for col in cols}) != 1 or cols[0].ndim != 1:
+        raise ValueError(f"columns are not 1-d of one length: {[c.shape for c in cols]}")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(columns) + "\n")
+        for lo in range(0, cols[0].size, _CSV_BLOCK_ROWS):
+            block = np.column_stack([col[lo:lo + _CSV_BLOCK_ROWS] for col in cols]).tolist()
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in block)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        # float() keeps numpy's type name out; repr is the shortest round trip
-        return repr(float(value))
-    return str(value)
-
-
-def _write_gnuplot(out: Path, columns: list[str]) -> None:
-    script = out.with_suffix(".gp")
-    lines = [
-        "set datafile separator ','",
-        "set key autotitle columnhead",
-        "set xlabel 'omega_t'",
-        "set ylabel 'concurrence'",
-        "plot "
-        + ", ".join(
-            f"'{out.name}' using 1:{i + 2} with lines" for i in range(len(columns) - 1)
-        ),
-    ]
-    script.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_gnuplot(out: Path, columns: dict[str, np.ndarray]) -> None:
+    """A gnuplot script beside ``out`` that plots every column against the first."""
+    plots = ", ".join(f"'{out.name}' using 1:{i} with lines" for i in range(2, len(columns) + 1))
+    out.with_suffix(".gp").write_text(
+        "set datafile separator ','\nset key autotitle columnhead\n"
+        f"set xlabel 'omega_t'\nset ylabel 'concurrence'\nplot {plots}\n", encoding="utf-8")
 
 
 def _time_grid(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +252,7 @@ def _time_grid(cfg: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# figure builders: each takes the merged config and returns (header, rows)
+# figure builders: each takes the merged config and returns named columns
 
 
 def _static_family(over: str, values: list[float]):
@@ -268,12 +261,12 @@ def _static_family(over: str, values: list[float]):
     def build(cfg: dict):
         ad_a, ad_b = _closed_form_qubits(cfg)
         omega_t, times = _time_grid(cfg)
-        rows = []
-        for value in values:
-            st = _state_from({"state": {**cfg["state"], over: value}})
-            c = adiabatic_concurrence(times, ad_a, ad_b, st)
-            rows.extend([value, wt, cv] for wt, cv in zip(omega_t.tolist(), c.tolist()))
-        return [over, "omega_t", "concurrence"], rows
+        curves = [adiabatic_concurrence(times, ad_a, ad_b,
+                                        _state_from({"state": {**cfg["state"], over: v}}))
+                  for v in values]
+        # long format: one block of rows per value
+        return {over: np.repeat(values, omega_t.size), "omega_t": np.tile(omega_t, len(values)),
+                "concurrence": np.concatenate(curves)}
 
     return build
 
@@ -283,10 +276,11 @@ _ESD_COLUMNS = ["omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic",
                 "omega_t_esd_quantum_phi", "omega_t_esd_quantum_psi"]
 
 
-def _esd_rows(over: str, grid: list[float], cfg: dict) -> list[list[float]]:
-    """ESD times in omega_t over ``grid``, one row per value: the value, then
-    interplay (phi, psi), static noise only, and quantum noise only (phi, psi).
-    A cell is inf for a proven never and nan where no zero was found."""
+def _esd_columns(label: str, over: str, grid: np.ndarray, cfg: dict) -> dict[str, np.ndarray]:
+    """ESD times in omega_t over ``grid``: the swept value, named ``label``,
+    then _ESD_COLUMNS: interplay (phi, psi), static noise only, and quantum
+    noise only (phi, psi). A cell is inf for a proven never and nan where no
+    zero was found."""
     state = _state_from(cfg)
     ad_a, ad_b = _closed_form_qubits(cfg)
     qn = _quantum_from(cfg)
@@ -303,14 +297,15 @@ def _esd_rows(over: str, grid: list[float], cfg: dict) -> list[list[float]]:
         wt = e.time * omega
         return wt if math.isfinite(wt) or e.time == math.inf else math.nan
 
-    return [
-        [c.value] + [omega_t(e) for e in (c.esd_phi, c.esd_psi, s.esd_phi, q.esd_phi, q.esd_psi)]
+    cells = np.array([
+        [omega_t(e) for e in (c.esd_phi, c.esd_psi, s.esd_phi, q.esd_phi, q.esd_psi)]
         for c, s, q in zip(combined, static, quantum)
-    ]
+    ])
+    return {label: grid, **dict(zip(_ESD_COLUMNS, cells.T))}
 
 
 def _fig2(cfg: dict):
-    return ["r", *_ESD_COLUMNS], _esd_rows("r", np.linspace(0.4, 0.99, 60).tolist(), cfg)
+    return _esd_columns("r", "r", np.linspace(0.4, 0.99, 60), cfg)
 
 
 def _fig3(cfg: dict):
@@ -319,13 +314,13 @@ def _fig3(cfg: dict):
     quiet_a, quiet_b = replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0)
     qn = _quantum_from(cfg)
     omega_t, times = _time_grid(cfg)
-    cols = {"omega_t": omega_t.tolist()}
+    cols = {"omega_t": omega_t}
     for flavor in ("phi", "psi"):
         st = _state_from(cfg, flavor)
-        cols[f"{flavor}_adiabatic"] = adiabatic_concurrence(times, ad_a, ad_b, st).tolist()
-        cols[f"{flavor}_quantum"] = interplay_concurrence(times, st, quiet_a, quiet_b, qn).tolist()
-        cols[f"{flavor}_interplay"] = interplay_concurrence(times, st, ad_a, ad_b, qn).tolist()
-    return list(cols), zip(*cols.values())
+        cols[f"{flavor}_adiabatic"] = adiabatic_concurrence(times, ad_a, ad_b, st)
+        cols[f"{flavor}_quantum"] = interplay_concurrence(times, st, quiet_a, quiet_b, qn)
+        cols[f"{flavor}_interplay"] = interplay_concurrence(times, st, ad_a, ad_b, qn)
+    return cols
 
 
 def _monte_carlo_family(curves, spa_curves):
@@ -349,24 +344,22 @@ def _monte_carlo_family(curves, spa_curves):
         workers = _n_workers()
         sim = _sim_from(cfg)
         omega_t, times = _time_grid(cfg)
-        header, cols = ["omega_t"], [omega_t.tolist()]
+        cols = {"omega_t": omega_t}
         for label, detuned, coupled in curves:
             g = cfg["coupling"]["g_rad_s"] if coupled else 0.0
             run = replace(sim, qubit_b=qubit_b[detuned], coupling_g=g)
             mc = monte_carlo_concurrence(rho0, run, n_workers=workers)
-            header += [f"mc_{label}", f"stderr_{label}"]
-            cols += [mc.concurrence.tolist(), mc.stderr.tolist()]
+            cols[f"mc_{label}"], cols[f"stderr_{label}"] = mc.concurrence, mc.stderr
         for label, detuned in spa_curves:
-            header.append(f"spa_{label}")
-            cols.append(adiabatic_concurrence(times, ad_a, qubit_b[detuned], st).tolist())
-        return header, zip(*cols)
+            cols[f"spa_{label}"] = adiabatic_concurrence(times, ad_a, qubit_b[detuned], st)
+        return cols
 
     return build
 
 
 class Figure(NamedTuple):
     preset: dict  # config overrides, also applied by --preset
-    build: Callable[[dict], tuple]  # merged config -> (header, rows)
+    build: Callable[[dict], dict[str, np.ndarray]]  # merged config -> named columns
     monte_carlo: bool = False  # the manifest records the seed and stream
 
 
@@ -422,21 +415,19 @@ def cmd_concurrence(args) -> int:
 
     if args.channel == "montecarlo":
         mc = monte_carlo_concurrence(ewl_state(state), _sim_from(cfg), n_workers=_n_workers())
-        header = ["omega_t", "concurrence", "stderr"]
-        rows = zip(omega_t.tolist(), mc.concurrence.tolist(), mc.stderr.tolist())
+        cols = {"omega_t": omega_t, "concurrence": mc.concurrence, "stderr": mc.stderr}
     else:
         ad_a, ad_b = _closed_form_qubits(cfg)
         if args.channel == "adiabatic":
             values = adiabatic_concurrence(times, ad_a, ad_b, state)
         else:
             values = interplay_concurrence(times, state, ad_a, ad_b, _quantum_from(cfg))
-        header = ["omega_t", "concurrence"]
-        rows = zip(omega_t.tolist(), values.tolist())
+        cols = {"omega_t": omega_t, "concurrence": values}
 
     out = Path(args.out)
-    write_csv(out, header, rows)
+    write_csv(out, cols)
     if args.gnuplot:
-        _write_gnuplot(out, header)
+        _write_gnuplot(out, cols)
     return 0
 
 
@@ -444,8 +435,8 @@ def cmd_esd(args) -> int:
     cfg = load_config(args.preset, args.config)
     if args.points < 1:
         raise ConfigError("--points must be at least 1")
-    grid = np.linspace(args.sweep_from, args.sweep_to, args.points).tolist()
-    write_csv(Path(args.out), ["sweep_value", *_ESD_COLUMNS], _esd_rows(args.sweep, grid, cfg))
+    grid = np.linspace(args.sweep_from, args.sweep_to, args.points)
+    write_csv(Path(args.out), _esd_columns("sweep_value", args.sweep, grid, cfg))
     return 0
 
 
@@ -466,11 +457,8 @@ def cmd_psd(args) -> int:
         rng_seed=cfg["sim"]["seed"],
         sample_hz=args.sample_hz,
     )
-    write_csv(
-        Path(args.out),
-        ["omega_rad_s", "s_estimated", "s_target"],
-        zip(est.omega, est.s_estimated, est.s_target),
-    )
+    write_csv(Path(args.out),
+              {"omega_rad_s": est.omega, "s_estimated": est.s_estimated, "s_target": est.s_target})
     try:
         fit = fit_one_over_f(est)
         print(
@@ -491,8 +479,7 @@ def cmd_figure(args) -> int:
         raise ConfigError("quantum/s_white_per_s must be 0 for this figure: its curves "
                           "have static noise only")
     outdir = Path(args.outdir)
-    header, rows = figure.build(cfg)
-    write_csv(outdir / f"{name}.csv", header, rows)
+    write_csv(outdir / f"{name}.csv", figure.build(cfg))
     manifest = {
         "figure": name,
         "version": f"esdlab {__version__}",

@@ -38,6 +38,7 @@ bit-identical for any block size.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -98,6 +99,10 @@ PSD_BLOCK_SAMPLES = 100_000
 # path's signs, every Poisson switch count in one call, then all switch
 # times, fluctuator by fluctuator in index order.
 STREAM_VERSION = 2
+
+# Half the float64 values one array can hold: a switch count or PSD segment
+# below it still fits after its Poisson draw or its round up to an FFT length
+_MAX_COUNT = sys.maxsize // 16
 
 _EYE2 = np.eye(2, dtype=complex)
 _EYE4 = np.eye(4)
@@ -185,7 +190,11 @@ def _draw_path(ens: FluctuatorEnsemble, t_max: float, rng: np.random.Generator):
     signs and an iterator of (index, sorted switch times) that draws each
     fluctuator's times when it reaches them; use it up before ``rng`` draws
     again. PCG64 hands out doubles in order, so these draws give the bits of
-    one draw of all the path's switch times."""
+    one draw of all the path's switch times. Raises :class:`ParameterError`,
+    before any draw, when a fluctuator's switch times could not fit an array."""
+    expected = float(ens.rates.max(initial=0.0)) * t_max
+    if expected > _MAX_COUNT:
+        raise ParameterError(f"rate x t_max = {expected:.3g} switches are too many for any array")
     signs = rng.integers(0, 2, ens.n) * 2.0 - 1.0
     counts = rng.poisson(ens.rates * t_max)
 
@@ -714,6 +723,8 @@ def psd_estimate(
         raise ParameterError("need at least 100 realizations for a stable average")
     if not (0.0 < t_max < math.inf and 0.0 < sample_hz < math.inf):
         raise ParameterError("t_max and sample_hz must be positive and finite")
+    if t_max * sample_hz > _MAX_COUNT:
+        raise ParameterError(f"segment of {t_max * sample_hz:.3g} samples is too long for an array")
     dt = 1.0 / sample_hz
     # round the segment up to an FFT-friendly length; awkward sizes cost
     # more in the transform than in the signal generation

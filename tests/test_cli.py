@@ -6,12 +6,14 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from esdlab import cli
 from esdlab.cli import _BOUNDS, DEFAULT_CONFIG, build_parser, main
 from esdlab.constants import ESD_RELATIVE_TOL
 
@@ -301,6 +303,71 @@ def test_out_of_memory_exits_3(tmp_path, capsys, argv):
     assert main([arg.format(big=big, out=out) for arg in argv]) == 3
     assert capsys.readouterr().err.startswith("esdlab: error: not enough memory: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # about 1e21 and 1e25 expected switches of the fastest fluctuator
+    ["psd", "--realizations", "100", "--t-max-s", "1e15", "--sample-hz", "1e-12",
+     "--out", "{out}"],
+    ["concurrence", "--channel", "montecarlo", "--config", "{big}", "--out", "{out}"],
+], ids=["psd", "montecarlo"])
+def test_huge_horizon_exits_2(tmp_path, capsys, argv):
+    big = write_config(tmp_path, {"sim": {"t_max_omega": 1e30, "trajectories": 2,
+                                          "samples": 2, "fluctuators": 2}})
+    out = tmp_path / "out.csv"
+    assert main([arg.format(big=big, out=out) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("esdlab: config error: rate x t_max = ")
+    assert "too many for any array" in err
+    assert not out.exists()
+
+
+def test_psd_segment_past_any_array_exits_2(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["psd", "--realizations", "100", "--t-max-s", "1e-3", "--sample-hz", "1e300",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "esdlab: config error: segment of 1e+297 samples is too long for an array\n"
+    )
+    assert not out.exists()
+
+
+FLOAT64 = st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True)
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.225073858507201e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(columns=st.integers(0, 12).flatmap(
+           lambda n: st.lists(st.lists(FLOAT64, min_size=n, max_size=n), min_size=1, max_size=4)),
+       block_rows=st.integers(1, 5))
+@example(columns=[EDGE_FLOATS, EDGE_FLOATS[::-1]], block_rows=3)
+def test_write_csv_round_trips_every_float(tmp_path_factory, columns, block_rows):
+    # the cli docstring's promise: float(cell) reads back every value
+    cols = {f"c{k}": np.array(col) for k, col in enumerate(columns)}
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    with patch.object(cli, "_CSV_BLOCK_ROWS", block_rows):  # rows span several blocks
+        cli.write_csv(path, cols)
+    header, *lines = path.read_bytes().decode("utf-8").split("\n")
+    assert header.split(",") == list(cols)
+    assert lines.pop() == ""  # every line ends in LF
+    back = np.array([[float(cell) for cell in line.split(",")] for line in lines])
+    back = back.reshape(len(lines), len(cols))
+    for got, col in zip(back.T, cols.values()):
+        nan = np.isnan(col)
+        assert np.array_equal(np.isnan(got), nan)
+        # bit for bit, so -0.0 stays -0.0
+        assert np.array_equal(got[~nan].view(np.uint64), col[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("columns", [
+    {"a": np.zeros(2), "b": np.zeros(3)},
+    {"a": np.zeros((2, 2))},
+], ids=["ragged", "2-d"])
+def test_write_csv_refuses_columns_that_are_not_a_table(tmp_path, columns):
+    with pytest.raises(ValueError, match="not 1-d of one length"):
+        cli.write_csv(tmp_path / "t.csv", columns)
+    assert not (tmp_path / "t.csv").exists()
 
 
 class TestFigure:
