@@ -14,7 +14,6 @@ from .adiabatic import (
     spa_kernel,
 )
 from .analysis import (
-    ConcurrenceCurve,
     ESDResult,
     SweepRow,
     find_crossing_time,

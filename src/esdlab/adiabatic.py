@@ -115,10 +115,10 @@ class ESDResult:
     is ``math.nan`` when no zero was found: a search reached t_max, or a
     closed-form time lies past float range. ``never_entangled`` marks an
     initial state that is already separable (time 0). ``method`` is
-    "closed_form", "bisection" (the array search of
+    "closed_form" or "bisection" (the array search of
     :func:`esdlab.analysis.find_crossing_time`, which splits its bracket in
-    64 parts per curve call) or "grid" (a sampled curve); ``bracket``
-    encloses a found root and is None otherwise.
+    64 parts per curve call); ``bracket`` encloses a found root and is None
+    otherwise.
     """
 
     time: float

@@ -1,9 +1,13 @@
 """Disentanglement-time extraction and parameter sweeps.
 
 The disentanglement time is the first instant where the concurrence reaches
-zero with the pre-clamp K function negative immediately after; every channel
-in this package decays without revivals, so "first zero" and "stays zero"
-coincide (a check on the search's scan warns otherwise).
+zero with the pre-clamp K function negative immediately after. The search
+runs only on analytic curves: the static-path average and the composed
+channel of static and quantum noise. These decay without revivals, so
+"first zero" and "stays zero" coincide (a check on the search's scan warns
+otherwise). Monte Carlo curves are not searched: the equal couplings of a
+sampled bath put its static offsets on a lattice, which can revive the
+concurrence, and a sampled concurrence has a noise floor near zero.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .markov import QuantumNoiseParams, interplay_concurrence
 from .states import EWLParams
 
 __all__ = [
-    "ConcurrenceCurve",
     "ESDResult",
     "SweepRow",
     "find_crossing_time",
@@ -35,44 +38,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConcurrenceCurve:
-    """Sampled concurrence with optional per-point standard errors."""
-
-    times: np.ndarray
-    values: np.ndarray
-    stderr: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if self.stderr is not None:
-            object.__setattr__(self, "stderr", np.asarray(self.stderr, dtype=float))
-        if times.ndim != 1 or times.shape != values.shape:
-            raise ParameterError("times and values must be matching 1-d arrays")
-        if times.size < 2 or np.any(np.diff(times) <= 0.0):
-            raise ParameterError("times must be strictly increasing")
-        if values.min() < -1e-9 or values.max() > 1.0 + 1e-9:
-            raise ParameterError("concurrence samples must lie in [0, 1]")
-
-
 def find_crossing_time(c, t_max: float) -> ESDResult:
-    """First time a concurrence function or curve drops to zero.
+    """First time a concurrence function drops to zero.
 
-    Callables must map a 1-d array of times to an array of values. They are
+    ``c`` must map a 1-d array of times to an array of values. It is
     scanned on a logarithmic grid of 10^4 points (plus t=0), and the first
     sign-change bracket, c(lo) > 0 >= c(hi), is narrowed ("bisection") to
     relative width ``ESD_RELATIVE_TOL`` by evaluating its interior in 64
-    parts per call; a scan value positive after the first zero warns.
-    Sampled curves are interpolated linearly, with the mean +/- 2 stderr
-    crossings reported as the bracket when finite errors are available, and
-    the enclosing grid interval otherwise. No zero by t_max, or by a
-    curve's last sample, gives ``time = nan``: not found, not never.
+    parts per call; a scan value positive after the first zero warns. No
+    zero by t_max gives ``time = nan``: not found, not never.
     """
-    if isinstance(c, ConcurrenceCurve):
-        return _crossing_from_curve(c)
     if t_max <= 0.0:
         raise ParameterError("t_max must be positive")
     grid = np.concatenate([[0.0], np.geomspace(t_max * 1e-12, t_max, 10_000)])
@@ -106,39 +81,6 @@ def _first_zero(vals: np.ndarray) -> int:
     """Index of the first value <= 0, or ``vals.size`` when there is none."""
     below = np.nonzero(vals <= 0.0)[0]
     return int(below[0]) if below.size else vals.size
-
-
-def _interp_crossing(times, vals) -> float | None:
-    i = _first_zero(vals)
-    if i == vals.size:
-        return None
-    if i == 0:
-        return float(times[0])
-    t0, t1 = times[i - 1], times[i]
-    v0, v1 = vals[i - 1], vals[i]
-    if v0 == v1:
-        return float(t1)
-    return float(t0 + v0 * (t1 - t0) / (v0 - v1))
-
-
-def _crossing_from_curve(curve: ConcurrenceCurve) -> ESDResult:
-    t = _interp_crossing(curve.times, curve.values)
-    if t is None:
-        return ESDResult(time=math.nan, bracket=None, method="grid")
-    if t == curve.times[0] and curve.values[0] <= 0.0:
-        return ESDResult(time=t, bracket=(t, t), method="grid", never_entangled=True)
-    # a single Monte Carlo trajectory has no error bar (nan): use the grid
-    if curve.stderr is not None and np.all(np.isfinite(curve.stderr)):
-        lo = _interp_crossing(curve.times, curve.values - 2.0 * curve.stderr)
-        hi = _interp_crossing(curve.times, curve.values + 2.0 * curve.stderr)
-        bracket = (
-            lo if lo is not None else float(curve.times[0]),
-            hi if hi is not None else float(curve.times[-1]),
-        )
-    else:
-        i = _first_zero(curve.values)
-        bracket = (float(curve.times[i - 1]), float(curve.times[i]))
-    return ESDResult(time=t, bracket=bracket, method="grid")
 
 
 # ---------------------------------------------------------------------------

@@ -64,11 +64,6 @@ class QuantumNoiseParams:
         """Relaxation time, 2 / S(omega)."""
         return math.inf if self.s_white == 0.0 else 2.0 / self.s_white
 
-    @property
-    def t2(self) -> float:
-        """Secular dephasing time, 2 T1."""
-        return 2.0 * self.t1
-
 
 @dataclass(frozen=True)
 class GibbsPopulations:

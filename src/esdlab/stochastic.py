@@ -62,7 +62,6 @@ __all__ = [
     "OneOverFFit",
     "sample_ensemble",
     "rtn_paths",
-    "sampled_noise",
     "evolve_trajectory",
     "monte_carlo_concurrence",
     "psd_estimate",
@@ -87,12 +86,15 @@ CHUNK_SIZE = 32
 BLOCK_COLUMNS = 4
 
 # The periodogram transforms realizations in blocks of about this many
-# samples. Each scipy call carries a fixed cost of several milliseconds that
-# does not grow with its row count, but a larger block holds more rows, and
-# scipy's work arrays for them, in memory at once. With 5e4-sample
-# realizations (2-vCPU VM, scipy 1.17), the CLI's peak RSS is 110.0 MiB at
-# one row a block, 113.7 at two, 116.4 at three and 119.0 at four; the VM's
-# noise swamps any time the larger blocks save.
+# samples. Each scipy call carries a fixed cost that does not grow with its
+# row count (scipy 1.17.1 sums the window's squares in a Python loop, 3.8 ms
+# at 5e4 samples), but a larger block holds more rows, and scipy's work
+# arrays for them, in memory at once. With 5e4-sample realizations (2-vCPU
+# VM, one BLAS thread, best of 5 x 20 calls in each of three runs), a call
+# takes 6.8-7.2 ms for one row, 8.1-9.0 for two, 10.8-15.4 for three and
+# 12.1-16.8 for four: two rows a block save about 0.27 s per 100
+# realizations over one. The CLI's peak RSS is 110.0 MiB at one row a
+# block, 113.7 at two, 116.4 at three and 119.0 at four.
 PSD_BLOCK_SAMPLES = 100_000
 
 # Layout of the random stream behind a Monte Carlo run. Version 2 draws a
@@ -237,15 +239,6 @@ def _binned_noise(couplings, signs, switches, t_max: float, n_samples: int, out=
         jumps[::2] = -jump
         np.add.at(delta, np.ceil(times * scale).astype(np.intp), jumps)
     return np.cumsum(delta[:n_samples], out=out)
-
-
-def sampled_noise(paths: RtnPaths, n_samples: int) -> np.ndarray:
-    """X(t) on ``np.linspace(0, paths.t_max, n_samples)``, the grid of
-    :func:`evolve_trajectory`, binned by :func:`_binned_noise` as the PSD
-    bins its realizations."""
-    switches = ((i, paths.switch_times[i]) for i in paths.switching)
-    return _binned_noise(paths.ensemble.couplings, paths.initial_states, switches,
-                         paths.t_max, n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -697,8 +690,9 @@ def psd_estimate(
 
     Each realization draws fresh initial signs and switch times (quenched
     rates, stationary initial conditions) as one Monte Carlo path does and
-    bins each fluctuator's jumps onto the grid at ``sample_hz`` as it draws
-    them, giving :func:`sampled_noise` of :func:`rtn_paths`. Realizations are
+    bins each fluctuator's jumps onto the grid at ``sample_hz`` with
+    :func:`_binned_noise` as it draws them, so a row samples the path that
+    :func:`rtn_paths` draws from the same seed. Realizations are
     transformed in blocks of ``max(1, PSD_BLOCK_SAMPLES // n_samples)``
     rows, their means removed in place, one Hann-windowed periodogram call
     per block, and the rows are summed in realization order, so the

@@ -21,6 +21,11 @@ These deliberately avoid the code paths they check:
 - ``stream_v2_paths`` is the ``STREAM_VERSION`` 2 reference draw: all switch
   times of a path in one ``rng.random`` call, then each fluctuator's slice
   sorted in place, instead of the library's draw one fluctuator at a time;
+- ``binned_noise`` samples a path's X(t) with one ``np.add.at`` per
+  fluctuator, visiting every ``switch_times`` entry in index order and
+  building the jumps as 2 v s0 (-1)^k, instead of the library's walk over
+  the switching indices with alternately negated jumps; both rules give the
+  same bits, so the PSD's rows are compared with it exactly;
 - ``trajectory_states`` propagates one noise realization and expands it onto
   every sample with stacked matrix products, one trajectory at a time; it
   gates the engine's three stages. Its piecewise-constant noise comes from
@@ -217,6 +222,20 @@ def stream_v2_paths(ens, t_max: float, rng) -> tuple[np.ndarray, list]:
     for t in times:
         t.sort()
     return signs, times
+
+
+def binned_noise(paths, n_samples: int) -> np.ndarray:
+    """X(t) of one path on ``np.linspace(0, paths.t_max, n_samples)``: each
+    switch's jump lands on the first sample at or after its time."""
+    scale = (n_samples - 1) / paths.t_max
+    # a spare bin takes a switch that rounding puts past the last sample
+    delta = np.zeros(n_samples + 1)
+    delta[0] = np.sum(paths.ensemble.couplings * paths.initial_states)
+    for v, s0, times in zip(paths.ensemble.couplings, paths.initial_states, paths.switch_times):
+        if times.size:
+            jumps = 2.0 * v * s0 * (-1.0) ** np.arange(1, times.size + 1)
+            np.add.at(delta, np.ceil(times * scale).astype(np.intp), jumps)
+    return np.cumsum(delta[:n_samples])
 
 
 def noise_segments(paths) -> tuple[np.ndarray, np.ndarray]:

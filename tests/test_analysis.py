@@ -11,16 +11,11 @@ from esdlab.adiabatic import (
     esd_time_dephasing,
     esd_time_optimal,
 )
-from esdlab.analysis import (
-    ConcurrenceCurve,
-    find_crossing_time,
-    sweep,
-)
+from esdlab.analysis import find_crossing_time, sweep
 from esdlab.constants import ESD_RELATIVE_TOL
 from esdlab.errors import ParameterError
 from esdlab.markov import QuantumNoiseParams, interplay_concurrence
-from esdlab.states import EWLParams, ewl_state
-from esdlab.stochastic import SimConfig, monte_carlo_concurrence
+from esdlab.states import EWLParams
 
 from _oracles import bisect_first_zero
 
@@ -76,13 +71,9 @@ class TestFindEsdTime:
         assert abs(res.time - want) <= 1e-9 * want
 
     def test_constant_curve_never_crosses(self):
-        # a search that reaches t_max, or a curve's last sample, found no
-        # zero; that proves no never
-        times = np.linspace(0.0, 1.0, 11)
-        for c in (lambda t: 0.5 * np.ones_like(np.asarray(t, dtype=float)),
-                  ConcurrenceCurve(times, np.full(11, 0.5))):
-            res = find_crossing_time(c, 1.0)
-            assert math.isnan(res.time) and res.bracket is None
+        # a search that reaches t_max found no zero; that proves no never
+        res = find_crossing_time(lambda t: 0.5 * np.ones_like(np.asarray(t, dtype=float)), 1.0)
+        assert math.isnan(res.time) and res.bracket is None
 
     def test_initially_separable_flagged(self):
         res = find_crossing_time(lambda t: np.zeros_like(np.asarray(t, dtype=float)), 1.0)
@@ -96,49 +87,6 @@ class TestFindEsdTime:
         lo, hi = res.bracket
         assert lo <= res.time <= hi
         assert fn(lo) > 0.0 >= fn(hi)
-
-    def test_curve_input_interpolates(self):
-        times = np.linspace(0.0, 2.0, 51)
-        values = np.clip(1.0 - times, 0.0, 1.0)
-        res = find_crossing_time(ConcurrenceCurve(times, values), t_max=2.0)
-        assert res.method == "grid"
-        assert res.time == pytest.approx(1.0, abs=1e-12)
-
-    def test_curve_with_stderr_brackets(self):
-        times = np.linspace(0.0, 2.0, 201)
-        values = np.clip(1.0 - times, 0.0, 1.0)
-        err = np.full_like(times, 0.05)
-        res = find_crossing_time(ConcurrenceCurve(times, values, err), t_max=2.0)
-        lo, hi = res.bracket
-        # mean - 2 stderr crosses at 0.9; the clamped mean + 2 stderr never
-        # reaches zero, so the upper bound is the end of the record
-        assert lo == pytest.approx(0.9, abs=1e-9)
-        assert hi == times[-1]
-        assert lo < res.time < hi
-
-    def test_curve_without_finite_stderr_uses_grid_bracket(self):
-        # a single Monte Carlo trajectory reports nan error bars
-        times = np.linspace(0.0, 2.0, 201)
-        values = np.clip(1.0 - times, 0.0, 1.0)
-        err = np.full_like(times, np.nan)
-        res = find_crossing_time(ConcurrenceCurve(times, values, err), t_max=2.0)
-        assert res.bracket == (times[99], times[100])
-        assert res.bracket[0] <= res.time <= res.bracket[1]
-
-    def test_monte_carlo_curve_brackets_root(self):
-        p = qubit(math.pi / 2)
-        sim = SimConfig(
-            qubit_a=p, qubit_b=p, n_trajectories=32, t_max=2.0e4 / OMEGA,
-            n_samples=41, seed=3, n_fluctuators=20,
-        )
-        for flavor in ("phi", "psi"):
-            mc = monte_carlo_concurrence(ewl_state(EWLParams(0.6, INV_SQRT2, flavor)), sim)
-            esd = find_crossing_time(
-                ConcurrenceCurve(mc.times, mc.concurrence, mc.stderr), sim.t_max
-            )
-            assert esd.method == "grid" and math.isfinite(esd.time)
-            # 32 trajectories make two batches, so the error bar has a width
-            assert esd.bracket[0] < esd.time < esd.bracket[1]
 
     @pytest.mark.parametrize("name", SEARCHED)
     def test_matches_scalar_bisection(self, name):
@@ -187,16 +135,6 @@ class TestFindEsdTime:
         # a function must take the whole grid at once; one value is no curve
         with pytest.raises(ParameterError, match="array"):
             find_crossing_time(lambda t: 0.5, 1.0)
-
-
-class TestCurveValidation:
-    def test_rejects_decreasing_times(self):
-        with pytest.raises(ParameterError):
-            ConcurrenceCurve(np.array([0.0, 1.0, 0.5]), np.array([1.0, 0.5, 0.2]))
-
-    def test_rejects_out_of_range_values(self):
-        with pytest.raises(ParameterError):
-            ConcurrenceCurve(np.array([0.0, 1.0]), np.array([0.5, 1.5]))
 
 
 class TestSweep:

@@ -41,7 +41,6 @@ def identity_map():
 class TestQuantumNoiseParams:
     def test_derived_times(self):
         assert QN.t1 == pytest.approx(1.0e-6, rel=1e-15)
-        assert QN.t2 == pytest.approx(2.0e-6, rel=1e-15)
 
     def test_noise_off_means_infinite_t1(self):
         off = QuantumNoiseParams(s_white=0.0, temperature=0.04)

@@ -241,6 +241,23 @@ def test_all_names_exist(path):
     assert missing == []
 
 
+def test_oracles_stay_independent_of_the_engine():
+    # the reference binning, noise_segments and trajectory_states check the
+    # Monte Carlo engine; one that borrowed from it would check it against itself
+    oracles = Path(__file__).with_name("_oracles.py")
+    borrowed = []
+    for node in ast.walk(ast.parse(oracles.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        borrowed += [n for n in names
+                     if n == "esdlab.stochastic" or n.startswith("esdlab.stochastic.")]
+    assert borrowed == []
+
+
 def test_imports_are_declared():
     # the converse of test_declared_dependency_imports: an undeclared import
     # passes that test wherever the package happens to be installed

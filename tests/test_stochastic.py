@@ -20,10 +20,15 @@ from esdlab.stochastic import (
     psd_estimate,
     rtn_paths,
     sample_ensemble,
-    sampled_noise,
 )
 
-from _oracles import hann_periodogram, noise_segments, stream_v2_paths, trajectory_states
+from _oracles import (
+    binned_noise,
+    hann_periodogram,
+    noise_segments,
+    stream_v2_paths,
+    trajectory_states,
+)
 from conftest import random_density_matrix
 
 OMEGA = 1.0e11
@@ -168,7 +173,7 @@ class TestRtnPaths:
         acc = np.zeros(n_lags)
         for seed in range(n_real):
             paths = rtn_paths(ens, grid[-1], 10_000 + seed)
-            x = sampled_noise(paths, grid.size)
+            x = library_noise(paths, grid.size)
             for k in range(n_lags):
                 acc[k] += np.mean(x[: x.size - k] * x[k:])
         corr = acc / n_real
@@ -187,7 +192,7 @@ class TestRtnPaths:
         paths = rtn_paths(empty, 1.0, 0)
         edges, values = noise_segments(paths)
         assert np.array_equal(values, [0.0])
-        assert np.array_equal(sampled_noise(paths, 5), np.zeros(5))
+        assert np.array_equal(library_noise(paths, 5), np.zeros(5))
 
     def test_switch_times_sorted_inside_the_window(self):
         ens = sample_ensemble(250, 1.0, 1e6, 1.0, 12)
@@ -208,24 +213,27 @@ class TestRtnPaths:
         assert np.allclose(values, 2.0 * sign * (-1.0) ** np.arange(n_switch + 1))
 
 
-def every_fluctuator_noise(paths, n_samples):
-    """noise_segments and sampled_noise built by visiting every fluctuator
-    and keeping those whose switch_times entry is not empty."""
+def library_noise(paths, n_samples):
+    """X(t) of a kept path on its sample grid, by the library's one binning
+    rule, which the PSD applies to each realization as it is drawn."""
+    switches = ((i, paths.switch_times[i]) for i in paths.switching)
+    return stochastic._binned_noise(paths.ensemble.couplings, paths.initial_states, switches,
+                                    paths.t_max, n_samples)
+
+
+def every_fluctuator_segments(paths):
+    """noise_segments built by visiting every fluctuator and keeping those
+    whose switch_times entry is not empty."""
     x0 = np.sum(paths.ensemble.couplings * paths.initial_states)
-    delta = np.zeros(n_samples + 1)
-    delta[0] = x0
-    scale = (n_samples - 1) / paths.t_max
     t_all, jump_all = [np.empty(0)], [np.empty(0)]
     for v, s0, times in zip(paths.ensemble.couplings, paths.initial_states, paths.switch_times):
         if times.size:
-            jumps = 2.0 * v * s0 * (-1.0) ** np.arange(1, times.size + 1)
-            np.add.at(delta, np.ceil(times * scale).astype(np.intp), jumps)
             t_all.append(times)
-            jump_all.append(jumps)
+            jump_all.append(2.0 * v * s0 * (-1.0) ** np.arange(1, times.size + 1))
     order = np.argsort(np.concatenate(t_all), kind="stable")
     edges = np.concatenate([[0.0], np.concatenate(t_all)[order]])
     values = x0 + np.concatenate([[0.0], np.cumsum(np.concatenate(jump_all)[order])])
-    return edges, values, np.cumsum(delta[:n_samples])
+    return edges, values
 
 
 class TestSwitchingIndices:
@@ -242,12 +250,13 @@ class TestSwitchingIndices:
             ensemble=ens, t_max=1.0, initial_states=np.array([1.0, -1.0, -1.0, 1.0, -1.0]),
             switch_times=(np.empty(0),) * 4 + (times,), switching=(4,),
         )
-        edges, values, samples = every_fluctuator_noise(paths, 101)
+        edges, values = every_fluctuator_segments(paths)
+        samples = binned_noise(paths, 101)
         assert np.count_nonzero(np.diff(samples)) == times.size  # every switch shows
         got_edges, got_values = noise_segments(paths)
         assert np.array_equal(got_edges, edges)
         assert np.array_equal(got_values, values)
-        assert np.array_equal(sampled_noise(paths, 101), samples)
+        assert np.array_equal(library_noise(paths, 101), samples)
 
 
 class TestSampledNoise:
@@ -267,7 +276,7 @@ class TestSampledNoise:
         edges, values = noise_segments(paths)
         grid = np.linspace(0.0, t_max, n_samples)
         want = values[np.searchsorted(edges, grid, "right") - 1]
-        assert np.abs(sampled_noise(paths, n_samples) - want).max() <= 1e-12 * sigma
+        assert np.abs(library_noise(paths, n_samples) - want).max() <= 1e-12 * sigma
 
 
 class TestEvolveTrajectory:
@@ -649,7 +658,7 @@ class TestPsdEstimate:
         est = psd_estimate(ens, n_samples / sample_hz, 101, seed, sample_hz=sample_hz)
         horizon = (n_samples - 1) * (1.0 / sample_hz)  # as psd_estimate rounds it
         signals = [
-            sampled_noise(rtn_paths(ens, horizon, np.random.default_rng(
+            binned_noise(rtn_paths(ens, horizon, np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(k,)))), n_samples)
             for k in range(101)
         ]
@@ -664,15 +673,15 @@ class TestPsdEstimate:
         n_samples, sample_hz, seed = 1000, 1.0e5, 3
         horizon = (n_samples - 1) * (1.0 / sample_hz)  # as psd_estimate rounds it
         want = np.array([
-            sampled_noise(rtn_paths(ens, horizon, np.random.default_rng(
+            binned_noise(rtn_paths(ens, horizon, np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(k,)))), n_samples)
             for k in range(101)
         ])
         rows, transformed = [], []
-        binned_noise, periodogram = stochastic._binned_noise, signal.periodogram
+        library_binned, periodogram = stochastic._binned_noise, signal.periodogram
 
         def spy_binned(*args, **kwargs):
-            row = binned_noise(*args, **kwargs)
+            row = library_binned(*args, **kwargs)
             rows.append(row.copy())
             return row
 
@@ -701,7 +710,7 @@ class TestPsdEstimate:
         n_samples = 50_000
         horizon = (n_samples - 1) / 2.0e6
         seed = np.random.SeedSequence(3, spawn_key=(0,))
-        want = sampled_noise(rtn_paths(ens, horizon, np.random.default_rng(seed)), n_samples)
+        want = binned_noise(rtn_paths(ens, horizon, np.random.default_rng(seed)), n_samples)
         row, rng = np.empty(n_samples), np.random.default_rng(seed)
         tracemalloc.start()
         try:
