@@ -20,7 +20,6 @@ from .analysis import (
     sweep,
 )
 from .markov import (
-    GibbsPopulations,
     QuantumNoiseParams,
     coherence_factor,
     compose_two_qubit,

@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .constants import SPA_SIGMA_RATIO_WARN
+from .constants import OPTIMAL_POINT_TOL, SPA_SIGMA_RATIO_WARN
 from .errors import ParameterError
 from .states import EWLParams, ewl_concurrence
 
@@ -68,6 +68,11 @@ class AdiabaticParams:
                 "for strong noise",
                 stacklevel=3,  # past the dataclass __init__ to its caller
             )
+
+    @property
+    def at_optimal_point(self) -> bool:
+        """True at theta = pi/2, to within ``OPTIMAL_POINT_TOL``."""
+        return abs(self.theta - math.pi / 2.0) <= OPTIMAL_POINT_TOL
 
 
 def _check_times(t) -> np.ndarray:

@@ -25,7 +25,7 @@ from .adiabatic import (
     esd_time_dephasing,
     esd_time_optimal,
 )
-from .constants import ESD_RELATIVE_TOL, OPTIMAL_POINT_TOL
+from .constants import ESD_RELATIVE_TOL
 from .errors import ParameterError
 from .markov import QuantumNoiseParams, interplay_concurrence
 from .states import EWLParams
@@ -112,7 +112,7 @@ def _adiabatic_closed_form(state, ad_a, ad_b) -> ESDResult | None:
     )
     if not symmetric:
         return None
-    if abs(ad_a.theta - math.pi / 2.0) <= OPTIMAL_POINT_TOL:
+    if ad_a.at_optimal_point:
         return esd_time_optimal(state, ad_a.sigma, ad_a.omega)
     if ad_a.theta == 0.0:
         return esd_time_dephasing(state, ad_a.sigma)
@@ -125,18 +125,17 @@ def sweep(
     state: EWLParams,
     ad_a: AdiabaticParams,
     ad_b: AdiabaticParams,
-    qn: QuantumNoiseParams | None,
+    qn: QuantumNoiseParams,
     t_max: float,
 ) -> list[SweepRow]:
     """Disentanglement times over a parameter grid.
 
     ``over`` selects the swept quantity ("r" or "a2"); all other parameters
-    stay fixed. With ``qn is None``, or a ``qn`` whose ``s_white`` is 0,
-    only the low-frequency noise acts: the result is flavor independent and
-    comes from a closed form where one exists, else from a search on
-    :func:`adiabatic_concurrence`. Any other ``qn`` searches each flavor on
-    the composed channel, :func:`interplay_concurrence`. Rows come back in
-    grid order.
+    stay fixed. With ``qn.s_white == 0`` only the low-frequency noise acts:
+    the result is flavor independent and comes from a closed form where one
+    exists, else from a search on :func:`adiabatic_concurrence`. Any other
+    ``qn`` searches each flavor on the composed channel,
+    :func:`interplay_concurrence`. Rows come back in grid order.
     """
     if over not in ("r", "a2"):
         raise ParameterError(f"sweep variable must be 'r' or 'a2', got {over!r}")
@@ -149,7 +148,7 @@ def sweep(
     rows = []
     for value in grid:
         s = _with_value(state, over, value)
-        if qn is None or qn.s_white == 0.0:
+        if qn.s_white == 0.0:
             esd = _adiabatic_closed_form(s, ad_a, ad_b) or find_crossing_time(
                 lambda t, s=s: adiabatic_concurrence(t, ad_a, ad_b, s), t_max
             )

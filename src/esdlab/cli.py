@@ -19,12 +19,13 @@ or a closed-form time lies past float range.
 Config contract: a scenario has exactly the sections and fields of
 ``DEFAULT_CONFIG``. Each field takes its default's type (an ``int`` default
 makes an integer field; ``state.flavor`` is "phi" or "psi"), a finite value
-and the range ``_BOUNDS`` gives it. Any violation in the config file exits 2
-with ``invalid config at <path>: ...``. The closed-form channels
-(all but ``--channel montecarlo`` and fig4) also exit 2 unless g_rad_s is 0.
-Fig. 4's resonant curves take qubit A twice and its detuned ones read
-qubit_b, which its presets set 20% above qubit A; it exits 2 on a nonzero
-g_rad_s when none of its curves is coupled.
+and the range ``_BOUNDS`` gives it, and each qubit's gamma_min_hz lies below
+its gamma_max_hz; every command checks both qubits. Any violation in the
+config file exits 2 with ``invalid config at <path>: ...``. The closed-form
+channels (all but ``--channel montecarlo`` and fig4) also exit 2 unless
+g_rad_s is 0. Fig. 4's resonant curves take qubit A twice and its detuned
+ones read qubit_b, which its presets set 20% above qubit A; it exits 2
+unless g_rad_s is nonzero exactly when one of its curves is coupled.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error (running out
 of memory included).
@@ -87,6 +88,7 @@ _BOUNDS = {
     "r": (0, False, 1),
     "a2": (0, False, 1),
     "omega_rad_s": (0, True, math.inf),
+    "theta_rad": (0, False, math.pi),
     "sigma_rad_s": (0, False, math.inf),
     "gamma_min_hz": (0, True, math.inf),
     "gamma_max_hz": (0, True, math.inf),
@@ -98,9 +100,6 @@ _BOUNDS = {
     "seed": (0, False, math.inf),  # numpy's SeedSequence takes no negative seed
     "fluctuators": (1, False, math.inf),
 }
-
-class ConfigError(Exception):
-    pass
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -114,32 +113,32 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def _check_field(path: str, value, default) -> None:
-    """Raise ConfigError unless ``value`` can stand where DEFAULT_CONFIG holds
+    """Raise ParameterError unless ``value`` can stand where DEFAULT_CONFIG holds
     ``default``: structure, then type, finiteness and the field's _BOUNDS."""
     where = f"invalid config at {path or '<root>'}"
     if isinstance(default, dict):
         if not isinstance(value, dict):
-            raise ConfigError(f"{where}: {value!r} is not an object")
+            raise ParameterError(f"{where}: {value!r} is not an object")
         unknown = [key for key in value if key not in default]
         if unknown:
-            raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
+            raise ParameterError(f"{where}: unknown field {unknown[0]!r}")
         for key, item in value.items():
             _check_field(f"{path}/{key}" if path else key, item, default[key])
         return
     if isinstance(default, str):  # state/flavor, the one text field
         if value not in ("phi", "psi"):
-            raise ConfigError(f"{where}: {value!r} is not 'phi' or 'psi'")
+            raise ParameterError(f"{where}: {value!r} is not 'phi' or 'psi'")
         return
     # an int default makes an integer field; JSON's true/false and 5.0 are not integers
     integer = isinstance(default, int)
     if type(value) not in ((int,) if integer else (int, float)):
-        raise ConfigError(f"{where}: {value!r} is not {'an integer' if integer else 'a number'}")
+        raise ParameterError(f"{where}: {value!r} is not {'an integer' if integer else 'a number'}")
     # JSON admits NaN and Infinity (and reads 1e999 as inf); no field means them
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where}: {value!r} is not a finite number")
+        raise ParameterError(f"{where}: {value!r} is not a finite number")
     low, low_excluded, high = _BOUNDS.get(path.rsplit("/", 1)[-1], (-math.inf, False, math.inf))
     if value < low or (low_excluded and value == low) or value > high:
-        raise ConfigError(
+        raise ParameterError(
             f"{where}: {value!r} is not in {'(' if low_excluded else '['}{low}, {high}]"
         )
 
@@ -154,13 +153,18 @@ def load_config(preset: str | None, config_path: str | None) -> dict:
             with open(config_path, encoding="utf-8") as fh:
                 user = json.load(fh)
         except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
+            raise ParameterError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            raise ParameterError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):  # _deep_merge merges objects only
-            raise ConfigError(f"invalid config at <root>: {user!r} is not an object")
+            raise ParameterError(f"invalid config at <root>: {user!r} is not an object")
         cfg = _deep_merge(cfg, user)
     _check_field("", cfg, DEFAULT_CONFIG)
+    for qubit in ("qubit_a", "qubit_b"):
+        low, high = cfg[qubit]["gamma_min_hz"], cfg[qubit]["gamma_max_hz"]
+        if low >= high:
+            raise ParameterError(f"invalid config at {qubit}: gamma_min_hz {low!r} is not "
+                                 f"below gamma_max_hz {high!r}")
     return cfg
 
 
@@ -188,8 +192,8 @@ def _qubit_from(cfg: dict, which: str) -> AdiabaticParams:
 def _closed_form_qubits(cfg: dict) -> tuple[AdiabaticParams, AdiabaticParams]:
     """Both qubits for a closed-form channel, which holds for uncoupled qubits only."""
     if cfg["coupling"]["g_rad_s"] != 0.0:
-        raise ConfigError("coupling/g_rad_s must be 0 for the closed-form channels, which "
-                          "describe uncoupled qubits; only the Monte Carlo engine couples them")
+        raise ParameterError("coupling/g_rad_s must be 0 for the closed-form channels, which "
+                             "describe uncoupled qubits; only the Monte Carlo engine couples them")
     return _qubit_from(cfg, "a"), _qubit_from(cfg, "b")
 
 
@@ -216,7 +220,7 @@ def _sim_from(cfg: dict) -> SimConfig:
 def _n_workers() -> int:
     env = os.environ.get("ESDLAB_THREADS") or "1"
     if not env.isdecimal() or int(env) < 1:
-        raise ConfigError(f"ESDLAB_THREADS must be an integer of at least 1, got {env!r}")
+        raise ParameterError(f"ESDLAB_THREADS must be an integer of at least 1, got {env!r}")
     return int(env)
 
 
@@ -287,7 +291,7 @@ def _esd_columns(label: str, over: str, grid: np.ndarray, cfg: dict) -> dict[str
     omega = ad_a.omega
     t_max = cfg["sim"]["t_max_omega"] / omega
     combined = sweep(over, grid, state, ad_a, ad_b, qn, t_max)
-    static = sweep(over, grid, state, ad_a, ad_b, None, t_max)
+    static = sweep(over, grid, state, ad_a, ad_b, replace(qn, s_white=0.0), t_max)
     # quantum noise only: the same channel with the low-frequency noise off
     quantum = sweep(
         over, grid, state, replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0), qn, t_max
@@ -328,21 +332,21 @@ def _monte_carlo_family(curves, spa_curves):
     coupled)`` in ``curves``, then the static-path average per ``(label,
     detuned)`` in ``spa_curves``. Detuned curves take qubit B from qubit_b,
     resonant ones take qubit A twice. Coupled curves use coupling.g_rad_s,
-    the others no coupling. Config that no curve reads is refused before any
-    trajectory runs."""
+    nonzero exactly when a curve is coupled; the others no coupling. Config
+    that no curve reads is refused before any trajectory runs."""
     coupled_curves = any(coupled for *_, coupled in curves)
 
     def build(cfg: dict):
-        if cfg["coupling"]["g_rad_s"] != 0.0 and not coupled_curves:
-            raise ConfigError("coupling/g_rad_s must be 0 for this figure: none of its curves "
-                              "is coupled")
+        if (cfg["coupling"]["g_rad_s"] != 0.0) != coupled_curves:
+            need, which = ("nonzero", "one") if coupled_curves else ("0", "none")
+            raise ParameterError(f"coupling/g_rad_s must be {need} for this figure: {which} of "
+                                 "its curves is coupled")
         st = _state_from(cfg)
         rho0 = ewl_state(st)
-        ad_a = _qubit_from(cfg, "a")
-        # qubit B by "detuned?": resonant with qubit A, or qubit_b
-        qubit_b = {False: ad_a, True: _qubit_from(cfg, "b")}
         workers = _n_workers()
         sim = _sim_from(cfg)
+        # qubit B by "detuned?": resonant with qubit A, or qubit_b
+        qubit_b = {False: sim.qubit_a, True: sim.qubit_b}
         omega_t, times = _time_grid(cfg)
         cols = {"omega_t": omega_t}
         for label, detuned, coupled in curves:
@@ -351,7 +355,7 @@ def _monte_carlo_family(curves, spa_curves):
             mc = monte_carlo_concurrence(rho0, run, n_workers=workers)
             cols[f"mc_{label}"], cols[f"stderr_{label}"] = mc.concurrence, mc.stderr
         for label, detuned in spa_curves:
-            cols[f"spa_{label}"] = adiabatic_concurrence(times, ad_a, qubit_b[detuned], st)
+            cols[f"spa_{label}"] = adiabatic_concurrence(times, sim.qubit_a, qubit_b[detuned], st)
         return cols
 
     return build
@@ -434,7 +438,7 @@ def cmd_concurrence(args) -> int:
 def cmd_esd(args) -> int:
     cfg = load_config(args.preset, args.config)
     if args.points < 1:
-        raise ConfigError("--points must be at least 1")
+        raise ParameterError("--points must be at least 1")
     grid = np.linspace(args.sweep_from, args.sweep_to, args.points)
     write_csv(Path(args.out), _esd_columns("sweep_value", args.sweep, grid, cfg))
     return 0
@@ -476,8 +480,8 @@ def cmd_figure(args) -> int:
     figure = FIGURES[name]
     cfg = load_config(name, args.config)
     if figure.preset.get("quantum") == _NO_QUANTUM and cfg["quantum"]["s_white_per_s"] != 0.0:
-        raise ConfigError("quantum/s_white_per_s must be 0 for this figure: its curves "
-                          "have static noise only")
+        raise ParameterError("quantum/s_white_per_s must be 0 for this figure: its curves "
+                             "have static noise only")
     outdir = Path(args.outdir)
     write_csv(outdir / f"{name}.csv", figure.build(cfg))
     manifest = {
@@ -565,7 +569,7 @@ def main(argv=None) -> int:
         # output. The only inf and nan written are ESD cells that say so.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except (ConfigError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"esdlab: config error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -2,10 +2,14 @@
 
 High-frequency noise at the qubit splitting relaxes populations toward the
 thermal values with rate 1/T1 = s_white/2 and adds secular dephasing at half
-that rate (T2 = 2 T1). Low-frequency defocusing multiplies the coherence by
-the static-path factor from :mod:`esdlab.adiabatic`. At the optimal point
-(theta = pi/2) the two mechanisms entangle inside one logarithm and the
-coherence is
+that rate (T2 = 2 T1). These transverse-coupling rates are exact at theta =
+pi/2, where every preset runs, but are used at every theta: the engine's
+coupling sin(theta) sigma_x + cos(theta) sigma_z implies Gamma_1 =
+sin^2(theta) S/2 and Gamma_phi = cos^2(theta) S/2 with S = s_white (at
+theta = 0 the engine lies z = +10.3 from this channel). Low-frequency
+defocusing multiplies the coherence by the static-path factor from
+:mod:`esdlab.adiabatic`. At the optimal point the two mechanisms entangle
+inside one logarithm and the coherence is
 
     rho_01(t) = rho_01(0) exp(-i omega t - t/(2 T1))
                 / sqrt(1 + (i omega + 1/T1) sigma^2 t / omega^2),
@@ -25,14 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adiabatic import AdiabaticParams, _check_times, spa_kernel
-from .constants import HBAR, K_B, OPTIMAL_POINT_TOL
+from .constants import HBAR, K_B
 from .errors import ParameterError
 from .qmath import validate_density_matrix, validate_single_qubit_map
 from .states import EWLParams, ewl_concurrence, ewl_populations
 
 __all__ = [
     "QuantumNoiseParams",
-    "GibbsPopulations",
     "gibbs_populations",
     "coherence_factor",
     "single_qubit_map",
@@ -61,24 +64,16 @@ class QuantumNoiseParams:
 
     @property
     def t1(self) -> float:
-        """Relaxation time, 2 / S(omega)."""
+        """Relaxation time 2 / S(omega), exact at theta = pi/2 only."""
         return math.inf if self.s_white == 0.0 else 2.0 / self.s_white
 
 
-@dataclass(frozen=True)
-class GibbsPopulations:
-    """Asymptotic thermal populations of a single qubit."""
-
-    p0_inf: float
-    p1_inf: float
-
-
-def gibbs_populations(omega: float, temperature: float) -> GibbsPopulations:
-    """Thermal populations with difference p1 - p0 = -tanh(hbar omega / 2 kB T)."""
+def gibbs_populations(omega: float, temperature: float) -> tuple[float, float]:
+    """Thermal populations (p0, p1), with p1 - p0 = -tanh(hbar omega / 2 kB T)."""
     if omega <= 0.0 or temperature <= 0.0:
         raise ParameterError("omega and temperature must be positive")
     x = math.tanh(HBAR * omega / (2.0 * K_B * temperature))
-    return GibbsPopulations(p0_inf=0.5 * (1.0 + x), p1_inf=0.5 * (1.0 - x))
+    return 0.5 * (1.0 + x), 0.5 * (1.0 - x)
 
 
 def _population_map(t, ad: AdiabaticParams, qn: QuantumNoiseParams) -> np.ndarray:
@@ -86,8 +81,8 @@ def _population_map(t, ad: AdiabaticParams, qn: QuantumNoiseParams) -> np.ndarra
     times ``t``: e = exp(-t/T1) of them stays, and G sends the rest to the
     Gibbs populations. A negative time raises :class:`ParameterError`."""
     e = np.exp(-_check_times(t) / qn.t1)[..., None, None]
-    p = gibbs_populations(ad.omega, qn.temperature)
-    gibbs = np.array([[p.p0_inf, p.p0_inf], [p.p1_inf, p.p1_inf]])
+    p0, p1 = gibbs_populations(ad.omega, qn.temperature)
+    gibbs = np.array([[p0, p0], [p1, p1]])
     return e * np.eye(2) + (1.0 - e) * gibbs
 
 
@@ -97,12 +92,14 @@ def coherence_factor(t, ad: AdiabaticParams, qn: QuantumNoiseParams):
     At theta = pi/2 the exact combined form is used for every T1 (the
     relaxation rate enters the defocusing bracket, where 1/T1 = 0 leaves the
     static-path bracket); elsewhere the static-path kernel and the Markovian
-    factor multiply. With ``s_white = 0`` both reduce to the pure
-    static-path result. A negative time raises :class:`ParameterError`.
+    factor multiply. That factor's rate s_white/4 is exact at theta = pi/2
+    only; the engine's model gives (sin^2(theta)/4 + cos^2(theta)/2) s_white.
+    With ``s_white = 0`` both reduce to the pure static-path result. A
+    negative time raises :class:`ParameterError`.
     """
     t = _check_times(t)
     base = np.exp(-1j * ad.omega * t - 0.5 * t / qn.t1)
-    if abs(ad.theta - math.pi / 2.0) <= OPTIMAL_POINT_TOL:
+    if ad.at_optimal_point:
         bracket = 1.0 + (1j * ad.omega + 1.0 / qn.t1) * ad.sigma**2 * t / ad.omega**2
         out = base / np.sqrt(bracket)
     else:

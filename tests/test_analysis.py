@@ -22,6 +22,7 @@ from _oracles import bisect_first_zero
 OMEGA = 1.0e11
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 QN = QuantumNoiseParams(s_white=2.0e6, temperature=0.04)
+OFF = replace(QN, s_white=0.0)  # the quantum channel switched off
 
 
 def qubit(theta, ratio=0.02):
@@ -146,7 +147,7 @@ class TestSweep:
             EWLParams(0.9, INV_SQRT2),
             p,
             p,
-            None,
+            OFF,
             t_max=1.0e7 / OMEGA,
         )
         times = [row.esd_phi.time for row in rows]
@@ -157,7 +158,7 @@ class TestSweep:
     def test_pure_state_row_infinite(self):
         p = qubit(math.pi / 2)
         rows = sweep(
-            "r", [1.0], EWLParams(0.9, INV_SQRT2), p, p, None,
+            "r", [1.0], EWLParams(0.9, INV_SQRT2), p, p, OFF,
             t_max=1.0e7 / OMEGA,
         )
         assert rows[0].esd_phi.time == math.inf
@@ -165,7 +166,7 @@ class TestSweep:
     def test_zero_amplitude_row_never_entangled(self):
         p = qubit(math.pi / 2)
         rows = sweep(
-            "a2", [0.0], EWLParams(0.9, INV_SQRT2), p, p, None,
+            "a2", [0.0], EWLParams(0.9, INV_SQRT2), p, p, OFF,
             t_max=1.0e6 / OMEGA,
         )
         assert rows[0].esd_phi.never_entangled
@@ -196,7 +197,7 @@ class TestSweep:
         state = EWLParams(0.9, INV_SQRT2)
         grid = [0.6, 0.8, 0.95]
         for ad_b in (detuned, p):
-            rows = sweep("r", grid, state, p, ad_b, None, t_max=t_max)
+            rows = sweep("r", grid, state, p, ad_b, OFF, t_max=t_max)
             for row in rows:
                 s = EWLParams(row.value, INV_SQRT2)
                 want = find_crossing_time(
@@ -209,18 +210,18 @@ class TestSweep:
         # s_white = 0 leaves the static noise alone, which has a closed form,
         # so a switched-off channel on quiet qubits is a proven never
         p = qubit(math.pi / 2)
-        off = replace(QN, s_white=0.0)
         state, grid, t_max = EWLParams(0.9, INV_SQRT2), [0.6, 0.9], 1.0e6 / OMEGA
-        assert sweep("r", grid, state, p, p, off, t_max) == sweep(
-            "r", grid, state, p, p, None, t_max
-        )
+        for row in sweep("r", grid, state, p, p, OFF, t_max):
+            want = esd_time_optimal(EWLParams(row.value, INV_SQRT2), p.sigma, OMEGA)
+            assert row.esd_phi == row.esd_psi == want
+            assert want.method == "closed_form"
         quiet = replace(p, sigma=0.0)
-        for row in sweep("r", grid, state, quiet, quiet, off, t_max):
+        for row in sweep("r", grid, state, quiet, quiet, OFF, t_max):
             assert row.esd_phi.time == row.esd_psi.time == math.inf
 
     def test_rejects_unknown_variable_and_empty_grid(self):
         p = qubit(math.pi / 2)
         with pytest.raises(ParameterError):
-            sweep("bogus", [0.5], EWLParams(0.9, 0.5), p, p, None, t_max=1.0)
+            sweep("bogus", [0.5], EWLParams(0.9, 0.5), p, p, OFF, t_max=1.0)
         with pytest.raises(ParameterError):
-            sweep("r", [], EWLParams(0.9, 0.5), p, p, None, t_max=1.0)
+            sweep("r", [], EWLParams(0.9, 0.5), p, p, OFF, t_max=1.0)

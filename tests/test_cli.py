@@ -506,6 +506,10 @@ class TestConfigErrors:
             ({"sim": {"seed": -1}}, "sim/seed"),
             ({"sim": 5}, "sim"),
             ({"noise": {}}, "<root>"),
+            ({"qubit_b": {"theta_rad": 7.0}}, "qubit_b/theta_rad"),
+            ({"qubit_a": {"theta_rad": -0.1}}, "qubit_a/theta_rad"),
+            ({"qubit_b": {"gamma_min_hz": 10.0, "gamma_max_hz": 5.0}}, "qubit_b"),
+            ({"qubit_a": {"gamma_min_hz": 5.0, "gamma_max_hz": 5.0}}, "qubit_a"),
         ],
     )
     def test_invalid_field(self, tmp_path, capsys, cfg, path):
@@ -514,6 +518,18 @@ class TestConfigErrors:
         assert main(argv) == 2
         assert f"invalid config at {path}:" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("qubit_b, path", [
+        ({"theta_rad": 7.0}, "qubit_b/theta_rad"),
+        ({"gamma_min_hz": 10.0, "gamma_max_hz": 5.0}, "qubit_b"),
+    ], ids=["theta", "gamma-band"])
+    def test_psd_checks_the_qubit_it_does_not_read(self, tmp_path, capsys, qubit_b, path):
+        # psd builds only qubit A, but the config contract is the same for every command
+        argv = ["psd", "--realizations", "2", "--t-max-s", "1e-3", "--config",
+                write_config(tmp_path, {"qubit_b": qubit_b}), "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 2
+        assert f"invalid config at {path}:" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["concurrence", "--preset", "fig4b", "--channel", "interplay", "--out"],
@@ -531,14 +547,15 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("name, cfg, path", [
         ("fig4a", {"coupling": {"g_rad_s": 1.0e9}}, "coupling/g_rad_s"),
+        ("fig4b", {"coupling": {"g_rad_s": 0.0}}, "coupling/g_rad_s"),
         *((name, {"quantum": {"s_white_per_s": 5.0e6}}, "quantum/s_white_per_s")
           for name in ("fig1a", "fig1b", "fig4a", "fig4b")),
-    ], ids=["fig4a-coupling", "fig1a-quantum", "fig1b-quantum", "fig4a-quantum",
-            "fig4b-quantum"])
+    ], ids=["fig4a-coupling", "fig4b-no-coupling", "fig1a-quantum", "fig1b-quantum",
+            "fig4a-quantum", "fig4b-quantum"])
     def test_monte_carlo_figures_refuse_unread_config(self, tmp_path, monkeypatch, capsys,
                                                       name, cfg, path):
-        # fig4 couples only its coupled curves, and fig1 and fig4 have static
-        # noise only
+        # fig4 couples only its coupled curves, and at g = 0 fig4b's coupled
+        # curve would be its uncoupled one; fig1 and fig4 have static noise only
         def no_trajectories(*args, **kwargs):
             raise AssertionError("a trajectory ran")
 

@@ -218,7 +218,8 @@ def test_esd_cells_hold_the_computed_times(name):
     quiet_a, quiet_b = replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0)
     both, static, quantum = (
         sweep(over, grid, state, a, b, noise, t_max)
-        for a, b, noise in ((ad_a, ad_b, qn), (ad_a, ad_b, None), (quiet_a, quiet_b, qn))
+        for a, b, noise in ((ad_a, ad_b, qn), (ad_a, ad_b, replace(qn, s_white=0.0)),
+                            (quiet_a, quiet_b, qn))
     )
     want = [
         [value, *(e.time * ad_a.omega

@@ -55,23 +55,23 @@ class TestQuantumNoiseParams:
 
 class TestGibbsPopulations:
     def test_high_temperature_limit(self):
-        p = gibbs_populations(OMEGA, 1.0e6)
-        assert p.p0_inf == pytest.approx(0.5, abs=1e-6)
-        assert p.p1_inf == pytest.approx(0.5, abs=1e-6)
+        p0, p1 = gibbs_populations(OMEGA, 1.0e6)
+        assert p0 == pytest.approx(0.5, abs=1e-6)
+        assert p1 == pytest.approx(0.5, abs=1e-6)
 
     def test_low_temperature_ground_state(self):
-        p = gibbs_populations(OMEGA, 0.04)
-        assert p.p1_inf < 1e-8
-        assert p.p0_inf == pytest.approx(1.0, abs=1e-8)
-        assert p.p0_inf + p.p1_inf == pytest.approx(1.0, abs=1e-15)
+        p0, p1 = gibbs_populations(OMEGA, 0.04)
+        assert p1 < 1e-8
+        assert p0 == pytest.approx(1.0, abs=1e-8)
+        assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
 
     def test_population_difference_identity(self):
         from esdlab.constants import HBAR, K_B
 
         for omega, temp in ((1.0e10, 0.1), (5.0e10, 0.3), (2.0e11, 0.02)):
-            p = gibbs_populations(omega, temp)
+            p0, p1 = gibbs_populations(omega, temp)
             want = -math.tanh(HBAR * omega / (2.0 * K_B * temp))
-            assert p.p1_inf - p.p0_inf == pytest.approx(want, abs=1e-12)
+            assert p1 - p0 == pytest.approx(want, abs=1e-12)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ParameterError):

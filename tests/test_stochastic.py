@@ -9,6 +9,7 @@ from scipy import signal, stats
 from esdlab import stochastic
 from esdlab.adiabatic import AdiabaticParams, adiabatic_concurrence
 from esdlab.errors import ParameterError
+from esdlab.markov import QuantumNoiseParams, interplay_concurrence
 from esdlab.states import EWLParams, ewl_state
 from esdlab.stochastic import (
     CHUNK_SIZE,
@@ -595,6 +596,30 @@ class TestMonteCarlo:
         mc = monte_carlo_concurrence(ewl_state(state), cfg)
         spa = adiabatic_concurrence(mc.times, qubit, qubit, state)
         z = (mc.concurrence[1:] - spa[1:]) / mc.stderr[1:]
+        assert np.all(np.abs(z) <= 3.0), z
+
+    def test_markov_limit_matches_the_quantum_channel(self):
+        # four fluctuators switching at gamma = 5 omega: over omega t = 40
+        # (gamma t = 200) the bath is white on the qubit's scale, so at
+        # theta = pi/2 the engine must reproduce the weak-coupling channel at
+        # the telegraph spectrum S(omega) = sigma^2 4 gamma / (4 gamma^2 + omega^2),
+        # with populations relaxing to 1/2 (T = 1e6 K) and no static noise.
+        # At T = 1e6 K both flavors have the same channel curve.
+        omega, gamma, variance = 1.0, 5.0, 0.2
+        with pytest.warns(UserWarning, match="static-path treatment degrades"):
+            bath = AdiabaticParams(omega=omega, theta=math.pi / 2, sigma=math.sqrt(variance),
+                                   gamma_min=gamma, gamma_max=gamma * (1.0 + 1e-6))
+        cfg = SimConfig(qubit_a=bath, qubit_b=bath, n_trajectories=1024, t_max=40.0 / omega,
+                        n_samples=9, seed=20110, n_fluctuators=4)
+        state = EWLParams(1.0, INV_SQRT2, "psi")
+        mc = monte_carlo_concurrence(ewl_state(state), cfg)
+        s_omega = variance * 4.0 * gamma / (4.0 * gamma**2 + omega**2)
+        quiet = AdiabaticParams(omega=omega, theta=math.pi / 2, sigma=0.0)
+        channel = interplay_concurrence(
+            mc.times, state, quiet, quiet, QuantumNoiseParams(s_white=s_omega, temperature=1.0e6)
+        )
+        assert channel[-1] < 0.1  # the channel has decayed most of the way
+        z = (mc.concurrence[1:] - channel[1:]) / mc.stderr[1:]
         assert np.all(np.abs(z) <= 3.0), z
 
 
