@@ -13,12 +13,7 @@ from .adiabatic import (
     esd_time_optimal,
     spa_kernel,
 )
-from .analysis import (
-    ESDResult,
-    SweepRow,
-    find_crossing_time,
-    sweep,
-)
+from .analysis import find_crossing_time, sweep
 from .markov import (
     QuantumNoiseParams,
     coherence_factor,

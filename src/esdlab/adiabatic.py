@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .states import EWLParams, ewl_concurrence
 
 __all__ = [
     "AdiabaticParams",
-    "ESDResult",
     "spa_kernel",
     "adiabatic_concurrence",
     "esd_time_optimal",
@@ -110,38 +108,14 @@ def adiabatic_concurrence(
     return ewl_concurrence(state, m, m)
 
 
-@dataclass(frozen=True)
-class ESDResult:
-    """Disentanglement time of a concurrence curve.
-
-    ``time`` is ``math.inf`` only for a proven never: a closed form for an
-    entangled pure state (r = 1, |ab| > 0), or for any entangled state
-    without static noise (sigma = 0), whose concurrence stays constant. It
-    is ``math.nan`` when no zero was found: a search reached t_max, or a
-    closed-form time lies past float range. ``never_entangled`` marks an
-    initial state that is already separable (time 0). ``method`` is
-    "closed_form" or "bisection" (the array search of
-    :func:`esdlab.analysis.find_crossing_time`, which splits its bracket in
-    64 parts per curve call); ``bracket`` encloses a found root and is None
-    otherwise.
-    """
-
-    time: float
-    bracket: tuple[float, float] | None
-    method: str
-    never_entangled: bool = False
-
-
-_closed_form = partial(ESDResult, bracket=None, method="closed_form")
-
-
-def esd_time_optimal(state: EWLParams, sigma: float, omega: float) -> ESDResult:
+def esd_time_optimal(state: EWLParams, sigma: float, omega: float) -> float:
     """Closed-form disentanglement time for two identical qubits at theta=pi/2.
 
-    ``t = (omega / sigma^2) sqrt(16 |ab|^2 r^2 / (1-r)^2 - 1)``. Entangled
-    pure states (r=1) never disentangle under this channel, nor does any
-    entangled state at sigma = 0; states with zero concurrence at t=0 start
-    separable.
+    ``t = (omega / sigma^2) sqrt(16 |ab|^2 r^2 / (1-r)^2 - 1)``. The time is
+    0.0 for a state with zero concurrence at t=0 (separable from the start),
+    ``math.inf`` for a proven never: an entangled pure state (r=1, |ab| > 0),
+    or any entangled state at sigma = 0, whose concurrence stays constant.
+    It is ``math.nan`` when no zero was found: the time lies past float range.
     """
     if sigma < 0.0 or omega <= 0.0:
         raise ParameterError("sigma must be non-negative and omega positive")
@@ -150,11 +124,12 @@ def esd_time_optimal(state: EWLParams, sigma: float, omega: float) -> ESDResult:
     )
 
 
-def esd_time_dephasing(state: EWLParams, sigma: float) -> ESDResult:
+def esd_time_dephasing(state: EWLParams, sigma: float) -> float:
     """Closed-form disentanglement time for two identical qubits at theta=0.
 
     ``t = sqrt(ln(4 |ab| r / (1-r))) / sigma``, finite when the log argument
-    exceeds 1 and sigma > 0.
+    exceeds 1 and sigma > 0. 0.0, ``inf`` and ``nan`` mean what they mean
+    for :func:`esd_time_optimal`.
     """
     if sigma < 0.0:
         raise ParameterError("sigma must be non-negative")
@@ -163,15 +138,15 @@ def esd_time_dephasing(state: EWLParams, sigma: float) -> ESDResult:
     )
 
 
-def _esd_closed_form(state: EWLParams, sigma: float, formula) -> ESDResult:
+def _esd_closed_form(state: EWLParams, sigma: float, formula) -> float:
     # Both closed forms share the same regime logic; `ratio` is |ab| r / (1 - r).
     r = state.r
     if ewl_concurrence(state, 1.0, 1.0) <= 0.0:  # the curve's own C(0): separable at t=0
-        return _closed_form(time=0.0, never_entangled=True)
+        return 0.0
     # an entangled pure state's concurrence stays positive, and without
     # static noise every concurrence stays at its initial value
     if r >= 1.0 or sigma == 0.0:
-        return _closed_form(time=math.inf)
+        return math.inf
     # C(0) > 0 means K(0) = fl(r |ab|) - sqrt(fl(1 - r)^2 / 16) > 0, and in
     # binary floating point sqrt(x*x) is x, so fl(r |ab|) > fl(1 - r) / 4.
     # Rounding the quotient is monotone, so ratio >= 1/4: both radicands,
@@ -182,4 +157,4 @@ def _esd_closed_form(state: EWLParams, sigma: float, formula) -> ESDResult:
     except ZeroDivisionError:  # sigma^2 underflowed to 0
         time = math.inf
     # a time past float range is not a proven never: no zero was found
-    return _closed_form(time=time if math.isfinite(time) else math.nan)
+    return time if math.isfinite(time) else math.nan

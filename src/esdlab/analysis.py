@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .adiabatic import (
     AdiabaticParams,
-    ESDResult,
     adiabatic_concurrence,
     esd_time_dephasing,
     esd_time_optimal,
@@ -31,22 +30,22 @@ from .markov import QuantumNoiseParams, interplay_concurrence
 from .states import EWLParams
 
 __all__ = [
-    "ESDResult",
-    "SweepRow",
     "find_crossing_time",
     "sweep",
 ]
 
 
-def find_crossing_time(c, t_max: float) -> ESDResult:
+def find_crossing_time(c, t_max: float) -> float:
     """First time a concurrence function drops to zero.
 
     ``c`` must map a 1-d array of times to an array of values. It is
     scanned on a logarithmic grid of 10^4 points (plus t=0), and the first
-    sign-change bracket, c(lo) > 0 >= c(hi), is narrowed ("bisection") to
-    relative width ``ESD_RELATIVE_TOL`` by evaluating its interior in 64
-    parts per call; a scan value positive after the first zero warns. No
-    zero by t_max gives ``time = nan``: not found, not never.
+    sign-change bracket, c(lo) > 0 >= c(hi), is narrowed to relative width
+    ``ESD_RELATIVE_TOL`` by evaluating its interior in 64 parts per call;
+    the midpoint of the last bracket is returned. A scan value positive
+    after the first zero warns. The time is 0.0 when c(0) <= 0 (separable
+    from the start) and ``nan`` when no zero was found by t_max: not found,
+    not never. A search never proves a never, so it never returns ``inf``.
     """
     if t_max <= 0.0:
         raise ParameterError("t_max must be positive")
@@ -57,10 +56,10 @@ def find_crossing_time(c, t_max: float) -> ESDResult:
     if vals[0] < -1e-12:
         raise ParameterError("concurrence must start non-negative")
     if vals[0] <= 0.0:
-        return ESDResult(time=0.0, bracket=(0.0, 0.0), method="bisection", never_entangled=True)
+        return 0.0
     i = _first_zero(vals)
     if i == grid.size:
-        return ESDResult(time=math.nan, bracket=None, method="bisection")
+        return math.nan
     if np.any(vals[i + 1:] > 0.0):
         warnings.warn("concurrence recovers after its first zero; reported time is "
                       "the first touch, not a permanent loss", stacklevel=2)
@@ -74,7 +73,7 @@ def find_crossing_time(c, t_max: float) -> ESDResult:
         edges = np.concatenate([[lo], inner, [hi]])
         j = _first_zero(np.asarray(c(inner), dtype=float)) + 1
         lo, hi = edges[j - 1], edges[j]
-    return ESDResult(time=0.5 * (lo + hi), bracket=(lo, hi), method="bisection")
+    return float(0.5 * (lo + hi))
 
 
 def _first_zero(vals: np.ndarray) -> int:
@@ -87,15 +86,6 @@ def _first_zero(vals: np.ndarray) -> int:
 # sweeps
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Disentanglement times of both flavors for one grid value."""
-
-    value: float
-    esd_phi: ESDResult
-    esd_psi: ESDResult
-
-
 def _with_value(state: EWLParams, over: str, value: float) -> EWLParams:
     if over == "r":
         return replace(state, r=float(value))
@@ -104,7 +94,7 @@ def _with_value(state: EWLParams, over: str, value: float) -> EWLParams:
     return replace(state, a=math.sqrt(value))
 
 
-def _adiabatic_closed_form(state, ad_a, ad_b) -> ESDResult | None:
+def _adiabatic_closed_form(state, ad_a, ad_b) -> float | None:
     symmetric = (
         ad_a.theta == ad_b.theta
         and ad_a.sigma == ad_b.sigma
@@ -127,15 +117,17 @@ def sweep(
     ad_b: AdiabaticParams,
     qn: QuantumNoiseParams,
     t_max: float,
-) -> list[SweepRow]:
-    """Disentanglement times over a parameter grid.
+) -> np.ndarray:
+    """Disentanglement times over a parameter grid, as a ``(2, len(grid))``
+    array: row 0 the phi flavor, row 1 psi, columns in grid order.
 
     ``over`` selects the swept quantity ("r" or "a2"); all other parameters
     stay fixed. With ``qn.s_white == 0`` only the low-frequency noise acts:
     the result is flavor independent and comes from a closed form where one
     exists, else from a search on :func:`adiabatic_concurrence`. Any other
     ``qn`` searches each flavor on the composed channel,
-    :func:`interplay_concurrence`. Rows come back in grid order.
+    :func:`interplay_concurrence`. A time is 0.0, ``inf`` or ``nan`` as
+    :func:`find_crossing_time` and the closed forms say.
     """
     if over not in ("r", "a2"):
         raise ParameterError(f"sweep variable must be 'r' or 'a2', got {over!r}")
@@ -145,21 +137,18 @@ def sweep(
     if not grid:
         raise ParameterError("sweep grid must not be empty")
 
-    rows = []
-    for value in grid:
+    times = np.empty((2, len(grid)))
+    for k, value in enumerate(grid):
         s = _with_value(state, over, value)
         if qn.s_white == 0.0:
-            esd = _adiabatic_closed_form(s, ad_a, ad_b) or find_crossing_time(
-                lambda t, s=s: adiabatic_concurrence(t, ad_a, ad_b, s), t_max
-            )
-            rows.append(SweepRow(value, esd, esd))
+            esd = _adiabatic_closed_form(s, ad_a, ad_b)
+            if esd is None:
+                esd = find_crossing_time(lambda t: adiabatic_concurrence(t, ad_a, ad_b, s), t_max)
+            times[:, k] = esd
             continue
-        phi, psi = (
-            find_crossing_time(
-                lambda t, sf=replace(s, flavor=f): interplay_concurrence(t, sf, ad_a, ad_b, qn),
-                t_max,
+        for row, flavor in enumerate(("phi", "psi")):
+            sf = replace(s, flavor=flavor)
+            times[row, k] = find_crossing_time(
+                lambda t: interplay_concurrence(t, sf, ad_a, ad_b, qn), t_max
             )
-            for f in ("phi", "psi")
-        )
-        rows.append(SweepRow(value, phi, psi))
-    return rows
+    return times

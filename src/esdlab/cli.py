@@ -296,16 +296,12 @@ def _esd_columns(label: str, over: str, grid: np.ndarray, cfg: dict) -> dict[str
     quantum = sweep(
         over, grid, state, replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0), qn, t_max
     )
-
-    def omega_t(e) -> float:  # a finite time past float range in omega_t is not found either
-        wt = e.time * omega
-        return wt if math.isfinite(wt) or e.time == math.inf else math.nan
-
-    cells = np.array([
-        [omega_t(e) for e in (c.esd_phi, c.esd_psi, s.esd_phi, q.esd_phi, q.esd_psi)]
-        for c, s, q in zip(combined, static, quantum)
-    ])
-    return {label: grid, **dict(zip(_ESD_COLUMNS, cells.T))}
+    times = np.vstack([combined, static[:1], quantum])
+    with np.errstate(over="ignore"):
+        cells = times * omega
+    # a finite time past float range in omega_t is not found either
+    cells[np.isinf(cells) & np.isfinite(times)] = math.nan
+    return {label: grid, **dict(zip(_ESD_COLUMNS, cells))}
 
 
 def _fig2(cfg: dict):
@@ -413,6 +409,10 @@ FIGURES: dict[str, Figure] = {
 
 
 def cmd_concurrence(args) -> int:
+    out = Path(args.out)
+    if args.gnuplot and out.with_suffix(".gp") == out:
+        raise ParameterError(f"--out {out} is the path of the --gnuplot script, which would "
+                             "overwrite the CSV; give the CSV another suffix")
     cfg = load_config(args.preset, args.config)
     state = _state_from(cfg)
     omega_t, times = _time_grid(cfg)
@@ -428,7 +428,6 @@ def cmd_concurrence(args) -> int:
             values = interplay_concurrence(times, state, ad_a, ad_b, _quantum_from(cfg))
         cols = {"omega_t": omega_t, "concurrence": values}
 
-    out = Path(args.out)
     write_csv(out, cols)
     if args.gnuplot:
         _write_gnuplot(out, cols)
@@ -446,12 +445,14 @@ def cmd_esd(args) -> int:
 
 def cmd_psd(args) -> int:
     cfg = load_config(None, args.config)
-    qa = _qubit_from(cfg, "a")
+    # load_config has checked these fields; the PSD needs no AdiabaticParams,
+    # whose static-path warning does not apply to it
+    q = cfg["qubit_a"]
     ens = sample_ensemble(
         cfg["sim"]["fluctuators"],
-        qa.gamma_min,
-        qa.gamma_max,
-        qa.sigma,
+        q["gamma_min_hz"],
+        q["gamma_max_hz"],
+        q["sigma_rad_s"],
         cfg["sim"]["seed"],
     )
     est = psd_estimate(

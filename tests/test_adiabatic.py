@@ -121,44 +121,40 @@ class TestAdiabaticConcurrence:
 
 class TestClosedFormEsdTimes:
     def test_pure_state_infinite(self):
-        res = esd_time_optimal(EWLParams(1.0, INV_SQRT2), 2.0e9, OMEGA)
-        assert res.time == math.inf
-        res = esd_time_dephasing(EWLParams(1.0, INV_SQRT2), 2.0e9)
-        assert res.time == math.inf
+        assert esd_time_optimal(EWLParams(1.0, INV_SQRT2), 2.0e9, OMEGA) == math.inf
+        assert esd_time_dephasing(EWLParams(1.0, INV_SQRT2), 2.0e9) == math.inf
 
     def test_critical_purity_boundary(self):
         a = INV_SQRT2
         r_star = critical_purity(a)
-        res = esd_time_optimal(EWLParams(r_star, a), 2.0e9, OMEGA)
-        assert res.time == 0.0 and res.never_entangled
-        res = esd_time_dephasing(EWLParams(r_star, a), 2.0e9)
-        assert res.time == 0.0 and res.never_entangled
+        assert esd_time_optimal(EWLParams(r_star, a), 2.0e9, OMEGA) == 0.0
+        assert esd_time_dephasing(EWLParams(r_star, a), 2.0e9) == 0.0
 
     def test_optimal_point_value(self):
         # radicand 16 |ab|^2 r^2/(1-r)^2 - 1 = 323 at r=0.9, a=1/sqrt2
         res = esd_time_optimal(EWLParams(0.9, INV_SQRT2), 0.02 * OMEGA, OMEGA)
-        assert res.time * OMEGA == pytest.approx(2500.0 * math.sqrt(323.0), rel=1e-14)
+        assert res * OMEGA == pytest.approx(2500.0 * math.sqrt(323.0), rel=1e-14)
 
     def test_dephasing_value(self):
         sigma = 0.02 * OMEGA
         res = esd_time_dephasing(EWLParams(0.9, INV_SQRT2), sigma)
-        assert res.time * sigma == pytest.approx(math.sqrt(math.log(18.0)), rel=1e-14)
+        assert res * sigma == pytest.approx(math.sqrt(math.log(18.0)), rel=1e-14)
 
     def test_concurrence_vanishes_at_root(self):
         sigma = 0.02 * OMEGA
         p_opt = params(math.pi / 2)
         p_deph = params(0.0)
         s = EWLParams(0.9, INV_SQRT2)
-        t_opt = esd_time_optimal(s, sigma, OMEGA).time
-        t_deph = esd_time_dephasing(s, sigma).time
+        t_opt = esd_time_optimal(s, sigma, OMEGA)
+        t_deph = esd_time_dephasing(s, sigma)
         assert adiabatic_concurrence(t_opt, p_opt, p_opt, s) <= 1e-9 * 0.85
         assert adiabatic_concurrence(t_deph, p_deph, p_deph, s) <= 1e-9 * 0.85
 
     def test_optimal_point_outlives_dephasing(self):
         # dimensionless comparison at sigma/omega = 0.02
         s = EWLParams(0.9, INV_SQRT2)
-        t_opt = esd_time_optimal(s, 0.02 * OMEGA, OMEGA).time * OMEGA
-        t_deph = esd_time_dephasing(s, 0.02 * OMEGA).time * OMEGA
+        t_opt = esd_time_optimal(s, 0.02 * OMEGA, OMEGA) * OMEGA
+        t_deph = esd_time_dephasing(s, 0.02 * OMEGA) * OMEGA
         assert t_opt > t_deph
 
     def test_no_static_noise_never_disentangles(self):
@@ -166,8 +162,7 @@ class TestClosedFormEsdTimes:
         for r, separable in ((0.3, True), (0.9, False), (1.0, False)):
             s = EWLParams(r, INV_SQRT2)
             for res in (esd_time_optimal(s, 0.0, OMEGA), esd_time_dephasing(s, 0.0)):
-                assert res.never_entangled == separable
-                assert res.time == (0.0 if separable else math.inf)
+                assert res == (0.0 if separable else math.inf)
 
     def test_time_past_float_range_is_not_found(self):
         # omega / sigma^2 overflows at sigma = 1e-150, and sigma^2 underflows
@@ -175,7 +170,7 @@ class TestClosedFormEsdTimes:
         s = EWLParams(0.9, INV_SQRT2)
         for res in (esd_time_optimal(s, 1e-150, OMEGA), esd_time_optimal(s, 1e-170, OMEGA),
                     esd_time_dephasing(s, 5e-324)):
-            assert math.isnan(res.time) and not res.never_entangled
+            assert math.isnan(res)
 
     def test_rejects_negative_sigma(self):
         s = EWLParams(0.9, INV_SQRT2)
@@ -185,8 +180,7 @@ class TestClosedFormEsdTimes:
             esd_time_dephasing(s, -1.0)
 
     def test_never_entangled_below_threshold(self):
-        res = esd_time_optimal(EWLParams(0.2, INV_SQRT2), 2.0e9, OMEGA)
-        assert res.never_entangled and res.time == 0.0
+        assert esd_time_optimal(EWLParams(0.2, INV_SQRT2), 2.0e9, OMEGA) == 0.0
 
     def test_separability_boundary(self):
         # r* = 1/(1 + 4|ab|) and 1-3 ulp either side, where rounding decides
@@ -204,9 +198,8 @@ class TestClosedFormEsdTimes:
             s = EWLParams(r, math.sqrt(a2))
             separable = adiabatic_concurrence(0.0, p, p, s) == 0.0
             for res in (esd_time_optimal(s, 2.0e9, OMEGA), esd_time_dephasing(s, 2.0e9)):
-                assert (res.time == math.inf) == (r == 1.0 and s.ab_mod > 0.0), (r, a2)
-                assert res.never_entangled == separable, (r, a2)
-                assert res.never_entangled == (res.time == 0.0), (r, a2)
+                assert (res == math.inf) == (r == 1.0 and s.ab_mod > 0.0), (r, a2)
+                assert (res == 0.0) == separable, (r, a2)
 
 
 class TestParams:

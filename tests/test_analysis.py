@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esdlab.adiabatic import (
     AdiabaticParams,
@@ -53,41 +55,49 @@ def _searched_curves():
 SEARCHED = _searched_curves()
 
 
+def assert_brackets_root(curve, t):
+    """The curve is positive at t(1 - tol) and not above zero at t(1 + tol).
+
+    A search returns the midpoint of a bracket c(lo) > 0 >= c(hi) with
+    hi - lo <= tol * hi, so on a decaying curve both points lie outside it.
+    """
+    below, above = curve(np.array([t * (1.0 - ESD_RELATIVE_TOL), t * (1.0 + ESD_RELATIVE_TOL)]))
+    assert below > 0.0 >= above
+
+
 class TestFindEsdTime:
     def test_matches_optimal_closed_form(self):
         p = qubit(math.pi / 2)
         s = EWLParams(0.9, INV_SQRT2)
         fn = lambda t: adiabatic_concurrence(t, p, p, s)
         res = find_crossing_time(fn, 1.0e6 / OMEGA)
-        want = esd_time_optimal(s, p.sigma, OMEGA).time
-        assert res.method == "bisection"
-        assert abs(res.time - want) <= 1e-9 * want
+        want = esd_time_optimal(s, p.sigma, OMEGA)
+        assert type(res) is float and type(want) is float
+        assert res != want  # a search, not the closed form
+        assert abs(res - want) <= 1e-9 * want
 
     def test_matches_dephasing_closed_form(self):
         p = qubit(0.0)
         s = EWLParams(0.7, 0.6)
         fn = lambda t: adiabatic_concurrence(t, p, p, s)
         res = find_crossing_time(fn, 10.0 / p.sigma)
-        want = esd_time_dephasing(s, p.sigma).time
-        assert abs(res.time - want) <= 1e-9 * want
+        want = esd_time_dephasing(s, p.sigma)
+        assert abs(res - want) <= 1e-9 * want
 
     def test_constant_curve_never_crosses(self):
         # a search that reaches t_max found no zero; that proves no never
         res = find_crossing_time(lambda t: 0.5 * np.ones_like(np.asarray(t, dtype=float)), 1.0)
-        assert math.isnan(res.time) and res.bracket is None
+        assert math.isnan(res)
 
     def test_initially_separable_flagged(self):
         res = find_crossing_time(lambda t: np.zeros_like(np.asarray(t, dtype=float)), 1.0)
-        assert res.time == 0.0 and res.never_entangled
+        assert res == 0.0
 
     def test_bracket_contains_root(self):
         p = qubit(math.pi / 2)
         s = EWLParams(0.85, INV_SQRT2)
         fn = lambda t: adiabatic_concurrence(t, p, p, s)
-        res = find_crossing_time(fn, 1.0e6 / OMEGA)
-        lo, hi = res.bracket
-        assert lo <= res.time <= hi
-        assert fn(lo) > 0.0 >= fn(hi)
+        assert_brackets_root(fn, find_crossing_time(fn, 1.0e6 / OMEGA))
 
     @pytest.mark.parametrize("name", SEARCHED)
     def test_matches_scalar_bisection(self, name):
@@ -100,10 +110,8 @@ class TestFindEsdTime:
 
         res = find_crossing_time(c, t_max)
         want, _, _ = bisect_first_zero(curve, t_max)
-        assert abs(res.time - want) <= ESD_RELATIVE_TOL * want
-        lo, hi = res.bracket
-        assert lo <= res.time <= hi and hi - lo <= ESD_RELATIVE_TOL * hi
-        assert curve(np.array([lo]))[0] > 0.0 >= curve(np.array([hi]))[0]
+        assert abs(res - want) <= ESD_RELATIVE_TOL * want
+        assert_brackets_root(curve, res)
         # the scan and at most four narrowing calls, each on a 1-d array
         assert len(shapes) <= 5 and all(len(shape) == 1 for shape in shapes)
 
@@ -113,20 +121,38 @@ class TestFindEsdTime:
                 raise TypeError("this curve takes a 1-d array of times")
             return np.clip(1.0 - t, 0.0, 1.0)
 
-        assert find_crossing_time(c, 2.0).time == pytest.approx(1.0, rel=ESD_RELATIVE_TOL)
+        assert find_crossing_time(c, 2.0) == pytest.approx(1.0, rel=ESD_RELATIVE_TOL)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(log_t_max=st.floats(-12.0, 6.0), u=st.floats(-14.0, 0.0))
+    def test_finds_the_root_of_a_ramp_at_any_depth(self, log_t_max, u):
+        # roots down to 1e-14 t_max, below the scan's first nonzero time t_max 1e-12
+        t_max = 10.0**log_t_max
+        t0 = t_max * 10.0**u
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = find_crossing_time(lambda t: np.clip(1.0 - t / t0, 0.0, 1.0), t_max)
+        assert abs(res - t0) <= ESD_RELATIVE_TOL * t0
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(log_t_max=st.floats(-12.0, 6.0), u=st.floats(1e-6, 6.0))
+    def test_a_ramp_past_t_max_is_not_found(self, log_t_max, u):
+        t_max = 10.0**log_t_max
+        t0 = t_max * 10.0**u
+        assert math.isnan(find_crossing_time(lambda t: np.clip(1.0 - t / t0, 0.0, 1.0), t_max))
 
     def test_revival_after_the_first_zero_warns(self):
         # zero on [0.3, 0.6], positive again after it
         c = lambda t: np.clip(np.abs(t - 0.45) - 0.15, 0.0, None)
         with pytest.warns(UserWarning, match="recovers"):
             res = find_crossing_time(c, 1.0)
-        assert res.time == pytest.approx(0.3, rel=1e-8)
+        assert res == pytest.approx(0.3, rel=1e-8)
 
     def test_monotone_decay_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = find_crossing_time(lambda t: np.clip(1.0 - t, 0.0, 1.0), 2.0)
-        assert res.time == pytest.approx(1.0, rel=ESD_RELATIVE_TOL)
+        assert res == pytest.approx(1.0, rel=ESD_RELATIVE_TOL)
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ParameterError):
@@ -141,40 +167,34 @@ class TestFindEsdTime:
 class TestSweep:
     def test_r_sweep_adiabatic_monotone(self):
         p = qubit(math.pi / 2)
-        rows = sweep(
-            "r",
-            [0.5, 0.6, 0.7, 0.8, 0.9],
-            EWLParams(0.9, INV_SQRT2),
-            p,
-            p,
-            OFF,
-            t_max=1.0e7 / OMEGA,
-        )
-        times = [row.esd_phi.time for row in rows]
-        assert all(b > a for a, b in zip(times, times[1:]))
-        assert all(row.esd_phi.method == "closed_form" for row in rows)
-        assert [row.value for row in rows] == [0.5, 0.6, 0.7, 0.8, 0.9]
+        grid = [0.5, 0.6, 0.7, 0.8, 0.9]
+        times = sweep("r", grid, EWLParams(0.9, INV_SQRT2), p, p, OFF, t_max=1.0e7 / OMEGA)
+        assert times.shape == (2, len(grid)) and times.dtype == float
+        assert np.all(np.diff(times[0]) > 0.0)
+        # the closed form, bit for bit, in grid order
+        assert times[0].tolist() == [
+            esd_time_optimal(EWLParams(r, INV_SQRT2), p.sigma, OMEGA) for r in grid
+        ]
 
     def test_pure_state_row_infinite(self):
         p = qubit(math.pi / 2)
-        rows = sweep(
+        times = sweep(
             "r", [1.0], EWLParams(0.9, INV_SQRT2), p, p, OFF,
             t_max=1.0e7 / OMEGA,
         )
-        assert rows[0].esd_phi.time == math.inf
+        assert times.tolist() == [[math.inf], [math.inf]]
 
     def test_zero_amplitude_row_never_entangled(self):
         p = qubit(math.pi / 2)
-        rows = sweep(
+        times = sweep(
             "a2", [0.0], EWLParams(0.9, INV_SQRT2), p, p, OFF,
             t_max=1.0e6 / OMEGA,
         )
-        assert rows[0].esd_phi.never_entangled
-        assert rows[0].esd_phi.time == 0.0
+        assert times.tolist() == [[0.0], [0.0]]
 
     def test_interplay_flavor_ordering(self):
         p = qubit(math.pi / 2)
-        rows = sweep(
+        phi, psi = sweep(
             "r",
             [0.91, 0.95, 1.0],
             EWLParams(0.9, INV_SQRT2),
@@ -183,10 +203,8 @@ class TestSweep:
             QN,
             t_max=1.0e7 / OMEGA,
         )
-        for row in rows:
-            assert math.isfinite(row.esd_phi.time)
-            assert math.isfinite(row.esd_psi.time)
-            assert row.esd_phi.time >= row.esd_psi.time
+        assert np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))
+        assert np.all(phi >= psi)
 
     def test_static_search_without_closed_form(self):
         # no closed form for a detuned pair (qubit B 20% above A, as in fig4)
@@ -197,27 +215,25 @@ class TestSweep:
         state = EWLParams(0.9, INV_SQRT2)
         grid = [0.6, 0.8, 0.95]
         for ad_b in (detuned, p):
-            rows = sweep("r", grid, state, p, ad_b, OFF, t_max=t_max)
-            for row in rows:
-                s = EWLParams(row.value, INV_SQRT2)
+            times = sweep("r", grid, state, p, ad_b, OFF, t_max=t_max)
+            for value, (phi, psi) in zip(grid, times.T):
+                s = EWLParams(value, INV_SQRT2)
                 want = find_crossing_time(
                     lambda t: adiabatic_concurrence(t, p, ad_b, s), t_max
                 )
-                assert row.esd_phi == want and row.esd_psi == want
-                assert want.method == "bisection" and math.isfinite(want.time)
+                assert phi == want and psi == want
+                assert math.isfinite(want)
 
     def test_quantum_noise_off_takes_the_static_path(self):
         # s_white = 0 leaves the static noise alone, which has a closed form,
         # so a switched-off channel on quiet qubits is a proven never
         p = qubit(math.pi / 2)
         state, grid, t_max = EWLParams(0.9, INV_SQRT2), [0.6, 0.9], 1.0e6 / OMEGA
-        for row in sweep("r", grid, state, p, p, OFF, t_max):
-            want = esd_time_optimal(EWLParams(row.value, INV_SQRT2), p.sigma, OMEGA)
-            assert row.esd_phi == row.esd_psi == want
-            assert want.method == "closed_form"
+        for value, (phi, psi) in zip(grid, sweep("r", grid, state, p, p, OFF, t_max).T):
+            # bit equality with the closed form, which a search misses by >= 2e-12
+            assert phi == psi == esd_time_optimal(EWLParams(value, INV_SQRT2), p.sigma, OMEGA)
         quiet = replace(p, sigma=0.0)
-        for row in sweep("r", grid, state, quiet, quiet, OFF, t_max):
-            assert row.esd_phi.time == row.esd_psi.time == math.inf
+        assert np.all(sweep("r", grid, state, quiet, quiet, OFF, t_max) == math.inf)
 
     def test_rejects_unknown_variable_and_empty_grid(self):
         p = qubit(math.pi / 2)

@@ -68,6 +68,15 @@ class TestConcurrence:
         assert "set datafile separator ','" in lines
         assert lines[-1] == "plot 'mc.csv' using 1:2 with lines, 'mc.csv' using 1:3 with lines"
 
+    def test_gnuplot_script_over_the_csv_exits_2(self, tmp_path, capsys):
+        # the script goes to --out with a .gp suffix, which here is the CSV itself
+        out = tmp_path / "x.gp"
+        argv = ["concurrence", "--channel", "adiabatic", "--gnuplot", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out} is the path of the --gnuplot script" in err
+        assert not out.exists()
+
     def test_montecarlo_time_column_is_the_shared_grid(self, tmp_path):
         # 11 samples over omega_t = 5e3: seconds times omega gave 1500.0000000000002
         cfg = write_config(tmp_path, {"sim": {"trajectories": 2, "samples": 11,
@@ -226,6 +235,17 @@ def test_psd(tmp_path, capsys):
     assert len(rows) == 100  # 200 samples -> 100 positive frequencies
     assert_cells_round_trip(rows)
     assert capsys.readouterr().out.startswith("1/f fit: slope ")
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_psd_does_not_warn_about_the_static_path(tmp_path):
+    # sigma/omega = 0.5 degrades the static-path average, which the PSD does not use
+    out = tmp_path / "psd.csv"
+    argv = ["psd", "--config", write_config(tmp_path, {"qubit_a": {"sigma_rad_s": 5e10}}),
+            "--realizations", "100", "--t-max-s", "0.002", "--sample-hz", "1e5",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert len(read_csv(out)[1]) == 100
 
 
 def test_psd_without_low_frequency_noise(tmp_path, capsys):

@@ -221,11 +221,9 @@ def test_esd_cells_hold_the_computed_times(name):
         for a, b, noise in ((ad_a, ad_b, qn), (ad_a, ad_b, replace(qn, s_white=0.0)),
                             (quiet_a, quiet_b, qn))
     )
-    want = [
-        [value, *(e.time * ad_a.omega
-                  for e in (b.esd_phi, b.esd_psi, s.esd_phi, q.esd_phi, q.esd_psi))]
-        for value, b, s, q in zip(grid, both, static, quantum)
-    ]
+    # phi and psi with both noises, the static time, phi and psi with quantum noise only
+    times = np.vstack([both, static[:1], quantum]) * ad_a.omega
+    want = [[value, *cells] for value, cells in zip(grid, times.T.tolist())]
     header, rows = read_golden(name)
     assert header == ["sweep_value", "omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic",
                       "omega_t_esd_quantum_phi", "omega_t_esd_quantum_psi"]
