@@ -27,7 +27,6 @@ from .adiabatic import (
 from .constants import ESD_RELATIVE_TOL
 from .errors import ParameterError
 from .markov import QuantumNoiseParams, interplay_concurrence
-from .states import EWLParams
 
 __all__ = [
     "find_crossing_time",
@@ -86,14 +85,6 @@ def _first_zero(vals: np.ndarray) -> int:
 # sweeps
 
 
-def _with_value(state: EWLParams, over: str, value: float) -> EWLParams:
-    if over == "r":
-        return replace(state, r=float(value))
-    if value < 0.0 or value > 1.0:
-        raise ParameterError("a2 grid values must lie in [0, 1]")
-    return replace(state, a=math.sqrt(value))
-
-
 def _adiabatic_closed_form(state, ad_a, ad_b) -> float | None:
     symmetric = (
         ad_a.theta == ad_b.theta
@@ -110,36 +101,30 @@ def _adiabatic_closed_form(state, ad_a, ad_b) -> float | None:
 
 
 def sweep(
-    over: str,
-    grid,
-    state: EWLParams,
+    states,
     ad_a: AdiabaticParams,
     ad_b: AdiabaticParams,
     qn: QuantumNoiseParams,
     t_max: float,
 ) -> np.ndarray:
-    """Disentanglement times over a parameter grid, as a ``(2, len(grid))``
-    array: row 0 the phi flavor, row 1 psi, columns in grid order.
+    """Disentanglement times of each of ``states``, as a ``(2, len(states))``
+    array: row 0 the phi flavor, row 1 psi, columns in the given order. A
+    state's own flavor is not read.
 
-    ``over`` selects the swept quantity ("r" or "a2"); all other parameters
-    stay fixed. With ``qn.s_white == 0`` only the low-frequency noise acts:
-    the result is flavor independent and comes from a closed form where one
-    exists, else from a search on :func:`adiabatic_concurrence`. Any other
-    ``qn`` searches each flavor on the composed channel,
+    With ``qn.s_white == 0`` only the low-frequency noise acts: the result is
+    flavor independent and comes from a closed form where one exists, else
+    from a search on :func:`adiabatic_concurrence`. Any other ``qn``
+    searches each flavor on the composed channel,
     :func:`interplay_concurrence`. A time is 0.0, ``inf`` or ``nan`` as
     :func:`find_crossing_time` and the closed forms say.
     """
-    if over not in ("r", "a2"):
-        raise ParameterError(f"sweep variable must be 'r' or 'a2', got {over!r}")
     if t_max <= 0.0:
         raise ParameterError("t_max must be positive")
-    grid = [float(v) for v in grid]
-    if not grid:
-        raise ParameterError("sweep grid must not be empty")
+    if not states:
+        raise ParameterError("sweep needs at least one state")
 
-    times = np.empty((2, len(grid)))
-    for k, value in enumerate(grid):
-        s = _with_value(state, over, value)
+    times = np.empty((2, len(states)))
+    for k, s in enumerate(states):
         if qn.s_white == 0.0:
             esd = _adiabatic_closed_form(s, ad_a, ad_b)
             if esd is None:

@@ -21,11 +21,13 @@ Config contract: a scenario has exactly the sections and fields of
 makes an integer field; ``state.flavor`` is "phi" or "psi"), a finite value
 and the range ``_BOUNDS`` gives it, and each qubit's gamma_min_hz lies below
 its gamma_max_hz; every command checks both qubits. Any violation in the
-config file exits 2 with ``invalid config at <path>: ...``. The closed-form
-channels (all but ``--channel montecarlo`` and fig4) also exit 2 unless
-g_rad_s is 0. Fig. 4's resonant curves take qubit A twice and its detuned
-ones read qubit_b, which its presets set 20% above qubit A; it exits 2
-unless g_rad_s is nonzero exactly when one of its curves is coupled.
+config file exits 2 with ``invalid config at <path>: ...``, and so does a
+swept value (``esd --from``/``--to``), checked as the state field it
+replaces. The closed-form channels (all but ``--channel montecarlo`` and
+fig4) also exit 2 unless g_rad_s is 0. Fig. 4's resonant curves take qubit
+A twice and its detuned ones read qubit_b, which its presets set 20% above
+qubit A; it exits 2 unless g_rad_s is nonzero exactly when one of its
+curves is coupled.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error (running out
 of memory included).
@@ -168,14 +170,13 @@ def load_config(preset: str | None, config_path: str | None) -> dict:
     return cfg
 
 
-def _state_from(cfg: dict, flavor: str | None = None) -> EWLParams:
-    st = cfg["state"]
-    return EWLParams(
-        r=st["r"],
-        a=math.sqrt(st["a2"]),
-        flavor=flavor or st["flavor"],
-        b_phase=st["phase"],
-    )
+def _state_from(cfg: dict, **override) -> EWLParams:
+    """The config's state with ``override``'s fields (r, a2 or flavor) in
+    place, each checked as the config field it replaces."""
+    for key, value in override.items():
+        _check_field(f"state/{key}", value, DEFAULT_CONFIG["state"][key])
+    st = {**cfg["state"], **override}
+    return EWLParams(r=st["r"], a=math.sqrt(st["a2"]), flavor=st["flavor"], b_phase=st["phase"])
 
 
 def _qubit_from(cfg: dict, which: str) -> AdiabaticParams:
@@ -265,8 +266,7 @@ def _static_family(over: str, values: list[float]):
     def build(cfg: dict):
         ad_a, ad_b = _closed_form_qubits(cfg)
         omega_t, times = _time_grid(cfg)
-        curves = [adiabatic_concurrence(times, ad_a, ad_b,
-                                        _state_from({"state": {**cfg["state"], over: v}}))
+        curves = [adiabatic_concurrence(times, ad_a, ad_b, _state_from(cfg, **{over: v}))
                   for v in values]
         # long format: one block of rows per value
         return {over: np.repeat(values, omega_t.size), "omega_t": np.tile(omega_t, len(values)),
@@ -285,17 +285,15 @@ def _esd_columns(label: str, over: str, grid: np.ndarray, cfg: dict) -> dict[str
     then _ESD_COLUMNS: interplay (phi, psi), static noise only, and quantum
     noise only (phi, psi). A cell is inf for a proven never and nan where no
     zero was found."""
-    state = _state_from(cfg)
+    states = [_state_from(cfg, **{over: value}) for value in grid.tolist()]
     ad_a, ad_b = _closed_form_qubits(cfg)
     qn = _quantum_from(cfg)
     omega = ad_a.omega
     t_max = cfg["sim"]["t_max_omega"] / omega
-    combined = sweep(over, grid, state, ad_a, ad_b, qn, t_max)
-    static = sweep(over, grid, state, ad_a, ad_b, replace(qn, s_white=0.0), t_max)
+    combined = sweep(states, ad_a, ad_b, qn, t_max)
+    static = sweep(states, ad_a, ad_b, replace(qn, s_white=0.0), t_max)
     # quantum noise only: the same channel with the low-frequency noise off
-    quantum = sweep(
-        over, grid, state, replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0), qn, t_max
-    )
+    quantum = sweep(states, replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0), qn, t_max)
     times = np.vstack([combined, static[:1], quantum])
     with np.errstate(over="ignore"):
         cells = times * omega
@@ -316,7 +314,7 @@ def _fig3(cfg: dict):
     omega_t, times = _time_grid(cfg)
     cols = {"omega_t": omega_t}
     for flavor in ("phi", "psi"):
-        st = _state_from(cfg, flavor)
+        st = _state_from(cfg, flavor=flavor)
         cols[f"{flavor}_adiabatic"] = adiabatic_concurrence(times, ad_a, ad_b, st)
         cols[f"{flavor}_quantum"] = interplay_concurrence(times, st, quiet_a, quiet_b, qn)
         cols[f"{flavor}_interplay"] = interplay_concurrence(times, st, ad_a, ad_b, qn)

@@ -1,21 +1,20 @@
 """Weak-coupling quantum-noise channel and two-qubit channel composition.
 
-High-frequency noise at the qubit splitting relaxes populations toward the
-thermal values with rate 1/T1 = s_white/2 and adds secular dephasing at half
-that rate (T2 = 2 T1). These transverse-coupling rates are exact at theta =
-pi/2, where every preset runs, but are used at every theta: the engine's
-coupling sin(theta) sigma_x + cos(theta) sigma_z implies Gamma_1 =
-sin^2(theta) S/2 and Gamma_phi = cos^2(theta) S/2 with S = s_white (at
-theta = 0 the engine lies z = +10.3 from this channel). Low-frequency
-defocusing multiplies the coherence by the static-path factor from
-:mod:`esdlab.adiabatic`. At the optimal point the two mechanisms entangle
+High-frequency noise at the qubit splitting, coupled along sin(theta)
+sigma_x + cos(theta) sigma_z as the telegraph engine couples its bath, acts
+at the Bloch-Redfield rates of a white spectrum S = s_white: populations
+relax toward the thermal values at Gamma_1 = sin^2(theta) / T1, and the
+coherence decays at Gamma_2 = (sin^2(theta) / 2 + cos^2(theta)) / T1, with
+T1 = 2 / s_white (so the pure dephasing rate is cos^2(theta) s_white / 2).
+Low-frequency defocusing multiplies the coherence by the static-path factor
+from :mod:`esdlab.adiabatic`. At the optimal point the two mechanisms entangle
 inside one logarithm and the coherence is
 
     rho_01(t) = rho_01(0) exp(-i omega t - t/(2 T1))
                 / sqrt(1 + (i omega + 1/T1) sigma^2 t / omega^2),
 
 which is what this module implements there; away from the optimal point the
-decay factorizes into the static-path kernel times exp(-i omega t - t/2T1).
+decay factorizes into the static-path kernel times exp(-i omega t - Gamma_2 t).
 
 Populations relax by one map, ``_population_map``, and the
 concurrence is :func:`esdlab.states.ewl_concurrence` of what the channel leaves.
@@ -64,7 +63,7 @@ class QuantumNoiseParams:
 
     @property
     def t1(self) -> float:
-        """Relaxation time 2 / S(omega), exact at theta = pi/2 only."""
+        """Relaxation time 2 / S(omega) at theta = pi/2."""
         return math.inf if self.s_white == 0.0 else 2.0 / self.s_white
 
 
@@ -78,9 +77,9 @@ def gibbs_populations(omega: float, temperature: float) -> tuple[float, float]:
 
 def _population_map(t, ad: AdiabaticParams, qn: QuantumNoiseParams) -> np.ndarray:
     """(..., 2, 2) map e I + (1 - e) G of one qubit's populations (p0, p1) at
-    times ``t``: e = exp(-t/T1) of them stays, and G sends the rest to the
-    Gibbs populations. A negative time raises :class:`ParameterError`."""
-    e = np.exp(-_check_times(t) / qn.t1)[..., None, None]
+    times ``t``: e = exp(-Gamma_1 t) of them stays, and G sends the rest to
+    the Gibbs populations. A negative time raises :class:`ParameterError`."""
+    e = np.exp(-_check_times(t) * math.sin(ad.theta) ** 2 / qn.t1)[..., None, None]
     p0, p1 = gibbs_populations(ad.omega, qn.temperature)
     gibbs = np.array([[p0, p0], [p1, p1]])
     return e * np.eye(2) + (1.0 - e) * gibbs
@@ -92,15 +91,14 @@ def coherence_factor(t, ad: AdiabaticParams, qn: QuantumNoiseParams):
     At theta = pi/2 the exact combined form is used for every T1 (the
     relaxation rate enters the defocusing bracket, where 1/T1 = 0 leaves the
     static-path bracket); elsewhere the static-path kernel and the Markovian
-    factor multiply. That factor's rate s_white/4 is exact at theta = pi/2
-    only; the engine's model gives (sin^2(theta)/4 + cos^2(theta)/2) s_white.
-    With ``s_white = 0`` both reduce to the pure static-path result. A
-    negative time raises :class:`ParameterError`.
+    factor exp(-Gamma_2 t) multiply. With ``s_white = 0`` both reduce to the
+    pure static-path result. A negative time raises :class:`ParameterError`.
     """
     t = _check_times(t)
-    base = np.exp(-1j * ad.omega * t - 0.5 * t / qn.t1)
+    s2, c2 = math.sin(ad.theta) ** 2, math.cos(ad.theta) ** 2
+    base = np.exp(-1j * ad.omega * t - (0.5 * s2 + c2) * t / qn.t1)
     if ad.at_optimal_point:
-        bracket = 1.0 + (1j * ad.omega + 1.0 / qn.t1) * ad.sigma**2 * t / ad.omega**2
+        bracket = 1.0 + (1j * ad.omega + s2 / qn.t1) * ad.sigma**2 * t / ad.omega**2
         out = base / np.sqrt(bracket)
     else:
         out = base * spa_kernel(t, ad)

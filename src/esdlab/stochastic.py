@@ -290,30 +290,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TrajectoryResult:
-    """One noise realization cut into segments of constant noise: the output
-    of the engine's first stage.
+    """One noise realization cut into segments of constant noise, the output
+    of the per-trajectory stage: segment s begins at ``starts[s]`` and lasts
+    ``dts[s]`` with the qubits' noise values ``noise[s]``, and sample k of
+    ``cfg.times`` lies in segment ``segment[k]``."""
 
-    The engine runs in three stages. :func:`evolve_trajectory` (stage 1)
-    merges the break points of one trajectory: segment s begins at
-    ``starts[s]`` and lasts ``dts[s]`` with the qubits' noise values
-    ``noise[s]``, and sample k lies in segment ``segment[k]``. The chunk
-    stage (stage 2) joins the segments of a chunk's trajectories and builds
-    all their steps in one batch. With one batched product per segment
-    position it carries the factor C of the initial state (rho0 = C C^dagger
-    + floor I) to the start of every segment, spread over four terms, so
-    that at a time tau into segment s the propagated factor is
-
-        U C = sum_u coef_u(tau) terms[s, u].
-
-    Uncoupled qubits rotate by c_q - i s_q (n_q . sigma) with (c_q, s_q) the
-    cosine and sine of ``rates[s, q] * tau``; coef is (c_a c_b, c_a s_b,
-    s_a c_b, s_a s_b). Coupled qubits have coef_u = exp(-i rates[s, u] tau)
-    with ``rates`` the segment's eigen-energies. The sample stage (stage 3)
-    evaluates a block of trajectories on the grid at once. ``states`` runs
-    stages 2 and 3 on this trajectory alone.
-    """
-
-    times: np.ndarray    # (n_samples,) the sample grid, SimConfig.times
     segment: np.ndarray  # (n_samples,) the segment holding each sample
     starts: np.ndarray   # (n_segments,) the time each segment begins
     dts: np.ndarray      # (n_segments,) segment durations
@@ -321,11 +302,6 @@ class TrajectoryResult:
     factor: np.ndarray   # (4, r) with rho0 = factor factor^dagger + floor I
     floor: float
     cfg: SimConfig
-
-    @property
-    def states(self) -> np.ndarray:
-        """(n_samples, 4, 4) conditional states U rho0 U^dagger on the grid."""
-        return _chunk_sum((self,))
 
 
 def _state_factor(rho0) -> tuple[np.ndarray, float]:
@@ -414,16 +390,20 @@ def evolve_trajectory(
         keep = dts > 0.0
         noise, dts = noise[keep], dts[keep]
         brk = np.concatenate([brk[:-1][keep], times[-1:]])
-    return TrajectoryResult(times=times, segment=brk[1:-1].searchsorted(times, side="right"),
-                            starts=brk[:-1], dts=dts, noise=noise, factor=factor, floor=floor,
-                            cfg=cfg)
+    return TrajectoryResult(segment=brk[1:-1].searchsorted(times, side="right"), starts=brk[:-1],
+                            dts=dts, noise=noise, factor=factor, floor=floor, cfg=cfg)
 
 
 @dataclass(frozen=True)
 class _ChunkTerms:
-    """The segments of a chunk of trajectories, propagated (see
-    :class:`TrajectoryResult`): row j of ``segment`` and ``taus`` is
-    trajectory j, indexing the chunk's segments."""
+    """The segments of a chunk of trajectories, propagated: row j of
+    ``segment`` and ``taus`` is trajectory j, indexing the chunk's segments.
+    At a time tau into segment s the propagated factor of the initial state
+    is U C = sum_u coef_u(tau) terms[s, u]. Uncoupled qubits rotate by
+    c_q - i s_q (n_q . sigma), with (c_q, s_q) the cosine and sine of
+    ``rates[s, q] * tau``, so coef is (c_a c_b, c_a s_b, s_a c_b, s_a s_b).
+    Coupled qubits have coef_u = exp(-i rates[s, u] tau), with ``rates``
+    the segment's eigen-energies."""
 
     segment: np.ndarray  # (n_trajectories, n_samples)
     taus: np.ndarray     # (n_trajectories, n_samples)
@@ -434,18 +414,13 @@ class _ChunkTerms:
 
 
 def _chunk_terms(trajectories) -> _ChunkTerms:
-    """The engine's chunk stage: propagate the segments of every trajectory
-    from :func:`evolve_trajectory` in one batch.
+    """The engine's chunk stage on trajectories from :func:`evolve_trajectory`.
 
-    The segments are joined in trajectory order, and every step is built at
-    once: a tensor product of 2x2 rotations when the qubits are uncoupled,
-    a diagonalized 4x4 exponential from one stacked ``eigh`` otherwise. The
-    running product restarts at each trajectory's first segment with the
-    initial state's factor C and runs over segment positions: position p
-    holds segment p of every trajectory that has more than p of them, and
-    one batched product per position carries the whole chunk. Uncoupled
-    qubits carry the two qubits' start propagators, coupled qubits C in
-    each segment's eigenbasis.
+    Every step is built at once: a tensor product of 2x2 rotations when the
+    qubits are uncoupled, a diagonalized 4x4 exponential from one stacked
+    ``eigh`` otherwise. The running product restarts with C at each
+    trajectory's first segment; uncoupled qubits carry the two qubits' start
+    propagators, coupled qubits C in each segment's eigenbasis.
     """
     first = trajectories[0]
     cfg, factor = first.cfg, first.factor
@@ -457,7 +432,7 @@ def _chunk_terms(trajectories) -> _ChunkTerms:
     xa, xb = np.concatenate([t.noise for t in trajectories]).T
     segment = np.concatenate([t.segment for t in trajectories]).reshape(sizes.size, -1)
     segment += first_segment[:, None]
-    taus = first.times - np.concatenate([t.starts for t in trajectories])[segment]
+    taus = cfg.times - np.concatenate([t.starts for t in trajectories])[segment]
 
     qa, qb = cfg.qubit_a, cfg.qubit_b
     ca, sa = math.cos(qa.theta), math.sin(qa.theta)
@@ -557,7 +532,7 @@ def _chunk_sum(trajectories) -> np.ndarray:
     stage block by block, in trajectory order."""
     chunk = _chunk_terms(trajectories)
     size = BLOCK_COLUMNS // max(1, trajectories[0].factor.shape[1])
-    rho_sum = np.zeros((trajectories[0].times.size, 4, 4), dtype=complex)
+    rho_sum = np.zeros((trajectories[0].cfg.n_samples, 4, 4), dtype=complex)
     for lo in range(0, len(trajectories), size):
         rho_sum += _sampled_sum(chunk, lo, min(lo + size, len(trajectories)))
     return rho_sum

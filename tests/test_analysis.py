@@ -168,7 +168,8 @@ class TestSweep:
     def test_r_sweep_adiabatic_monotone(self):
         p = qubit(math.pi / 2)
         grid = [0.5, 0.6, 0.7, 0.8, 0.9]
-        times = sweep("r", grid, EWLParams(0.9, INV_SQRT2), p, p, OFF, t_max=1.0e7 / OMEGA)
+        states = [EWLParams(r, INV_SQRT2) for r in grid]
+        times = sweep(states, p, p, OFF, t_max=1.0e7 / OMEGA)
         assert times.shape == (2, len(grid)) and times.dtype == float
         assert np.all(np.diff(times[0]) > 0.0)
         # the closed form, bit for bit, in grid order
@@ -178,31 +179,18 @@ class TestSweep:
 
     def test_pure_state_row_infinite(self):
         p = qubit(math.pi / 2)
-        times = sweep(
-            "r", [1.0], EWLParams(0.9, INV_SQRT2), p, p, OFF,
-            t_max=1.0e7 / OMEGA,
-        )
+        times = sweep([EWLParams(1.0, INV_SQRT2)], p, p, OFF, t_max=1.0e7 / OMEGA)
         assert times.tolist() == [[math.inf], [math.inf]]
 
     def test_zero_amplitude_row_never_entangled(self):
         p = qubit(math.pi / 2)
-        times = sweep(
-            "a2", [0.0], EWLParams(0.9, INV_SQRT2), p, p, OFF,
-            t_max=1.0e6 / OMEGA,
-        )
+        times = sweep([EWLParams(0.9, 0.0)], p, p, OFF, t_max=1.0e6 / OMEGA)
         assert times.tolist() == [[0.0], [0.0]]
 
     def test_interplay_flavor_ordering(self):
         p = qubit(math.pi / 2)
-        phi, psi = sweep(
-            "r",
-            [0.91, 0.95, 1.0],
-            EWLParams(0.9, INV_SQRT2),
-            p,
-            p,
-            QN,
-            t_max=1.0e7 / OMEGA,
-        )
+        states = [EWLParams(r, INV_SQRT2) for r in (0.91, 0.95, 1.0)]
+        phi, psi = sweep(states, p, p, QN, t_max=1.0e7 / OMEGA)
         assert np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))
         assert np.all(phi >= psi)
 
@@ -212,12 +200,10 @@ class TestSweep:
         p = qubit(0.3)
         detuned = replace(p, omega=1.2 * OMEGA, sigma=1.2 * p.sigma)
         t_max = 1.0e6 / OMEGA
-        state = EWLParams(0.9, INV_SQRT2)
-        grid = [0.6, 0.8, 0.95]
+        states = [EWLParams(r, INV_SQRT2) for r in (0.6, 0.8, 0.95)]
         for ad_b in (detuned, p):
-            times = sweep("r", grid, state, p, ad_b, OFF, t_max=t_max)
-            for value, (phi, psi) in zip(grid, times.T):
-                s = EWLParams(value, INV_SQRT2)
+            times = sweep(states, p, ad_b, OFF, t_max=t_max)
+            for s, (phi, psi) in zip(states, times.T):
                 want = find_crossing_time(
                     lambda t: adiabatic_concurrence(t, p, ad_b, s), t_max
                 )
@@ -228,16 +214,14 @@ class TestSweep:
         # s_white = 0 leaves the static noise alone, which has a closed form,
         # so a switched-off channel on quiet qubits is a proven never
         p = qubit(math.pi / 2)
-        state, grid, t_max = EWLParams(0.9, INV_SQRT2), [0.6, 0.9], 1.0e6 / OMEGA
-        for value, (phi, psi) in zip(grid, sweep("r", grid, state, p, p, OFF, t_max).T):
+        states, t_max = [EWLParams(0.6, INV_SQRT2), EWLParams(0.9, INV_SQRT2)], 1.0e6 / OMEGA
+        for s, (phi, psi) in zip(states, sweep(states, p, p, OFF, t_max).T):
             # bit equality with the closed form, which a search misses by >= 2e-12
-            assert phi == psi == esd_time_optimal(EWLParams(value, INV_SQRT2), p.sigma, OMEGA)
+            assert phi == psi == esd_time_optimal(s, p.sigma, OMEGA)
         quiet = replace(p, sigma=0.0)
-        assert np.all(sweep("r", grid, state, quiet, quiet, OFF, t_max) == math.inf)
+        assert np.all(sweep(states, quiet, quiet, OFF, t_max) == math.inf)
 
-    def test_rejects_unknown_variable_and_empty_grid(self):
+    def test_rejects_an_empty_state_list(self):
         p = qubit(math.pi / 2)
-        with pytest.raises(ParameterError):
-            sweep("bogus", [0.5], EWLParams(0.9, 0.5), p, p, OFF, t_max=1.0)
-        with pytest.raises(ParameterError):
-            sweep("r", [], EWLParams(0.9, 0.5), p, p, OFF, t_max=1.0)
+        with pytest.raises(ParameterError, match="at least one state"):
+            sweep([], p, p, OFF, t_max=1.0)

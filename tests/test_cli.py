@@ -539,6 +539,19 @@ class TestConfigErrors:
         assert f"invalid config at {path}:" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("sweep, lo, hi, path, value", [
+        ("a2", "-0.5", "0.5", "state/a2", "-0.5"),
+        ("r", "0.5", "1.5", "state/r", "1.5"),
+    ], ids=["a2", "r"])
+    def test_swept_value_out_of_range(self, tmp_path, capsys, sweep, lo, hi, path, value):
+        # a swept value replaces a state field and is checked as one
+        out = tmp_path / "esd.csv"
+        argv = ["esd", "--sweep", sweep, "--from", lo, "--to", hi, "--points", "3",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert f"invalid config at {path}: {value} is not in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("qubit_b, path", [
         ({"theta_rad": 7.0}, "qubit_b/theta_rad"),
         ({"gamma_min_hz": 10.0, "gamma_max_hz": 5.0}, "qubit_b"),

@@ -105,6 +105,17 @@ class TestSingleQubitMap:
             z = coherence_factor(t, AD_QUIET, QN)
             assert abs(z) == pytest.approx(math.exp(-t / (2.0 * QN.t1)), rel=1e-12)
 
+    def test_longitudinal_noise_only_dephases(self):
+        # at theta = 0 the noise couples along sigma_z: no population moves,
+        # and the coherence decays at the pure dephasing rate s_white / 2
+        longitudinal = AdiabaticParams(omega=OMEGA, theta=0.0, sigma=0.0)
+        for t in (1.0e-7, 1.0e-6):
+            m = single_qubit_map(t, longitudinal, QN)
+            assert m[0, 0, 0, 0] == m[1, 1, 1, 1] == 1.0
+            assert m[0, 0, 1, 1] == m[1, 1, 0, 0] == 0.0
+            z = coherence_factor(t, longitudinal, QN)
+            assert abs(z) == pytest.approx(math.exp(-QN.s_white * t / 2.0), rel=1e-12)
+
     def test_combined_decay_against_term_by_term_exponent(self):
         # omega*t = 1e3 with both noises on
         t = 1.0e3 / OMEGA
