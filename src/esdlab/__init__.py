@@ -9,8 +9,7 @@ that cross-validates the analytics.
 from .adiabatic import (
     AdiabaticParams,
     adiabatic_concurrence,
-    esd_time_dephasing,
-    esd_time_optimal,
+    closed_form_esd_time,
     spa_kernel,
 )
 from .analysis import find_crossing_time, sweep

@@ -5,9 +5,8 @@ zero-mean Gaussian of width sigma. To second order the offset shifts the
 qubit splitting by ``cos(theta) X + sin(theta)^2 X^2 / (2 omega)``, and
 averaging the accumulated phase over X gives the complex
 coherence-suppression factor :func:`spa_kernel`; the concurrence scales
-with its modulus. Populations do not move in this channel; the closed-form
-disentanglement times solve :func:`esdlab.states.ewl_concurrence`, with
-``inf`` for a proven never and ``nan`` for a time past float range.
+with its modulus. Populations do not move in this channel, and the times of
+:func:`closed_form_esd_time` solve :func:`esdlab.states.ewl_concurrence`.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ __all__ = [
     "AdiabaticParams",
     "spa_kernel",
     "adiabatic_concurrence",
-    "esd_time_optimal",
-    "esd_time_dephasing",
+    "closed_form_esd_time",
 ]
 
 
@@ -49,15 +47,15 @@ class AdiabaticParams:
     gamma_max: float = 1.0e6
 
     def __post_init__(self) -> None:
-        if self.omega <= 0.0:
-            raise ParameterError(f"omega must be positive, got {self.omega}")
-        if self.sigma < 0.0:
-            raise ParameterError(f"sigma must be non-negative, got {self.sigma}")
+        if not 0.0 < self.omega < math.inf:
+            raise ParameterError(f"omega must be positive and finite, got {self.omega}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ParameterError(f"sigma must be non-negative and finite, got {self.sigma}")
         if not 0.0 <= self.theta <= math.pi:
             raise ParameterError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 < self.gamma_min < self.gamma_max:
+        if not 0.0 < self.gamma_min < self.gamma_max < math.inf:
             raise ParameterError(
-                f"need 0 < gamma_min < gamma_max, got [{self.gamma_min}, {self.gamma_max}]"
+                f"need 0 < gamma_min < gamma_max < inf, got [{self.gamma_min}, {self.gamma_max}]"
             )
         if self.sigma / self.omega > SPA_SIGMA_RATIO_WARN:
             warnings.warn(
@@ -108,52 +106,39 @@ def adiabatic_concurrence(
     return ewl_concurrence(state, m, m)
 
 
-def esd_time_optimal(state: EWLParams, sigma: float, omega: float) -> float:
-    """Closed-form disentanglement time for two identical qubits at theta=pi/2.
-
-    ``t = (omega / sigma^2) sqrt(16 |ab|^2 r^2 / (1-r)^2 - 1)``. The time is
-    0.0 for a state with zero concurrence at t=0 (separable from the start),
-    ``math.inf`` for a proven never: an entangled pure state (r=1, |ab| > 0),
-    or any entangled state at sigma = 0, whose concurrence stays constant.
-    It is ``math.nan`` when no zero was found: the time lies past float range.
+def closed_form_esd_time(
+    state: EWLParams, ad_a: AdiabaticParams, ad_b: AdiabaticParams
+) -> float | None:
+    """Disentanglement time under static noise alone where a closed form
+    holds, else None. It holds for qubits equal in omega, theta and sigma:
+    at the optimal point theta = pi/2, ``(omega / sigma^2) sqrt(16 ratio^2 - 1)``,
+    and under pure dephasing, theta = 0, ``sqrt(ln(4 ratio)) / sigma``, with
+    ``ratio = |ab| r / (1-r)``. The time is 0.0 for a state separable from
+    the start, ``math.inf`` for a proven never (an entangled pure state, r=1
+    and |ab| > 0, or any entangled state at sigma = 0, whose concurrence
+    stays constant) and ``math.nan`` for a time past float range: no zero
+    was found.
     """
-    if sigma < 0.0 or omega <= 0.0:
-        raise ParameterError("sigma must be non-negative and omega positive")
-    return _esd_closed_form(
-        state, sigma, lambda ratio: omega / sigma**2 * math.sqrt(16.0 * ratio**2 - 1.0)
-    )
-
-
-def esd_time_dephasing(state: EWLParams, sigma: float) -> float:
-    """Closed-form disentanglement time for two identical qubits at theta=0.
-
-    ``t = sqrt(ln(4 |ab| r / (1-r))) / sigma``, finite when the log argument
-    exceeds 1 and sigma > 0. 0.0, ``inf`` and ``nan`` mean what they mean
-    for :func:`esd_time_optimal`.
-    """
-    if sigma < 0.0:
-        raise ParameterError("sigma must be non-negative")
-    return _esd_closed_form(
-        state, sigma, lambda ratio: math.sqrt(math.log(4.0 * ratio)) / sigma
-    )
-
-
-def _esd_closed_form(state: EWLParams, sigma: float, formula) -> float:
-    # Both closed forms share the same regime logic; `ratio` is |ab| r / (1 - r).
-    r = state.r
+    omega, sigma = ad_a.omega, ad_a.sigma
+    if ((omega, ad_a.theta, sigma) != (ad_b.omega, ad_b.theta, ad_b.sigma)
+            or not (ad_a.at_optimal_point or ad_a.theta == 0.0)):
+        return None
     if ewl_concurrence(state, 1.0, 1.0) <= 0.0:  # the curve's own C(0): separable at t=0
         return 0.0
     # an entangled pure state's concurrence stays positive, and without
     # static noise every concurrence stays at its initial value
-    if r >= 1.0 or sigma == 0.0:
+    if state.r >= 1.0 or sigma == 0.0:
         return math.inf
     # C(0) > 0 means K(0) = fl(r |ab|) - sqrt(fl(1 - r)^2 / 16) > 0, and in
     # binary floating point sqrt(x*x) is x, so fl(r |ab|) > fl(1 - r) / 4.
     # Rounding the quotient is monotone, so ratio >= 1/4: both radicands,
     # 16 ratio^2 - 1 and ln(4 ratio), are non-negative
-    ratio = state.ab_mod * r / (1.0 - r)
+    ratio = state.ab_mod * state.r / (1.0 - state.r)
     try:
-        time = formula(ratio)
+        if ad_a.at_optimal_point:
+            time = omega / sigma**2 * math.sqrt(16.0 * ratio**2 - 1.0)
+        else:
+            time = math.sqrt(math.log(4.0 * ratio)) / sigma
     except ZeroDivisionError:  # sigma^2 underflowed to 0
         time = math.inf
     # a time past float range is not a proven never: no zero was found

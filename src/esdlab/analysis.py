@@ -18,12 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .adiabatic import (
-    AdiabaticParams,
-    adiabatic_concurrence,
-    esd_time_dephasing,
-    esd_time_optimal,
-)
+from .adiabatic import AdiabaticParams, adiabatic_concurrence, closed_form_esd_time
 from .constants import ESD_RELATIVE_TOL
 from .errors import ParameterError
 from .markov import QuantumNoiseParams, interplay_concurrence
@@ -46,12 +41,10 @@ def find_crossing_time(c, t_max: float) -> float:
     from the start) and ``nan`` when no zero was found by t_max: not found,
     not never. A search never proves a never, so it never returns ``inf``.
     """
-    if t_max <= 0.0:
-        raise ParameterError("t_max must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise ParameterError("t_max must be positive and finite")
     grid = np.concatenate([[0.0], np.geomspace(t_max * 1e-12, t_max, 10_000)])
-    vals = np.asarray(c(grid), dtype=float)
-    if vals.shape != grid.shape:
-        raise ParameterError("a concurrence function must map an array of times to an array")
+    vals = _evaluate(c, grid)
     if vals[0] < -1e-12:
         raise ParameterError("concurrence must start non-negative")
     if vals[0] <= 0.0:
@@ -70,9 +63,19 @@ def find_crossing_time(c, t_max: float) -> float:
         if inner.size == 0:  # no float left strictly inside
             break
         edges = np.concatenate([[lo], inner, [hi]])
-        j = _first_zero(np.asarray(c(inner), dtype=float)) + 1
+        j = _first_zero(_evaluate(c, inner)) + 1
         lo, hi = edges[j - 1], edges[j]
     return float(0.5 * (lo + hi))
+
+
+def _evaluate(c, t: np.ndarray) -> np.ndarray:
+    """``c(t)`` as floats of ``t``'s shape, all finite, else :class:`ParameterError`."""
+    vals = np.asarray(c(t), dtype=float)
+    if vals.shape != t.shape:
+        raise ParameterError("a concurrence function must map an array of times to an array")
+    if not np.isfinite(vals).all():  # a nan is neither > 0 nor <= 0
+        raise ParameterError("a concurrence function returned a non-finite value")
+    return vals
 
 
 def _first_zero(vals: np.ndarray) -> int:
@@ -83,21 +86,6 @@ def _first_zero(vals: np.ndarray) -> int:
 
 # ---------------------------------------------------------------------------
 # sweeps
-
-
-def _adiabatic_closed_form(state, ad_a, ad_b) -> float | None:
-    symmetric = (
-        ad_a.theta == ad_b.theta
-        and ad_a.sigma == ad_b.sigma
-        and ad_a.omega == ad_b.omega
-    )
-    if not symmetric:
-        return None
-    if ad_a.at_optimal_point:
-        return esd_time_optimal(state, ad_a.sigma, ad_a.omega)
-    if ad_a.theta == 0.0:
-        return esd_time_dephasing(state, ad_a.sigma)
-    return None
 
 
 def sweep(
@@ -112,21 +100,21 @@ def sweep(
     state's own flavor is not read.
 
     With ``qn.s_white == 0`` only the low-frequency noise acts: the result is
-    flavor independent and comes from a closed form where one exists, else
-    from a search on :func:`adiabatic_concurrence`. Any other ``qn``
-    searches each flavor on the composed channel,
+    flavor independent and comes from :func:`closed_form_esd_time` where
+    that holds, else from a search on :func:`adiabatic_concurrence`. Any
+    other ``qn`` searches each flavor on the composed channel,
     :func:`interplay_concurrence`. A time is 0.0, ``inf`` or ``nan`` as
-    :func:`find_crossing_time` and the closed forms say.
+    :func:`find_crossing_time` and :func:`closed_form_esd_time` say.
     """
-    if t_max <= 0.0:
-        raise ParameterError("t_max must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise ParameterError("t_max must be positive and finite")
     if not states:
         raise ParameterError("sweep needs at least one state")
 
     times = np.empty((2, len(states)))
     for k, s in enumerate(states):
         if qn.s_white == 0.0:
-            esd = _adiabatic_closed_form(s, ad_a, ad_b)
+            esd = closed_form_esd_time(s, ad_a, ad_b)
             if esd is None:
                 esd = find_crossing_time(lambda t: adiabatic_concurrence(t, ad_a, ad_b, s), t_max)
             times[:, k] = esd

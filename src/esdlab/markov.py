@@ -54,12 +54,10 @@ class QuantumNoiseParams:
     temperature: float
 
     def __post_init__(self) -> None:
-        if self.s_white < 0.0:
-            raise ParameterError(f"s_white must be non-negative, got {self.s_white}")
-        if self.temperature <= 0.0:
-            raise ParameterError(
-                f"temperature must be positive, got {self.temperature}"
-            )
+        if not 0.0 <= self.s_white < math.inf:
+            raise ParameterError(f"s_white must be non-negative and finite, got {self.s_white}")
+        if not 0.0 < self.temperature < math.inf:
+            raise ParameterError(f"temperature must be positive and finite, got {self.temperature}")
 
     @property
     def t1(self) -> float:
@@ -110,10 +108,10 @@ def single_qubit_map(
 ) -> np.ndarray:
     """Transfer tensor T[i,i',l,l'] of the combined channel at time t.
 
-    Populations relax toward the thermal values with weight exp(-t/T1) (the
-    static noise is longitudinal and leaves them alone); coherences are
-    multiplied by :func:`coherence_factor`. The map is trace and hermiticity
-    preserving, and the identity at t=0.
+    Populations relax toward the thermal values with weight
+    exp(-sin(theta)^2 t/T1) (the static noise is longitudinal and leaves
+    them alone); coherences are multiplied by :func:`coherence_factor`. The
+    map is trace and hermiticity preserving, and the identity at t=0.
     """
     populations = _population_map(t, ad, qn)
     z = coherence_factor(t, ad, qn)

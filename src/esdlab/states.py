@@ -37,8 +37,10 @@ class EWLParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.r <= 1.0:
             raise ParameterError(f"purity r must lie in [0, 1], got {self.r}")
-        if abs(self.a) > 1.0 + 1e-12:
-            raise ParameterError(f"|a| must not exceed 1, got {abs(self.a)}")
+        if not abs(self.a) <= 1.0 + 1e-12:
+            raise ParameterError(f"|a| must be finite and not exceed 1, got {abs(self.a)}")
+        if not math.isfinite(self.b_phase):
+            raise ParameterError(f"b_phase must be finite, got {self.b_phase}")
         if self.flavor not in _LEVELS:
             raise ParameterError(f"flavor must be 'phi' or 'psi', got {self.flavor!r}")
 

@@ -133,6 +133,10 @@ class FluctuatorEnsemble:
         object.__setattr__(self, "couplings", couplings)
         if rates.shape != couplings.shape:
             raise ParameterError("rates and couplings must align")
+        if not 0.0 < self.gamma_min < self.gamma_max < math.inf:
+            raise ParameterError(
+                f"need 0 < gamma_min < gamma_max < inf, got [{self.gamma_min}, {self.gamma_max}]"
+            )
         if rates.size and (rates.min() < self.gamma_min - 1e-12 * self.gamma_min
                            or rates.max() > self.gamma_max * (1 + 1e-12)):
             raise ParameterError("switching rates leave the [gamma_min, gamma_max] band")
@@ -213,8 +217,8 @@ def _draw_path(ens: FluctuatorEnsemble, t_max: float, rng: np.random.Generator):
 def rtn_paths(ens: FluctuatorEnsemble, t_max: float, rng_seed) -> RtnPaths:
     """Draw one path with :func:`_draw_path` and keep every fluctuator's
     sorted switch times, an empty array for one that does not switch."""
-    if t_max <= 0.0:
-        raise ParameterError(f"t_max must be positive, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise ParameterError(f"t_max must be positive and finite, got {t_max}")
     signs, switches = _draw_path(ens, t_max, np.random.default_rng(rng_seed))
     times, switching = [_NO_SWITCHES] * ens.n, []
     for i, t in switches:
@@ -259,14 +263,16 @@ class SimConfig:
     n_fluctuators: int = 250
 
     def __post_init__(self) -> None:
-        if self.n_trajectories < 1:
+        if not self.n_trajectories >= 1:
             raise ParameterError("n_trajectories must be at least 1")
-        if self.t_max <= 0.0:
-            raise ParameterError("t_max must be positive")
-        if self.n_samples < 2:
+        if not 0.0 < self.t_max < math.inf:
+            raise ParameterError(f"t_max must be positive and finite, got {self.t_max}")
+        if not self.n_samples >= 2:
             raise ParameterError("n_samples must be at least 2")
-        if self.n_fluctuators < 1:
+        if not self.n_fluctuators >= 1:
             raise ParameterError("n_fluctuators must be at least 1")
+        if not math.isfinite(self.coupling_g):
+            raise ParameterError(f"coupling_g must be finite, got {self.coupling_g}")
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -546,7 +552,6 @@ def _chunk_sum(trajectories) -> np.ndarray:
 class MonteCarloResult:
     """Averaged concurrence curve with batch-means error bars."""
 
-    times: np.ndarray
     concurrence: np.ndarray
     stderr: np.ndarray
     rho_mean: np.ndarray
@@ -626,8 +631,7 @@ def monte_carlo_concurrence(
         stderr = chunk_conc.std(axis=0, ddof=1) / math.sqrt(chunk_conc.shape[0])
     else:  # a single trajectory has no spread to estimate
         stderr = np.full(cfg.n_samples, math.nan)
-    return MonteCarloResult(times=cfg.times.copy(), concurrence=conc, stderr=stderr,
-                            rho_mean=rho_mean)
+    return MonteCarloResult(concurrence=conc, stderr=stderr, rho_mean=rho_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +730,7 @@ def psd_estimate(
     omega = 2.0 * math.pi * freqs[keep]
     # one-sided Hz density -> two-sided angular density
     s_est = acc[keep] / 2.0
-    log_ratio = math.log(ens.gamma_max / ens.gamma_min) if ens.gamma_max > ens.gamma_min else math.nan
-    s_target = math.pi * ens.sigma**2 / (log_ratio * omega)
+    s_target = math.pi * ens.sigma**2 / (math.log(ens.gamma_max / ens.gamma_min) * omega)
     return PsdEstimate(
         omega=omega,
         s_estimated=s_est,

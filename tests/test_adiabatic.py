@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ import pytest
 from esdlab.adiabatic import (
     AdiabaticParams,
     adiabatic_concurrence,
-    esd_time_dephasing,
-    esd_time_optimal,
+    closed_form_esd_time,
     spa_kernel,
 )
 from esdlab.errors import ParameterError
@@ -22,6 +22,12 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def params(theta, sigma_ratio=0.02):
     return AdiabaticParams(omega=OMEGA, theta=theta, sigma=sigma_ratio * OMEGA)
+
+
+def pair(theta, sigma):
+    """Two identical qubits, the pairs that have a closed-form ESD time."""
+    p = AdiabaticParams(omega=OMEGA, theta=theta, sigma=sigma)
+    return p, p
 
 
 def modulus(t, p):
@@ -121,66 +127,56 @@ class TestAdiabaticConcurrence:
 
 class TestClosedFormEsdTimes:
     def test_pure_state_infinite(self):
-        assert esd_time_optimal(EWLParams(1.0, INV_SQRT2), 2.0e9, OMEGA) == math.inf
-        assert esd_time_dephasing(EWLParams(1.0, INV_SQRT2), 2.0e9) == math.inf
+        for theta in (math.pi / 2, 0.0):
+            assert closed_form_esd_time(EWLParams(1.0, INV_SQRT2), *pair(theta, 2.0e9)) == math.inf
 
     def test_critical_purity_boundary(self):
         a = INV_SQRT2
         r_star = critical_purity(a)
-        assert esd_time_optimal(EWLParams(r_star, a), 2.0e9, OMEGA) == 0.0
-        assert esd_time_dephasing(EWLParams(r_star, a), 2.0e9) == 0.0
+        for theta in (math.pi / 2, 0.0):
+            assert closed_form_esd_time(EWLParams(r_star, a), *pair(theta, 2.0e9)) == 0.0
 
     def test_optimal_point_value(self):
         # radicand 16 |ab|^2 r^2/(1-r)^2 - 1 = 323 at r=0.9, a=1/sqrt2
-        res = esd_time_optimal(EWLParams(0.9, INV_SQRT2), 0.02 * OMEGA, OMEGA)
+        res = closed_form_esd_time(EWLParams(0.9, INV_SQRT2), *pair(math.pi / 2, 0.02 * OMEGA))
         assert res * OMEGA == pytest.approx(2500.0 * math.sqrt(323.0), rel=1e-14)
 
     def test_dephasing_value(self):
         sigma = 0.02 * OMEGA
-        res = esd_time_dephasing(EWLParams(0.9, INV_SQRT2), sigma)
+        res = closed_form_esd_time(EWLParams(0.9, INV_SQRT2), *pair(0.0, sigma))
         assert res * sigma == pytest.approx(math.sqrt(math.log(18.0)), rel=1e-14)
 
     def test_concurrence_vanishes_at_root(self):
-        sigma = 0.02 * OMEGA
-        p_opt = params(math.pi / 2)
-        p_deph = params(0.0)
         s = EWLParams(0.9, INV_SQRT2)
-        t_opt = esd_time_optimal(s, sigma, OMEGA)
-        t_deph = esd_time_dephasing(s, sigma)
-        assert adiabatic_concurrence(t_opt, p_opt, p_opt, s) <= 1e-9 * 0.85
-        assert adiabatic_concurrence(t_deph, p_deph, p_deph, s) <= 1e-9 * 0.85
+        for theta in (math.pi / 2, 0.0):
+            qubits = pair(theta, 0.02 * OMEGA)
+            t = closed_form_esd_time(s, *qubits)
+            assert adiabatic_concurrence(t, *qubits, s) <= 1e-9 * 0.85
 
     def test_optimal_point_outlives_dephasing(self):
         # dimensionless comparison at sigma/omega = 0.02
         s = EWLParams(0.9, INV_SQRT2)
-        t_opt = esd_time_optimal(s, 0.02 * OMEGA, OMEGA) * OMEGA
-        t_deph = esd_time_dephasing(s, 0.02 * OMEGA) * OMEGA
+        t_opt = closed_form_esd_time(s, *pair(math.pi / 2, 0.02 * OMEGA)) * OMEGA
+        t_deph = closed_form_esd_time(s, *pair(0.0, 0.02 * OMEGA)) * OMEGA
         assert t_opt > t_deph
 
     def test_no_static_noise_never_disentangles(self):
         # sigma = 0 leaves the concurrence at its initial value forever
         for r, separable in ((0.3, True), (0.9, False), (1.0, False)):
             s = EWLParams(r, INV_SQRT2)
-            for res in (esd_time_optimal(s, 0.0, OMEGA), esd_time_dephasing(s, 0.0)):
-                assert res == (0.0 if separable else math.inf)
+            want = 0.0 if separable else math.inf
+            for theta in (math.pi / 2, 0.0):
+                assert closed_form_esd_time(s, *pair(theta, 0.0)) == want
 
     def test_time_past_float_range_is_not_found(self):
         # omega / sigma^2 overflows at sigma = 1e-150, and sigma^2 underflows
         # to 0 at 1e-170: no zero was found, which is no proven never
         s = EWLParams(0.9, INV_SQRT2)
-        for res in (esd_time_optimal(s, 1e-150, OMEGA), esd_time_optimal(s, 1e-170, OMEGA),
-                    esd_time_dephasing(s, 5e-324)):
-            assert math.isnan(res)
-
-    def test_rejects_negative_sigma(self):
-        s = EWLParams(0.9, INV_SQRT2)
-        with pytest.raises(ParameterError, match="sigma"):
-            esd_time_optimal(s, -1.0, OMEGA)
-        with pytest.raises(ParameterError, match="sigma"):
-            esd_time_dephasing(s, -1.0)
+        for theta, sigma in ((math.pi / 2, 1e-150), (math.pi / 2, 1e-170), (0.0, 5e-324)):
+            assert math.isnan(closed_form_esd_time(s, *pair(theta, sigma)))
 
     def test_never_entangled_below_threshold(self):
-        assert esd_time_optimal(EWLParams(0.2, INV_SQRT2), 2.0e9, OMEGA) == 0.0
+        assert closed_form_esd_time(EWLParams(0.2, INV_SQRT2), *pair(math.pi / 2, 2.0e9)) == 0.0
 
     def test_separability_boundary(self):
         # r* = 1/(1 + 4|ab|) and 1-3 ulp either side, where rounding decides
@@ -194,12 +190,26 @@ class TestClosedFormEsdTimes:
                 above = above + [math.nextafter(above[-1], 2.0)]
             cases += [(r, a2) for r in below + above[1:] if r <= 1.0]
         p = params(0.0)
+        optimal, dephasing = pair(math.pi / 2, 2.0e9), pair(0.0, 2.0e9)
         for r, a2 in cases:
             s = EWLParams(r, math.sqrt(a2))
             separable = adiabatic_concurrence(0.0, p, p, s) == 0.0
-            for res in (esd_time_optimal(s, 2.0e9, OMEGA), esd_time_dephasing(s, 2.0e9)):
+            for res in (closed_form_esd_time(s, *optimal), closed_form_esd_time(s, *dephasing)):
                 assert (res == math.inf) == (r == 1.0 and s.ab_mod > 0.0), (r, a2)
                 assert (res == 0.0) == separable, (r, a2)
+
+    def test_no_closed_form_outside_its_domain(self):
+        # unequal qubits, or a common angle other than 0 and pi/2
+        s = EWLParams(0.9, INV_SQRT2)
+        a, _ = pair(math.pi / 2, 2.0e9)
+        assert closed_form_esd_time(s, a, replace(a, sigma=2.5e9)) is None
+        for theta in (0.3, math.pi):
+            assert closed_form_esd_time(s, *pair(theta, 2.0e9)) is None
+
+    def test_optimal_point_holds_within_its_tolerance(self):
+        s = EWLParams(0.9, INV_SQRT2)
+        near = closed_form_esd_time(s, *pair(math.pi / 2 + 1e-13, 2.0e9))
+        assert near is not None and near == closed_form_esd_time(s, *pair(math.pi / 2, 2.0e9))
 
 
 class TestParams:

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from esdlab.adiabatic import (
     AdiabaticParams,
     adiabatic_concurrence,
-    esd_time_dephasing,
-    esd_time_optimal,
+    closed_form_esd_time,
 )
 from esdlab.analysis import find_crossing_time, sweep
 from esdlab.constants import ESD_RELATIVE_TOL
@@ -71,7 +70,7 @@ class TestFindEsdTime:
         s = EWLParams(0.9, INV_SQRT2)
         fn = lambda t: adiabatic_concurrence(t, p, p, s)
         res = find_crossing_time(fn, 1.0e6 / OMEGA)
-        want = esd_time_optimal(s, p.sigma, OMEGA)
+        want = closed_form_esd_time(s, p, p)
         assert type(res) is float and type(want) is float
         assert res != want  # a search, not the closed form
         assert abs(res - want) <= 1e-9 * want
@@ -81,7 +80,7 @@ class TestFindEsdTime:
         s = EWLParams(0.7, 0.6)
         fn = lambda t: adiabatic_concurrence(t, p, p, s)
         res = find_crossing_time(fn, 10.0 / p.sigma)
-        want = esd_time_dephasing(s, p.sigma)
+        want = closed_form_esd_time(s, p, p)
         assert abs(res - want) <= 1e-9 * want
 
     def test_constant_curve_never_crosses(self):
@@ -154,6 +153,27 @@ class TestFindEsdTime:
             res = find_crossing_time(lambda t: np.clip(1.0 - t, 0.0, 1.0), 2.0)
         assert res == pytest.approx(1.0, rel=ESD_RELATIVE_TOL)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_curve_that_is_not_finite_raises(self, value):
+        # neither "> 0" nor "<= 0" reads a nan, and an inf is no concurrence:
+        # neither may pass for a curve that stays positive to t_max
+        with pytest.raises(ParameterError, match="non-finite"):
+            find_crossing_time(lambda t: np.full_like(t, value), 1.0)
+
+    def test_a_nan_while_narrowing_raises(self):
+        # the scan sees a ramp with its root at 0.5; every later call sees nan,
+        # which must not pass for the sign of a point inside the bracket
+        calls = []
+
+        def c(t):
+            calls.append(t)
+            ramp = np.clip(1.0 - 2.0 * t, 0.0, 1.0)
+            return ramp if len(calls) == 1 else np.full_like(t, math.nan)
+
+        with pytest.raises(ParameterError, match="non-finite"):
+            find_crossing_time(c, 1.0)
+        assert len(calls) == 2
+
     def test_rejects_bad_horizon(self):
         with pytest.raises(ParameterError):
             find_crossing_time(lambda t: 1.0, 0.0)
@@ -174,7 +194,7 @@ class TestSweep:
         assert np.all(np.diff(times[0]) > 0.0)
         # the closed form, bit for bit, in grid order
         assert times[0].tolist() == [
-            esd_time_optimal(EWLParams(r, INV_SQRT2), p.sigma, OMEGA) for r in grid
+            closed_form_esd_time(EWLParams(r, INV_SQRT2), p, p) for r in grid
         ]
 
     def test_pure_state_row_infinite(self):
@@ -217,7 +237,7 @@ class TestSweep:
         states, t_max = [EWLParams(0.6, INV_SQRT2), EWLParams(0.9, INV_SQRT2)], 1.0e6 / OMEGA
         for s, (phi, psi) in zip(states, sweep(states, p, p, OFF, t_max).T):
             # bit equality with the closed form, which a search misses by >= 2e-12
-            assert phi == psi == esd_time_optimal(s, p.sigma, OMEGA)
+            assert phi == psi == closed_form_esd_time(s, p, p)
         quiet = replace(p, sigma=0.0)
         assert np.all(sweep(states, quiet, quiet, OFF, t_max) == math.inf)
 

@@ -99,9 +99,19 @@ class TestSampleEnsemble:
                 gamma_max=100.0,
                 sigma=1.0,
             )
+        # no rates to leave the band, so only the band's own rule can fail
+        for gamma_min, gamma_max in ((100.0, 100.0), (100.0, 1.0), (0.0, 1.0)):
+            with pytest.raises(ParameterError, match="gamma_min < gamma_max"):
+                FluctuatorEnsemble(rates=np.empty(0), couplings=np.empty(0),
+                                   gamma_min=gamma_min, gamma_max=gamma_max, sigma=0.0)
 
 
 class TestRtnPaths:
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, 0.0])
+    def test_rejects_a_horizon_that_is_not_positive_and_finite(self, t_max):
+        with pytest.raises(ParameterError, match="t_max"):
+            rtn_paths(single_fluctuator(10.0), t_max, 0)
+
     def test_deterministic(self):
         ens = sample_ensemble(20, 1.0, 1e4, 1.0, 3)
         p1 = rtn_paths(ens, 0.1, 11)
@@ -597,7 +607,7 @@ class TestMonteCarlo:
         )
         state = EWLParams(1.0, INV_SQRT2, "psi")
         mc = monte_carlo_concurrence(ewl_state(state), cfg)
-        spa = adiabatic_concurrence(mc.times, qubit, qubit, state)
+        spa = adiabatic_concurrence(cfg.times, qubit, qubit, state)
         z = (mc.concurrence[1:] - spa[1:]) / mc.stderr[1:]
         assert np.all(np.abs(z) <= 3.0), z
 
@@ -622,7 +632,7 @@ class TestMonteCarlo:
         s_omega = variance * 4.0 * gamma / (4.0 * gamma**2 + omega**2)
         quiet = AdiabaticParams(omega=omega, theta=theta, sigma=0.0)
         channel = interplay_concurrence(
-            mc.times, state, quiet, quiet, QuantumNoiseParams(s_white=s_omega, temperature=1.0e6)
+            cfg.times, state, quiet, quiet, QuantumNoiseParams(s_white=s_omega, temperature=1.0e6)
         )
         # the channel has decayed most of the way; at theta = 0 no population
         # moves, and C = exp(-s_white t) ends at 0.21
