@@ -57,18 +57,18 @@ class AdiabaticParams:
             raise ParameterError(
                 f"need 0 < gamma_min < gamma_max < inf, got [{self.gamma_min}, {self.gamma_max}]"
             )
-        if self.sigma / self.omega > SPA_SIGMA_RATIO_WARN:
-            warnings.warn(
-                f"sigma/omega = {self.sigma / self.omega:.3g} exceeds "
-                f"{SPA_SIGMA_RATIO_WARN}; the static-path treatment degrades "
-                "for strong noise",
-                stacklevel=3,  # past the dataclass __init__ to its caller
-            )
 
     @property
     def at_optimal_point(self) -> bool:
         """True at theta = pi/2, to within ``OPTIMAL_POINT_TOL``."""
         return abs(self.theta - math.pi / 2.0) <= OPTIMAL_POINT_TOL
+
+
+def _warn_if_strong(p: AdiabaticParams) -> None:
+    """Warn the caller of a static-path computation on p that its noise is too strong."""
+    if p.sigma / p.omega > SPA_SIGMA_RATIO_WARN:
+        warnings.warn(f"sigma/omega = {p.sigma / p.omega:.3g} exceeds {SPA_SIGMA_RATIO_WARN}; the "
+                      "static-path treatment degrades for strong noise", stacklevel=3)
 
 
 def _check_times(t) -> np.ndarray:
@@ -87,6 +87,7 @@ def spa_kernel(t, p: AdiabaticParams) -> np.ndarray | complex:
     ``exp(-i omega t)`` rotation.
     """
     t = _check_times(t)
+    _warn_if_strong(p)
     c = math.cos(p.theta)
     s = math.sin(p.theta)
     a = 1.0 + 1j * (s * s * p.sigma * p.sigma / p.omega) * t
@@ -113,25 +114,19 @@ def closed_form_esd_time(
     holds, else None. It holds for qubits equal in omega, theta and sigma:
     at the optimal point theta = pi/2, ``(omega / sigma^2) sqrt(16 ratio^2 - 1)``,
     and under pure dephasing, theta = 0, ``sqrt(ln(4 ratio)) / sigma``, with
-    ``ratio = |ab| r / (1-r)``. The time is 0.0 for a state separable from
-    the start, ``math.inf`` for a proven never (an entangled pure state, r=1
-    and |ab| > 0, or any entangled state at sigma = 0, whose concurrence
-    stays constant) and ``math.nan`` for a time past float range: no zero
-    was found.
+    ``ratio = |ab| r / (1-r)``, for a state that
+    :func:`esdlab.markov.proven_esd_time` leaves open. A time past float
+    range is ``math.nan``: no zero was found.
     """
     omega, sigma = ad_a.omega, ad_a.sigma
     if ((omega, ad_a.theta, sigma) != (ad_b.omega, ad_b.theta, ad_b.sigma)
             or not (ad_a.at_optimal_point or ad_a.theta == 0.0)):
         return None
-    if ewl_concurrence(state, 1.0, 1.0) <= 0.0:  # the curve's own C(0): separable at t=0
-        return 0.0
-    # an entangled pure state's concurrence stays positive, and without
-    # static noise every concurrence stays at its initial value
-    if state.r >= 1.0 or sigma == 0.0:
-        return math.inf
-    # C(0) > 0 means K(0) = fl(r |ab|) - sqrt(fl(1 - r)^2 / 16) > 0, and in
-    # binary floating point sqrt(x*x) is x, so fl(r |ab|) > fl(1 - r) / 4.
-    # Rounding the quotient is monotone, so ratio >= 1/4: both radicands,
+    _warn_if_strong(ad_a)
+    # the caller has settled C(0) <= 0, r = 1 and sigma = 0. C(0) > 0 means
+    # K(0) = fl(r |ab|) - sqrt(fl(1 - r)^2 / 16) > 0, and in binary floating
+    # point sqrt(x*x) is x, so fl(r |ab|) > fl(1 - r) / 4. Rounding the
+    # quotient is monotone, so ratio >= 1/4: both radicands,
     # 16 ratio^2 - 1 and ln(4 ratio), are non-negative
     ratio = state.ab_mod * state.r / (1.0 - state.r)
     try:

@@ -21,7 +21,7 @@ import numpy as np
 from .adiabatic import AdiabaticParams, adiabatic_concurrence, closed_form_esd_time
 from .constants import ESD_RELATIVE_TOL
 from .errors import ParameterError
-from .markov import QuantumNoiseParams, interplay_concurrence
+from .markov import QuantumNoiseParams, interplay_concurrence, proven_esd_time
 
 __all__ = [
     "find_crossing_time",
@@ -39,7 +39,8 @@ def find_crossing_time(c, t_max: float) -> float:
     the midpoint of the last bracket is returned. A scan value positive
     after the first zero warns. The time is 0.0 when c(0) <= 0 (separable
     from the start) and ``nan`` when no zero was found by t_max: not found,
-    not never. A search never proves a never, so it never returns ``inf``.
+    not never. It never returns ``inf``, and it reads a curve that underflows
+    to 0 as a zero: :func:`sweep` settles the proven nevers before it searches.
     """
     if not 0.0 < t_max < math.inf:
         raise ParameterError("t_max must be positive and finite")
@@ -99,12 +100,11 @@ def sweep(
     array: row 0 the phi flavor, row 1 psi, columns in the given order. A
     state's own flavor is not read.
 
-    With ``qn.s_white == 0`` only the low-frequency noise acts: the result is
-    flavor independent and comes from :func:`closed_form_esd_time` where
-    that holds, else from a search on :func:`adiabatic_concurrence`. Any
-    other ``qn`` searches each flavor on the composed channel,
-    :func:`interplay_concurrence`. A time is 0.0, ``inf`` or ``nan`` as
-    :func:`find_crossing_time` and :func:`closed_form_esd_time` say.
+    A time is 0.0 or ``inf`` where :func:`proven_esd_time` says so. Else,
+    with ``qn.s_white == 0`` (static noise alone, flavor independent), it is
+    :func:`closed_form_esd_time` where that holds, or a search on
+    :func:`adiabatic_concurrence`; any other ``qn`` searches each flavor on
+    :func:`interplay_concurrence`. ``nan`` means that no zero was found.
     """
     if not 0.0 < t_max < math.inf:
         raise ParameterError("t_max must be positive and finite")
@@ -113,15 +113,22 @@ def sweep(
 
     times = np.empty((2, len(states)))
     for k, s in enumerate(states):
-        if qn.s_white == 0.0:
-            esd = closed_form_esd_time(s, ad_a, ad_b)
-            if esd is None:
-                esd = find_crossing_time(lambda t: adiabatic_concurrence(t, ad_a, ad_b, s), t_max)
-            times[:, k] = esd
-            continue
-        for row, flavor in enumerate(("phi", "psi")):
-            sf = replace(s, flavor=flavor)
-            times[row, k] = find_crossing_time(
-                lambda t: interplay_concurrence(t, sf, ad_a, ad_b, qn), t_max
-            )
+        if qn.s_white == 0.0:  # static noise alone gives both flavors one curve
+            times[:, k] = _esd_time(s, ad_a, ad_b, qn, t_max)
+        else:
+            times[:, k] = [_esd_time(replace(s, flavor=flavor), ad_a, ad_b, qn, t_max)
+                           for flavor in ("phi", "psi")]
     return times
+
+
+def _esd_time(state, ad_a, ad_b, qn, t_max) -> float:
+    """One cell of :func:`sweep`: proven, else a closed form, else a search."""
+    esd = proven_esd_time(state, ad_a, ad_b, qn)
+    if esd is not None:
+        return esd
+    if qn.s_white != 0.0:
+        return find_crossing_time(lambda t: interplay_concurrence(t, state, ad_a, ad_b, qn), t_max)
+    esd = closed_form_esd_time(state, ad_a, ad_b)
+    if esd is None:
+        esd = find_crossing_time(lambda t: adiabatic_concurrence(t, ad_a, ad_b, state), t_max)
+    return esd

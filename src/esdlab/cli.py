@@ -12,9 +12,10 @@ value comes from the config, merged as defaults < preset < ``--config``
 file; the options set only what no config field holds (channel, sweep, PSD
 segment, output). ``quantum.s_white_per_s: 0`` switches the quantum noise
 off (infinite T1); the static-noise figures (fig1, fig4) set it so and
-refuse any other value. An ESD cell (``esd``, fig2) is ``inf`` for
-a proven never and ``nan`` where no zero was found: a search reached t_max,
-or a closed-form time lies past float range.
+refuse any other value. An ESD cell (``esd``, fig2), in any column, is
+``inf`` for a proven never (``esdlab.markov.proven_esd_time``) and ``nan``
+where no zero was found: a search reached t_max, or a closed-form time lies
+past float range.
 
 Config contract: a scenario has exactly the sections and fields of
 ``DEFAULT_CONFIG``. Each field takes its default's type (an ``int`` default
@@ -283,8 +284,7 @@ _ESD_COLUMNS = ["omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic",
 def _esd_columns(label: str, over: str, grid: np.ndarray, cfg: dict) -> dict[str, np.ndarray]:
     """ESD times in omega_t over ``grid``: the swept value, named ``label``,
     then _ESD_COLUMNS: interplay (phi, psi), static noise only, and quantum
-    noise only (phi, psi). A cell is inf for a proven never and nan where no
-    zero was found."""
+    noise only (phi, psi)."""
     states = [_state_from(cfg, **{over: value}) for value in grid.tolist()]
     ad_a, ad_b = _closed_form_qubits(cfg)
     qn = _quantum_from(cfg)
@@ -443,16 +443,9 @@ def cmd_esd(args) -> int:
 
 def cmd_psd(args) -> int:
     cfg = load_config(None, args.config)
-    # load_config has checked these fields; the PSD needs no AdiabaticParams,
-    # whose static-path warning does not apply to it
-    q = cfg["qubit_a"]
-    ens = sample_ensemble(
-        cfg["sim"]["fluctuators"],
-        q["gamma_min_hz"],
-        q["gamma_max_hz"],
-        q["sigma_rad_s"],
-        cfg["sim"]["seed"],
-    )
+    q = _qubit_from(cfg, "a")
+    ens = sample_ensemble(cfg["sim"]["fluctuators"], q.gamma_min, q.gamma_max, q.sigma,
+                          cfg["sim"]["seed"])
     est = psd_estimate(
         ens,
         t_max=args.t_max_s,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import AdiabaticParams, _check_times, spa_kernel
+from .adiabatic import AdiabaticParams, _check_times, _warn_if_strong, spa_kernel
 from .constants import HBAR, K_B
 from .errors import ParameterError
 from .qmath import validate_density_matrix, validate_single_qubit_map
@@ -36,6 +36,7 @@ from .states import EWLParams, ewl_concurrence, ewl_populations
 __all__ = [
     "QuantumNoiseParams",
     "gibbs_populations",
+    "proven_esd_time",
     "coherence_factor",
     "single_qubit_map",
     "compose_two_qubit",
@@ -66,21 +67,51 @@ class QuantumNoiseParams:
 
 
 def gibbs_populations(omega: float, temperature: float) -> tuple[float, float]:
-    """Thermal populations (p0, p1), with p1 - p0 = -tanh(hbar omega / 2 kB T)."""
+    """Thermal populations (p0, p1), with p1 - p0 = -tanh(hbar omega / 2 kB T).
+    p1 = q / (1 + q) underflows below about 1 mK at omega = 1e11 rad/s."""
     if omega <= 0.0 or temperature <= 0.0:
         raise ParameterError("omega and temperature must be positive")
-    x = math.tanh(HBAR * omega / (2.0 * K_B * temperature))
-    return 0.5 * (1.0 + x), 0.5 * (1.0 - x)
+    q = math.exp(-HBAR * omega / (K_B * temperature))
+    p1 = q / (1.0 + q)
+    return 1.0 - p1, p1
 
 
-def _population_map(t, ad: AdiabaticParams, qn: QuantumNoiseParams) -> np.ndarray:
-    """(..., 2, 2) map e I + (1 - e) G of one qubit's populations (p0, p1) at
-    times ``t``: e = exp(-Gamma_1 t) of them stays, and G sends the rest to
-    the Gibbs populations. A negative time raises :class:`ParameterError`."""
-    e = np.exp(-_check_times(t) * math.sin(ad.theta) ** 2 / qn.t1)[..., None, None]
+def _kept_share(t, ad: AdiabaticParams, qn: QuantumNoiseParams):
+    """e = exp(-Gamma_1 t): the share of a qubit's populations not relaxed at times t."""
+    return np.exp(-_check_times(t) * math.sin(ad.theta) ** 2 / qn.t1)
+
+
+def _population_map(e, ad: AdiabaticParams, qn: QuantumNoiseParams) -> np.ndarray:
+    """(..., 2, 2) map e I + (1 - e) G of one qubit's populations (p0, p1):
+    the share e stays, and G sends the rest to the Gibbs populations."""
+    e = np.asarray(e)[..., None, None]
     p0, p1 = gibbs_populations(ad.omega, qn.temperature)
-    gibbs = np.array([[p0, p0], [p1, p1]])
-    return e * np.eye(2) + (1.0 - e) * gibbs
+    return e * np.eye(2) + (1.0 - e) * np.array([[p0, p0], [p1, p1]])
+
+
+def _joint_populations(state: EWLParams, map_a: np.ndarray, map_b: np.ndarray) -> np.ndarray:
+    """rho_00 .. rho_33 (last axis) once each qubit's population map acts on its index."""
+    joint = map_a @ ewl_populations(state).reshape(2, 2) @ np.swapaxes(map_b, -1, -2)
+    return joint.reshape(*joint.shape[:-2], 4)
+
+
+def proven_esd_time(state: EWLParams, ad_a: AdiabaticParams, ad_b: AdiabaticParams,
+                    qn: QuantumNoiseParams) -> float | None:
+    """The disentanglement time where the parameters settle it, else None:
+    0.0 for a state separable at t = 0, ``math.inf`` for one that stays
+    entangled because nothing decays or because a population facing its pure
+    part's coherence (rho_00 or rho_33 for "phi", rho_11 or rho_22 for "psi")
+    stays zero while no coherence factor vanishes at finite t. A joint
+    population sums non-negative terms, so it is zero at every t > 0 or at
+    none, and one map shows it: e = 1/2 on a qubit that relaxes, else e = 1."""
+    if ewl_concurrence(state, 1.0, 1.0) <= 0.0:
+        return 0.0
+    if qn.s_white == 0.0 and ad_a.sigma == ad_b.sigma == 0.0:
+        return math.inf
+    maps = (_population_map(0.5 if math.sin(ad.theta) ** 2 / qn.t1 > 0.0 else 1.0, ad, qn)
+            for ad in (ad_a, ad_b))
+    diag = _joint_populations(state, *maps)
+    return math.inf if diag[[0, 3] if state.flavor == "phi" else [1, 2]].min() == 0.0 else None
 
 
 def coherence_factor(t, ad: AdiabaticParams, qn: QuantumNoiseParams):
@@ -96,6 +127,7 @@ def coherence_factor(t, ad: AdiabaticParams, qn: QuantumNoiseParams):
     s2, c2 = math.sin(ad.theta) ** 2, math.cos(ad.theta) ** 2
     base = np.exp(-1j * ad.omega * t - (0.5 * s2 + c2) * t / qn.t1)
     if ad.at_optimal_point:
+        _warn_if_strong(ad)
         bracket = 1.0 + (1j * ad.omega + s2 / qn.t1) * ad.sigma**2 * t / ad.omega**2
         out = base / np.sqrt(bracket)
     else:
@@ -113,7 +145,7 @@ def single_qubit_map(
     them alone); coherences are multiplied by :func:`coherence_factor`. The
     map is trace and hermiticity preserving, and the identity at t=0.
     """
-    populations = _population_map(t, ad, qn)
+    populations = _population_map(_kept_share(t, ad, qn), ad, qn)
     z = coherence_factor(t, ad, qn)
     m = np.zeros((2, 2, 2, 2), dtype=complex)
     for i in range(2):  # T[i, i, l, l] = populations[i, l]
@@ -152,9 +184,7 @@ def interplay_concurrence(
     """
     za = coherence_factor(times, ad_a, qn)
     zb = coherence_factor(times, ad_b, qn)
-    # the joint populations: each qubit's map acts on its own index
-    ka, kb = _population_map(times, ad_a, qn), _population_map(times, ad_b, qn)
-    joint = ka @ ewl_populations(state).reshape(2, 2) @ np.swapaxes(kb, -1, -2)
-    diag = joint.reshape(*joint.shape[:-2], 4)
+    diag = _joint_populations(state, *(_population_map(_kept_share(times, ad, qn), ad, qn)
+                                       for ad in (ad_a, ad_b)))
     return ewl_concurrence(state, np.abs(za * np.conj(zb)), np.abs(za * zb), diag)
 

@@ -137,6 +137,8 @@ class FluctuatorEnsemble:
             raise ParameterError(
                 f"need 0 < gamma_min < gamma_max < inf, got [{self.gamma_min}, {self.gamma_max}]"
             )
+        if not 0.0 <= self.sigma < math.inf:
+            raise ParameterError(f"sigma must be non-negative and finite, got {self.sigma}")
         if rates.size and (rates.min() < self.gamma_min - 1e-12 * self.gamma_min
                            or rates.max() > self.gamma_max * (1 + 1e-12)):
             raise ParameterError("switching rates leave the [gamma_min, gamma_max] band")
@@ -730,7 +732,7 @@ def psd_estimate(
     omega = 2.0 * math.pi * freqs[keep]
     # one-sided Hz density -> two-sided angular density
     s_est = acc[keep] / 2.0
-    s_target = math.pi * ens.sigma**2 / (math.log(ens.gamma_max / ens.gamma_min) * omega)
+    s_target = _one_over_f(ens.sigma, ens.gamma_min, ens.gamma_max, omega)
     return PsdEstimate(
         omega=omega,
         s_estimated=s_est,
@@ -742,6 +744,11 @@ def psd_estimate(
         sample_hz=sample_hz,
         t_max=t_max,
     )
+
+
+def _one_over_f(sigma: float, gamma_min: float, gamma_max: float, omega):
+    """The 1/f law of the module docstring at angular frequency omega."""
+    return math.pi * sigma**2 / (math.log(gamma_max / gamma_min) * omega)
 
 
 @dataclass(frozen=True)
@@ -785,9 +792,7 @@ def fit_one_over_f(est: PsdEstimate) -> OneOverFFit:
     slope, intercept = np.polyfit(np.log(w_binned), np.log(s_binned), 1)
     w_center = math.sqrt(w_lo * w_hi)
     fitted_center = math.exp(intercept + slope * math.log(w_center))
-    target_center = math.pi * est.sigma**2 / (
-        math.log(est.gamma_max / est.gamma_min) * w_center
-    )
+    target_center = _one_over_f(est.sigma, est.gamma_min, est.gamma_max, w_center)
     return OneOverFFit(
         slope=float(slope),
         amplitude_ratio=float(fitted_center / target_center),

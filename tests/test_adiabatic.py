@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,9 @@ from esdlab.adiabatic import (
     closed_form_esd_time,
     spa_kernel,
 )
+from esdlab.analysis import sweep
 from esdlab.errors import ParameterError
+from esdlab.markov import QuantumNoiseParams, proven_esd_time
 from esdlab.qmath import wootters_concurrence
 from esdlab.states import EWLParams, ewl_state
 
@@ -18,6 +21,7 @@ from _oracles import critical_purity, gaussian_average_coherence
 
 OMEGA = 1.0e11
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+OFF = QuantumNoiseParams(s_white=0.0, temperature=0.04)  # static noise alone
 
 
 def params(theta, sigma_ratio=0.02):
@@ -32,6 +36,12 @@ def pair(theta, sigma):
 
 def modulus(t, p):
     return np.abs(spa_kernel(t, p))
+
+
+def static_esd_time(s, a, b):
+    """The time `sweep` writes under static noise alone: 0.0 or inf where
+    the state proves it, else the closed form."""
+    return sweep([s], a, b, OFF, t_max=1.0)[0, 0]
 
 
 class TestCoherenceModulus:
@@ -128,13 +138,13 @@ class TestAdiabaticConcurrence:
 class TestClosedFormEsdTimes:
     def test_pure_state_infinite(self):
         for theta in (math.pi / 2, 0.0):
-            assert closed_form_esd_time(EWLParams(1.0, INV_SQRT2), *pair(theta, 2.0e9)) == math.inf
+            assert static_esd_time(EWLParams(1.0, INV_SQRT2), *pair(theta, 2.0e9)) == math.inf
 
     def test_critical_purity_boundary(self):
         a = INV_SQRT2
         r_star = critical_purity(a)
         for theta in (math.pi / 2, 0.0):
-            assert closed_form_esd_time(EWLParams(r_star, a), *pair(theta, 2.0e9)) == 0.0
+            assert static_esd_time(EWLParams(r_star, a), *pair(theta, 2.0e9)) == 0.0
 
     def test_optimal_point_value(self):
         # radicand 16 |ab|^2 r^2/(1-r)^2 - 1 = 323 at r=0.9, a=1/sqrt2
@@ -166,7 +176,7 @@ class TestClosedFormEsdTimes:
             s = EWLParams(r, INV_SQRT2)
             want = 0.0 if separable else math.inf
             for theta in (math.pi / 2, 0.0):
-                assert closed_form_esd_time(s, *pair(theta, 0.0)) == want
+                assert static_esd_time(s, *pair(theta, 0.0)) == want
 
     def test_time_past_float_range_is_not_found(self):
         # omega / sigma^2 overflows at sigma = 1e-150, and sigma^2 underflows
@@ -176,7 +186,7 @@ class TestClosedFormEsdTimes:
             assert math.isnan(closed_form_esd_time(s, *pair(theta, sigma)))
 
     def test_never_entangled_below_threshold(self):
-        assert closed_form_esd_time(EWLParams(0.2, INV_SQRT2), *pair(math.pi / 2, 2.0e9)) == 0.0
+        assert static_esd_time(EWLParams(0.2, INV_SQRT2), *pair(math.pi / 2, 2.0e9)) == 0.0
 
     def test_separability_boundary(self):
         # r* = 1/(1 + 4|ab|) and 1-3 ulp either side, where rounding decides
@@ -194,9 +204,13 @@ class TestClosedFormEsdTimes:
         for r, a2 in cases:
             s = EWLParams(r, math.sqrt(a2))
             separable = adiabatic_concurrence(0.0, p, p, s) == 0.0
-            for res in (closed_form_esd_time(s, *optimal), closed_form_esd_time(s, *dephasing)):
-                assert (res == math.inf) == (r == 1.0 and s.ab_mod > 0.0), (r, a2)
-                assert (res == 0.0) == separable, (r, a2)
+            # neither pair relaxes, so the rule reads them alike
+            proven = proven_esd_time(s, *optimal, OFF)
+            assert (proven == math.inf) == (r == 1.0 and s.ab_mod > 0.0), (r, a2)
+            assert (proven == 0.0) == separable, (r, a2)
+            if proven is None:  # both radicands are non-negative where the rule leaves off
+                assert closed_form_esd_time(s, *optimal) >= 0.0, (r, a2)
+                assert closed_form_esd_time(s, *dephasing) >= 0.0, (r, a2)
 
     def test_no_closed_form_outside_its_domain(self):
         # unequal qubits, or a common angle other than 0 and pi/2
@@ -224,8 +238,18 @@ class TestParams:
             AdiabaticParams(omega=1.0, theta=0.0, sigma=0.1, gamma_min=5.0, gamma_max=2.0)
 
     def test_strong_noise_warns_but_works(self):
-        with pytest.warns(UserWarning, match="sigma/omega") as record:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # strong noise is no error in the parameters
             p = AdiabaticParams(omega=1.0e11, theta=0.0, sigma=0.5e11)
-        # the warning names the constructing line, not the dataclass __init__
+        with pytest.warns(UserWarning, match="sigma/omega") as record:
+            z = spa_kernel(0.0, p)
+        # the warning names the line that asked for the static-path result
         assert [w.filename for w in record] == [__file__]
-        assert modulus(0.0, p) == 1.0
+        assert z == 1.0
+
+    def test_the_closed_form_warns_about_strong_noise(self):
+        qubits = pair(math.pi / 2, 0.5 * OMEGA)
+        with pytest.warns(UserWarning, match="static-path treatment degrades") as record:
+            t = closed_form_esd_time(EWLParams(0.9, INV_SQRT2), *qubits)
+        assert [w.filename for w in record] == [__file__]
+        assert t > 0.0

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esdlab.adiabatic import (
@@ -15,7 +15,7 @@ from esdlab.adiabatic import (
 from esdlab.analysis import find_crossing_time, sweep
 from esdlab.constants import ESD_RELATIVE_TOL
 from esdlab.errors import ParameterError
-from esdlab.markov import QuantumNoiseParams, interplay_concurrence
+from esdlab.markov import QuantumNoiseParams, interplay_concurrence, proven_esd_time
 from esdlab.states import EWLParams
 
 from _oracles import bisect_first_zero
@@ -232,7 +232,7 @@ class TestSweep:
 
     def test_quantum_noise_off_takes_the_static_path(self):
         # s_white = 0 leaves the static noise alone, which has a closed form,
-        # so a switched-off channel on quiet qubits is a proven never
+        # and a switched-off channel on quiet qubits is a proven never
         p = qubit(math.pi / 2)
         states, t_max = [EWLParams(0.6, INV_SQRT2), EWLParams(0.9, INV_SQRT2)], 1.0e6 / OMEGA
         for s, (phi, psi) in zip(states, sweep(states, p, p, OFF, t_max).T):
@@ -240,8 +240,86 @@ class TestSweep:
             assert phi == psi == closed_form_esd_time(s, p, p)
         quiet = replace(p, sigma=0.0)
         assert np.all(sweep(states, quiet, quiet, OFF, t_max) == math.inf)
+        # and so is a detuned pair, which has no closed form to say so
+        detuned = replace(quiet, omega=1.2 * OMEGA)
+        assert np.all(sweep(states, quiet, detuned, OFF, t_max) == math.inf)
 
     def test_rejects_an_empty_state_list(self):
         p = qubit(math.pi / 2)
         with pytest.raises(ParameterError, match="at least one state"):
             sweep([], p, p, OFF, t_max=1.0)
+
+    def test_quantum_only_phi_disentangles_at_20_mK(self):
+        # p1 = 2.6e-17 at 20 mK; a p1 rounded to 0 left rho_33 empty, and phi
+        # stayed entangled past omega t = 2e7
+        quiet = replace(qubit(math.pi / 2), sigma=0.0)
+        cold = QuantumNoiseParams(s_white=2.0e6, temperature=0.02)
+        s = EWLParams(0.9, INV_SQRT2)
+        phi, _ = sweep([s], quiet, quiet, cold, t_max=2.0e7 / OMEGA)[:, 0]
+        assert phi * OMEGA == pytest.approx(3.63e6, rel=1e-2)
+        assert_brackets_root(lambda t: interplay_concurrence(t, s, quiet, quiet, cold), phi)
+
+
+# fig4's pair: qubit B 20% above qubit A, with the same relative noise
+ANGLES = st.one_of(st.sampled_from([0.0, 0.7, math.pi / 2, math.pi]), st.floats(0.0, math.pi))
+
+
+def qubits(theta_a, theta_b, detuned, ratio):
+    a = AdiabaticParams(omega=OMEGA, theta=theta_a, sigma=ratio * OMEGA)
+    scale = 1.2 if detuned else 1.0
+    return a, replace(a, omega=scale * OMEGA, theta=theta_b, sigma=scale * a.sigma)
+
+
+class TestProvenNever:
+    """A pure state whose facing populations nothing fills stays entangled:
+    ``sweep`` writes inf, where a search read the coherence's underflow as
+    a zero."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(theta_a=ANGLES, theta_b=ANGLES, same_angle=st.booleans(), detuned=st.booleans(),
+           ratio=st.floats(0.0, 0.1), a2=st.floats(0.01, 0.99))
+    @example(theta_a=0.0, theta_b=0.0, same_angle=True, detuned=True, ratio=0.02, a2=0.5)
+    @example(theta_a=0.7, theta_b=0.7, same_angle=True, detuned=True, ratio=0.02, a2=0.5)
+    @example(theta_a=math.pi / 2, theta_b=0.0, same_angle=True, detuned=True, ratio=0.02, a2=0.5)
+    def test_static_noise_never_ends_a_pure_state(self, theta_a, theta_b, same_angle, detuned,
+                                                  ratio, a2):
+        ad_a, ad_b = qubits(theta_a, theta_a if same_angle else theta_b, detuned, ratio)
+        times = sweep([EWLParams(1.0, math.sqrt(a2))], ad_a, ad_b, OFF, t_max=1.0e7 / OMEGA)
+        assert times.tolist() == [[math.inf], [math.inf]]
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(detuned=st.booleans(), ratio=st.floats(0.0, 0.1), a2=st.floats(0.01, 0.99),
+           s_white=st.floats(1.0e3, 1.0e9), temperature=st.floats(0.01, 10.0))
+    @example(detuned=False, ratio=0.02, a2=0.5, s_white=2.0e6, temperature=0.04)
+    def test_pure_dephasing_never_ends_a_pure_state(self, detuned, ratio, a2, s_white,
+                                                    temperature):
+        # at theta = 0 the quantum noise only dephases: no population moves
+        ad_a, ad_b = qubits(0.0, 0.0, detuned, ratio)
+        qn = QuantumNoiseParams(s_white=s_white, temperature=temperature)
+        s = EWLParams(1.0, math.sqrt(a2))
+        t_max = 1.0e9 / OMEGA
+        interplay = sweep([s], ad_a, ad_b, qn, t_max)
+        quantum = sweep([s], replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0), qn, t_max)
+        assert interplay.tolist() == quantum.tolist() == [[math.inf], [math.inf]]
+
+    def test_relaxation_fills_the_populations(self):
+        # theta = 0.7: the quantum noise moves populations into rho_00 and
+        # rho_33 (phi) and rho_11 and rho_22 (psi), and both flavors end
+        p = qubit(0.7)
+        s = EWLParams(1.0, INV_SQRT2)
+        assert proven_esd_time(s, p, p, QN) is None
+        phi, psi = sweep([s], p, p, QN, t_max=5.0e3 / OMEGA)[:, 0]
+        assert phi * OMEGA == pytest.approx(259.1, rel=1e-3)
+        assert psi * OMEGA == pytest.approx(175.7, rel=1e-3)
+        for flavor, t in (("phi", phi), ("psi", psi)):
+            sf = replace(s, flavor=flavor)
+            assert_brackets_root(lambda t: interplay_concurrence(t, sf, p, p, QN), t)
+
+    def test_populations_below_float_range_stay_empty(self):
+        # at 0.5 mK p1 underflows to 0: nothing reaches rho_33, so phi stays
+        # entangled; psi's relaxation still fills rho_11 and rho_22
+        p = qubit(math.pi / 2)
+        frozen = QuantumNoiseParams(s_white=2.0e6, temperature=5.0e-4)
+        s = EWLParams(1.0, INV_SQRT2)
+        assert proven_esd_time(s, p, p, frozen) == math.inf
+        assert proven_esd_time(replace(s, flavor="psi"), p, p, frozen) is None

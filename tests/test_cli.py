@@ -161,6 +161,32 @@ class TestEsd:
         header, rows = read_csv(out)
         assert [row[header.index("omega_t_esd_adiabatic")] for row in rows] == ["nan", "nan"]
 
+    @pytest.mark.parametrize("theta, t_max_omega, never", [
+        (0.0, 5.0e3, ["omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic"]),
+        (0.0, 1.0e9, ["omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic",
+                      "omega_t_esd_quantum_phi", "omega_t_esd_quantum_psi"]),
+        (0.7, 5.0e3, ["omega_t_esd_adiabatic"]),
+    ], ids=["dephasing", "dephasing-long", "theta-0.7"])
+    def test_pure_state_that_nothing_ends_is_never(self, tmp_path, theta, t_max_omega, never):
+        # a search read the underflow of the coherence as a zero and wrote
+        # omega t = 1363.7 (theta = 0) or 1867.1 (theta = 0.7); at theta = 0.7
+        # the relaxation fills the facing populations, and the interplay ends
+        qubit = {"theta_rad": theta}
+        cfg = {"qubit_a": qubit, "qubit_b": qubit, "sim": {"t_max_omega": t_max_omega}}
+        out = tmp_path / "esd.csv"
+        argv = ["esd", "--config", write_config(tmp_path, cfg), "--sweep", "r",
+                "--from", "0.99", "--to", "1.0", "--points", "2", "--out", str(out)]
+        assert main(argv) == 0
+        header, rows = read_csv(out)
+        near, pure = (dict(zip(header, row)) for row in rows)
+        assert [pure[name] for name in never] == ["inf"] * len(never)
+        assert "inf" not in near.values()
+        if theta == 0.0:
+            assert float(near["omega_t_esd_phi"]) == pytest.approx(114.956, rel=1e-5)
+        else:
+            assert float(pure["omega_t_esd_phi"]) == pytest.approx(259.150, rel=1e-5)
+            assert float(pure["omega_t_esd_psi"]) == pytest.approx(175.747, rel=1e-5)
+
     def test_search_that_reaches_t_max_writes_nan(self, tmp_path):
         # at the default t_max quantum noise alone kills no state of this
         # sweep; that is not found, which inf (never) would overstate
@@ -176,9 +202,10 @@ class TestEsd:
 
 @pytest.mark.filterwarnings("error::UserWarning")
 def test_no_concurrence_returns_from_underflowing_populations(tmp_path):
-    # at this temperature p1 = 0.0, and the populations product rho_11 rho_22
-    # underflowed to 0 near omega t = 5000 while the coherence (~1e-162) did
-    # not: the curve came back after its zero, and the ESD search warned
+    # at this temperature p1 = 1 - tanh(x) / 2 rounded to 0.0, and the
+    # populations product rho_11 rho_22 underflowed to 0 near omega t = 5000
+    # while the coherence (~1e-162) did not: the curve came back after its
+    # zero, and the ESD search warned
     cfg = write_config(tmp_path, {
         "state": {"flavor": "psi", "r": 0.99},
         "quantum": {"s_white_per_s": 14874938495.0, "temperature_k": 0.015625},
@@ -246,6 +273,27 @@ def test_psd_does_not_warn_about_the_static_path(tmp_path):
             "--out", str(out)]
     assert main(argv) == 0
     assert len(read_csv(out)[1]) == 100
+
+
+STRONG_NOISE = {"qubit_a": {"sigma_rad_s": 3e10}, "qubit_b": {"sigma_rad_s": 3e10}}
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig4b", "--outdir", "{out}"],
+    ["concurrence", "--channel", "montecarlo", "--out", "{out}/mc.csv"],
+], ids=["fig4b", "montecarlo"])
+def test_monte_carlo_does_not_warn_about_the_static_path(tmp_path, argv):
+    # sigma/omega = 0.3 degrades the static-path average, which neither run computes
+    cfg = write_config(tmp_path, {**STRONG_NOISE, **SMALL_MC})
+    assert main([arg.format(out=tmp_path) for arg in argv] + ["--config", cfg]) == 0
+
+
+def test_the_static_path_warns_about_strong_noise(tmp_path):
+    cfg = write_config(tmp_path, {**STRONG_NOISE, "sim": {"samples": 5}})
+    with pytest.warns(UserWarning, match="static-path treatment degrades"):
+        assert main(["concurrence", "--channel", "adiabatic", "--config", cfg,
+                     "--out", str(tmp_path / "c.csv")]) == 0
 
 
 def test_psd_without_low_frequency_noise(tmp_path, capsys):

@@ -73,6 +73,17 @@ class TestGibbsPopulations:
             want = -math.tanh(HBAR * omega / (2.0 * K_B * temp))
             assert p1 - p0 == pytest.approx(want, abs=1e-12)
 
+    def test_excited_population_keeps_its_precision_when_cold(self):
+        # 1 - tanh(x) rounds to 0 from about 20 mK at omega = 1e11 rad/s
+        from esdlab.constants import HBAR, K_B
+
+        for temp, want in ((0.04, 5.1e-9), (0.02, 2.6e-17), (0.015, 7.7e-23), (0.01, 6.7e-34)):
+            p0, p1 = gibbs_populations(OMEGA, temp)
+            exact = 1.0 / (1.0 + math.exp(HBAR * OMEGA / (K_B * temp)))
+            assert p1 == pytest.approx(exact, rel=1e-14, abs=0.0)
+            assert p1 == pytest.approx(want, rel=0.05, abs=0.0)
+            assert p0 == 1.0 - p1
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ParameterError):
             gibbs_populations(-1.0, 1.0)
@@ -122,6 +133,12 @@ class TestSingleQubitMap:
         z = coherence_factor(t, AD_OPT, QN)
         want = combined_coherence_modulus(t, OMEGA, AD_OPT.sigma, QN.t1)
         assert abs(z) == pytest.approx(want, rel=1e-12)
+
+    def test_optimal_point_warns_about_strong_noise(self):
+        strong = AdiabaticParams(omega=OMEGA, theta=math.pi / 2, sigma=0.3 * OMEGA)
+        with pytest.warns(UserWarning, match="static-path treatment degrades") as record:
+            coherence_factor(1.0 / OMEGA, strong, QN)
+        assert [w.filename for w in record] == [__file__]
 
     def test_rejects_negative_time(self):
         with pytest.raises(ParameterError):

@@ -50,6 +50,7 @@ CASES = [
     (EWLParams, "b_phase", INF),
     (FluctuatorEnsemble, "gamma_min", NAN),
     (FluctuatorEnsemble, "gamma_max", INF),
+    (FluctuatorEnsemble, "sigma", INF),
 ]
 
 

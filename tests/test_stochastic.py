@@ -82,6 +82,11 @@ class TestSampleEnsemble:
         with pytest.raises(ParameterError):
             sample_ensemble(10, 100.0, 1.0, 1.0, 0)
 
+    def test_rejects_a_negative_sigma(self):
+        # equal couplings of -sigma/sqrt(n) square to sigma^2 all the same
+        with pytest.raises(ParameterError, match="sigma"):
+            sample_ensemble(4, 1.0, 100.0, -2.0, 0)
+
     def test_ensemble_invariants_enforced(self):
         with pytest.raises(ParameterError, match="variance"):
             FluctuatorEnsemble(
@@ -622,9 +627,8 @@ class TestMonteCarlo:
         # sets the pure dephasing at theta != pi/2. At T = 1e6 K both flavors
         # have the same channel curve.
         omega, gamma, variance = 1.0, 5.0, 0.2
-        with pytest.warns(UserWarning, match="static-path treatment degrades"):
-            bath = AdiabaticParams(omega=omega, theta=theta, sigma=math.sqrt(variance),
-                                   gamma_min=gamma, gamma_max=gamma * (1.0 + 1e-6))
+        bath = AdiabaticParams(omega=omega, theta=theta, sigma=math.sqrt(variance),
+                               gamma_min=gamma, gamma_max=gamma * (1.0 + 1e-6))
         cfg = SimConfig(qubit_a=bath, qubit_b=bath, n_trajectories=1024, t_max=40.0 / omega,
                         n_samples=9, seed=20110, n_fluctuators=4)
         state = EWLParams(1.0, INV_SQRT2, "psi")
