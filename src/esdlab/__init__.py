@@ -1,15 +1,14 @@
 """Entanglement degradation of two qubits under broadband solid-state noise.
 
-Closed-form concurrence and disentanglement times for low-frequency
-(quasi-static) noise, a weak-coupling quantum-noise channel with general
-two-qubit channel composition, and a random-telegraph Monte Carlo engine
-that cross-validates the analytics.
+Closed-form concurrence for low-frequency (quasi-static) noise, a
+weak-coupling quantum-noise channel with general two-qubit channel
+composition, disentanglement times searched on those analytic curves, and a
+random-telegraph Monte Carlo engine that cross-validates the analytics.
 """
 
 from .adiabatic import (
     AdiabaticParams,
     adiabatic_concurrence,
-    closed_form_esd_time,
     spa_kernel,
 )
 from .analysis import find_crossing_time, sweep

@@ -5,8 +5,7 @@ zero-mean Gaussian of width sigma. To second order the offset shifts the
 qubit splitting by ``cos(theta) X + sin(theta)^2 X^2 / (2 omega)``, and
 averaging the accumulated phase over X gives the complex
 coherence-suppression factor :func:`spa_kernel`; the concurrence scales
-with its modulus. Populations do not move in this channel, and the times of
-:func:`closed_form_esd_time` solve :func:`esdlab.states.ewl_concurrence`.
+with its modulus. Populations do not move in this channel.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "AdiabaticParams",
     "spa_kernel",
     "adiabatic_concurrence",
-    "closed_form_esd_time",
 ]
 
 
@@ -73,8 +71,8 @@ def _warn_if_strong(p: AdiabaticParams) -> None:
 
 def _check_times(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ParameterError("time must be non-negative")
+    if not np.all((0.0 <= t) & (t < math.inf)):  # a nan fails both
+        raise ParameterError("time must be non-negative and finite")
     return t
 
 
@@ -105,36 +103,3 @@ def adiabatic_concurrence(
     """
     m = np.abs(spa_kernel(t, p_a) * spa_kernel(t, p_b))
     return ewl_concurrence(state, m, m)
-
-
-def closed_form_esd_time(
-    state: EWLParams, ad_a: AdiabaticParams, ad_b: AdiabaticParams
-) -> float | None:
-    """Disentanglement time under static noise alone where a closed form
-    holds, else None. It holds for qubits equal in omega, theta and sigma:
-    at the optimal point theta = pi/2, ``(omega / sigma^2) sqrt(16 ratio^2 - 1)``,
-    and under pure dephasing, theta = 0, ``sqrt(ln(4 ratio)) / sigma``, with
-    ``ratio = |ab| r / (1-r)``, for a state that
-    :func:`esdlab.markov.proven_esd_time` leaves open. A time past float
-    range is ``math.nan``: no zero was found.
-    """
-    omega, sigma = ad_a.omega, ad_a.sigma
-    if ((omega, ad_a.theta, sigma) != (ad_b.omega, ad_b.theta, ad_b.sigma)
-            or not (ad_a.at_optimal_point or ad_a.theta == 0.0)):
-        return None
-    _warn_if_strong(ad_a)
-    # the caller has settled C(0) <= 0, r = 1 and sigma = 0. C(0) > 0 means
-    # K(0) = fl(r |ab|) - sqrt(fl(1 - r)^2 / 16) > 0, and in binary floating
-    # point sqrt(x*x) is x, so fl(r |ab|) > fl(1 - r) / 4. Rounding the
-    # quotient is monotone, so ratio >= 1/4: both radicands,
-    # 16 ratio^2 - 1 and ln(4 ratio), are non-negative
-    ratio = state.ab_mod * state.r / (1.0 - state.r)
-    try:
-        if ad_a.at_optimal_point:
-            time = omega / sigma**2 * math.sqrt(16.0 * ratio**2 - 1.0)
-        else:
-            time = math.sqrt(math.log(4.0 * ratio)) / sigma
-    except ZeroDivisionError:  # sigma^2 underflowed to 0
-        time = math.inf
-    # a time past float range is not a proven never: no zero was found
-    return time if math.isfinite(time) else math.nan

@@ -8,17 +8,24 @@ channel of static and quantum noise. These decay without revivals, so
 otherwise). Monte Carlo curves are not searched: the equal couplings of a
 sampled bath put its static offsets on a lattice, which can revive the
 concurrence, and a sampled concurrence has a noise floor near zero.
+
+:func:`sweep` takes no horizon: each curve sets its own, by stepping t up
+from 1/omega_a by a fixed factor until the curve is at or below zero. That
+ends for every state :func:`esdlab.markov.proven_esd_time` leaves open, whose
+coherences go to zero while its facing populations stay positive; past the
+largest t with a finite omega_a t the time is ``nan``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 
-from .adiabatic import AdiabaticParams, adiabatic_concurrence, closed_form_esd_time
+from .adiabatic import AdiabaticParams, adiabatic_concurrence
 from .constants import ESD_RELATIVE_TOL
 from .errors import ParameterError
 from .markov import QuantumNoiseParams, interplay_concurrence, proven_esd_time
@@ -27,6 +34,8 @@ __all__ = [
     "find_crossing_time",
     "sweep",
 ]
+
+_HORIZON_STEP = 1.0e3  # well inside the search's 12-decade scan
 
 
 def find_crossing_time(c, t_max: float) -> float:
@@ -94,41 +103,48 @@ def sweep(
     ad_a: AdiabaticParams,
     ad_b: AdiabaticParams,
     qn: QuantumNoiseParams,
-    t_max: float,
 ) -> np.ndarray:
     """Disentanglement times of each of ``states``, as a ``(2, len(states))``
     array: row 0 the phi flavor, row 1 psi, columns in the given order. A
     state's own flavor is not read.
 
-    A time is 0.0 or ``inf`` where :func:`proven_esd_time` says so. Else,
-    with ``qn.s_white == 0`` (static noise alone, flavor independent), it is
-    :func:`closed_form_esd_time` where that holds, or a search on
-    :func:`adiabatic_concurrence`; any other ``qn`` searches each flavor on
-    :func:`interplay_concurrence`. ``nan`` means that no zero was found.
+    A time is 0.0 or ``inf`` where :func:`proven_esd_time` says so. Else it
+    is searched on :func:`adiabatic_concurrence` when ``qn.s_white == 0``
+    (static noise alone, one curve for both flavors), and on each flavor's
+    :func:`interplay_concurrence` otherwise. The search's horizon is the
+    first of t = 1/omega_a, 10^3 times that, and so on, where the curve is
+    at or below zero; the loop ends because an open state's coherences go to
+    zero while its facing populations stay positive. ``nan`` means that the
+    curve is still positive at the largest t whose omega_a t is finite.
     """
-    if not 0.0 < t_max < math.inf:
-        raise ParameterError("t_max must be positive and finite")
     if not states:
         raise ParameterError("sweep needs at least one state")
 
     times = np.empty((2, len(states)))
     for k, s in enumerate(states):
         if qn.s_white == 0.0:  # static noise alone gives both flavors one curve
-            times[:, k] = _esd_time(s, ad_a, ad_b, qn, t_max)
+            times[:, k] = _esd_time(s, ad_a, ad_b, qn)
         else:
-            times[:, k] = [_esd_time(replace(s, flavor=flavor), ad_a, ad_b, qn, t_max)
+            times[:, k] = [_esd_time(replace(s, flavor=flavor), ad_a, ad_b, qn)
                            for flavor in ("phi", "psi")]
     return times
 
 
-def _esd_time(state, ad_a, ad_b, qn, t_max) -> float:
-    """One cell of :func:`sweep`: proven, else a closed form, else a search."""
+def _esd_time(state, ad_a, ad_b, qn) -> float:
+    """One cell of :func:`sweep`: proven, else searched up to the curve's own horizon."""
     esd = proven_esd_time(state, ad_a, ad_b, qn)
     if esd is not None:
         return esd
-    if qn.s_white != 0.0:
-        return find_crossing_time(lambda t: interplay_concurrence(t, state, ad_a, ad_b, qn), t_max)
-    esd = closed_form_esd_time(state, ad_a, ad_b)
-    if esd is None:
-        esd = find_crossing_time(lambda t: adiabatic_concurrence(t, ad_a, ad_b, state), t_max)
-    return esd
+    if qn.s_white == 0.0:
+        curve = lambda t: adiabatic_concurrence(t, ad_a, ad_b, state)
+    else:
+        curve = lambda t: interplay_concurrence(t, state, ad_a, ad_b, qn)
+    cap = sys.float_info.max / max(ad_a.omega, 1.0)
+    if math.isinf(ad_a.omega * cap):  # max / omega rounded up
+        cap = math.nextafter(cap, 0.0)
+    t = min(1.0 / ad_a.omega, cap)
+    while _evaluate(curve, np.array([t]))[0] > 0.0:
+        if t == cap:
+            return math.nan
+        t = min(t * _HORIZON_STEP, cap)
+    return find_crossing_time(curve, t)

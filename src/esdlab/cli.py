@@ -14,8 +14,8 @@ segment, output). ``quantum.s_white_per_s: 0`` switches the quantum noise
 off (infinite T1); the static-noise figures (fig1, fig4) set it so and
 refuse any other value. An ESD cell (``esd``, fig2), in any column, is
 ``inf`` for a proven never (``esdlab.markov.proven_esd_time``) and ``nan``
-where no zero was found: a search reached t_max, or a closed-form time lies
-past float range.
+where its curve is still positive at the largest omega_t in float range; each
+curve sets its own search horizon, so ``esd`` and fig2 read no t_max_omega.
 
 Config contract: a scenario has exactly the sections and fields of
 ``DEFAULT_CONFIG``. Each field takes its default's type (an ``int`` default
@@ -288,17 +288,12 @@ def _esd_columns(label: str, over: str, grid: np.ndarray, cfg: dict) -> dict[str
     states = [_state_from(cfg, **{over: value}) for value in grid.tolist()]
     ad_a, ad_b = _closed_form_qubits(cfg)
     qn = _quantum_from(cfg)
-    omega = ad_a.omega
-    t_max = cfg["sim"]["t_max_omega"] / omega
-    combined = sweep(states, ad_a, ad_b, qn, t_max)
-    static = sweep(states, ad_a, ad_b, replace(qn, s_white=0.0), t_max)
+    combined = sweep(states, ad_a, ad_b, qn)
+    static = sweep(states, ad_a, ad_b, replace(qn, s_white=0.0))
     # quantum noise only: the same channel with the low-frequency noise off
-    quantum = sweep(states, replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0), qn, t_max)
-    times = np.vstack([combined, static[:1], quantum])
-    with np.errstate(over="ignore"):
-        cells = times * omega
-    # a finite time past float range in omega_t is not found either
-    cells[np.isinf(cells) & np.isfinite(times)] = math.nan
+    quantum = sweep(states, replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0), qn)
+    # sweep keeps every finite time's omega_a t in float range
+    cells = np.vstack([combined, static[:1], quantum]) * ad_a.omega
     return {label: grid, **dict(zip(_ESD_COLUMNS, cells))}
 
 
@@ -378,7 +373,7 @@ FIGURES: dict[str, Figure] = {
          "sim": {"t_max_omega": 1.0e5, "samples": 601}},
         _static_family("r", [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0]),
     ),
-    "fig2": Figure({"state": {"a2": 0.5}, "sim": {"t_max_omega": 2.0e7}}, _fig2),
+    "fig2": Figure({"state": {"a2": 0.5}}, _fig2),
     "fig3": Figure({"state": {"r": 0.95}, "sim": {"t_max_omega": 2.5e4, "samples": 501}}, _fig3),
     "fig4a": Figure(
         {"state": {"flavor": "psi", "r": 1.0}, "qubit_b": _DETUNED_QUBIT, "quantum": _NO_QUANTUM,

@@ -69,8 +69,8 @@ class QuantumNoiseParams:
 def gibbs_populations(omega: float, temperature: float) -> tuple[float, float]:
     """Thermal populations (p0, p1), with p1 - p0 = -tanh(hbar omega / 2 kB T).
     p1 = q / (1 + q) underflows below about 1 mK at omega = 1e11 rad/s."""
-    if omega <= 0.0 or temperature <= 0.0:
-        raise ParameterError("omega and temperature must be positive")
+    if not (0.0 < omega < math.inf and 0.0 < temperature < math.inf):
+        raise ParameterError("omega and temperature must be positive and finite")
     q = math.exp(-HBAR * omega / (K_B * temperature))
     p1 = q / (1.0 + q)
     return 1.0 - p1, p1
@@ -121,7 +121,8 @@ def coherence_factor(t, ad: AdiabaticParams, qn: QuantumNoiseParams):
     relaxation rate enters the defocusing bracket, where 1/T1 = 0 leaves the
     static-path bracket); elsewhere the static-path kernel and the Markovian
     factor exp(-Gamma_2 t) multiply. With ``s_white = 0`` both reduce to the
-    pure static-path result. A negative time raises :class:`ParameterError`.
+    pure static-path result. A time that is negative or not finite raises
+    :class:`ParameterError`.
     """
     t = _check_times(t)
     s2, c2 = math.sin(ad.theta) ** 2, math.cos(ad.theta) ** 2

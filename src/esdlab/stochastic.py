@@ -764,8 +764,9 @@ def fit_one_over_f(est: PsdEstimate) -> OneOverFFit:
     """Fit slope and amplitude over the trustworthy band [10 gm, gM/10] (Hz).
 
     The band must span at least one decade, i.e. gamma_max/gamma_min >= 1000,
-    and hold power in each of its log-spaced bins. The amplitude is compared against the 1/f law at the geometric band
-    center, where band-edge roll-off is negligible.
+    and hold power in each of its log-spaced bins. The amplitude is compared
+    against the 1/f law at the geometric band center, where band-edge
+    roll-off is negligible.
     """
     if est.gamma_max / est.gamma_min < 1000.0:
         raise ParameterError(

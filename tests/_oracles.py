@@ -12,6 +12,13 @@ These deliberately avoid the code paths they check:
   ``is_x_state`` checks that a state has X form;
 - ``critical_purity`` is the separability threshold r* of the extended
   Werner-like states;
+- ``esd_time_optimal`` and ``esd_time_dephasing`` are the paper's
+  disentanglement times under static noise alone, in closed form; they gate
+  the library's search on the static-path curve;
+- ``ppt_min_eigenvalue`` is the Peres-Horodecki test: the least eigenvalue
+  of the partial transpose of the composed two-qubit state, negative exactly
+  while the state is entangled; it shares no code with
+  ``esdlab.states.ewl_concurrence``, and gates every searched time;
 - ``bisect_first_zero`` is the scalar ESD search: the log-grid scan's first
   sign-change bracket halved with one scalar curve call per step, instead of
   the library's array search that splits it in 64 parts per call;
@@ -42,7 +49,9 @@ import math
 import numpy as np
 
 from esdlab.constants import ESD_RELATIVE_TOL, HBAR, K_B
+from esdlab.markov import compose_two_qubit, single_qubit_map
 from esdlab.qmath import SIGMA_X, SIGMA_Z
+from esdlab.states import ewl_state
 
 # Indices of the eight off-X elements (everything outside diagonal and
 # anti-diagonal).
@@ -79,6 +88,44 @@ def critical_purity(a: complex) -> float:
     mod_a = abs(a)
     ab = mod_a * math.sqrt(max(0.0, 1.0 - mod_a**2))
     return 1.0 / (1.0 + 4.0 * ab)
+
+
+def _purity_ratio(state) -> float:
+    """|ab| r / (1 - r), at least 1/4 for a state entangled at t = 0 that is not pure."""
+    return state.ab_mod * state.r / (1.0 - state.r)
+
+
+def esd_time_optimal(state, ad) -> float:
+    """Disentanglement time of two qubits ``ad`` at theta = pi/2 under static
+    noise alone: (omega / sigma^2) sqrt(16 ratio^2 - 1)."""
+    return ad.omega / ad.sigma**2 * math.sqrt(16.0 * _purity_ratio(state) ** 2 - 1.0)
+
+
+def esd_time_dephasing(state, ad) -> float:
+    """Disentanglement time of two qubits ``ad`` at theta = 0 under static
+    noise alone: sqrt(ln(4 ratio)) / sigma."""
+    return math.sqrt(math.log(4.0 * _purity_ratio(state))) / ad.sigma
+
+
+def ppt_min_eigenvalue(t: float, state, ad_a, ad_b, qn) -> float:
+    """A number with the sign of the least eigenvalue of the partial
+    transpose P (on qubit B) of the state that the composed single-qubit
+    channels make of ``state`` at time t.
+
+    It is the least eigenvalue of D P D, with D = diag(P)^(-1/2) where the
+    diagonal is positive and 1 elsewhere. D is nonsingular, so D P D has the
+    signs of P's eigenvalues (Sylvester's law of inertia), and its unit
+    diagonal keeps ``eigvalsh``'s absolute error, eps times the norm, far
+    below the least eigenvalue near a disentanglement time. Unscaled, a
+    least eigenvalue of 3e-22 beside a population of 1 comes out -3e-46.
+    """
+    rho = compose_two_qubit(ewl_state(state), single_qubit_map(t, ad_a, qn),
+                            single_qubit_map(t, ad_b, qn))
+    # rho[ij, i'j'] -> rho[ij', i'j]
+    transposed = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    diag = transposed.diagonal().real
+    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    return float(np.linalg.eigvalsh(scale[:, None] * transposed * scale[None, :])[0])
 
 
 def bisect_first_zero(c, t_max: float) -> tuple[float, float, float]:

@@ -5,19 +5,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from esdlab.adiabatic import (
-    AdiabaticParams,
-    adiabatic_concurrence,
-    closed_form_esd_time,
-    spa_kernel,
-)
+from esdlab.adiabatic import AdiabaticParams, adiabatic_concurrence, spa_kernel
 from esdlab.analysis import sweep
+from esdlab.constants import ESD_RELATIVE_TOL
 from esdlab.errors import ParameterError
-from esdlab.markov import QuantumNoiseParams, proven_esd_time
+from esdlab.markov import (
+    QuantumNoiseParams,
+    coherence_factor,
+    interplay_concurrence,
+    proven_esd_time,
+)
 from esdlab.qmath import wootters_concurrence
 from esdlab.states import EWLParams, ewl_state
 
-from _oracles import critical_purity, gaussian_average_coherence
+from _oracles import (
+    critical_purity,
+    esd_time_dephasing,
+    esd_time_optimal,
+    gaussian_average_coherence,
+)
 
 OMEGA = 1.0e11
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -29,7 +35,7 @@ def params(theta, sigma_ratio=0.02):
 
 
 def pair(theta, sigma):
-    """Two identical qubits, the pairs that have a closed-form ESD time."""
+    """Two identical qubits, the pairs whose ESD time the paper gives in closed form."""
     p = AdiabaticParams(omega=OMEGA, theta=theta, sigma=sigma)
     return p, p
 
@@ -40,8 +46,13 @@ def modulus(t, p):
 
 def static_esd_time(s, a, b):
     """The time `sweep` writes under static noise alone: 0.0 or inf where
-    the state proves it, else the closed form."""
-    return sweep([s], a, b, OFF, t_max=1.0)[0, 0]
+    the state proves it, else a search on the static-path curve."""
+    return sweep([s], a, b, OFF)[0, 0]
+
+
+def assert_matches(got, want):
+    """A searched time agrees with a closed form within the search's tolerance."""
+    assert abs(got - want) <= ESD_RELATIVE_TOL * want, (got, want)
 
 
 class TestCoherenceModulus:
@@ -72,6 +83,17 @@ class TestCoherenceModulus:
     def test_rejects_negative_time(self):
         with pytest.raises(ParameterError):
             modulus(-1.0, params(0.0))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_time_that_is_not_finite(self, t):
+        # each returned nan, with a RuntimeWarning
+        p = params(0.7)
+        qn = QuantumNoiseParams(s_white=2.0e6, temperature=0.04)
+        for call in (lambda: spa_kernel(t, p), lambda: coherence_factor(t, p, qn),
+                     lambda: interplay_concurrence(np.array([0.0, t]), EWLParams(0.9, INV_SQRT2),
+                                                   p, p, qn)):
+            with pytest.raises(ParameterError, match="non-negative and finite"):
+                call()
 
     @pytest.mark.parametrize("sigma_ratio", [0.01, 0.02, 0.05])
     @pytest.mark.parametrize(
@@ -148,26 +170,47 @@ class TestClosedFormEsdTimes:
 
     def test_optimal_point_value(self):
         # radicand 16 |ab|^2 r^2/(1-r)^2 - 1 = 323 at r=0.9, a=1/sqrt2
-        res = closed_form_esd_time(EWLParams(0.9, INV_SQRT2), *pair(math.pi / 2, 0.02 * OMEGA))
-        assert res * OMEGA == pytest.approx(2500.0 * math.sqrt(323.0), rel=1e-14)
+        s, qubits = EWLParams(0.9, INV_SQRT2), pair(math.pi / 2, 0.02 * OMEGA)
+        want = esd_time_optimal(s, qubits[0])
+        assert want * OMEGA == pytest.approx(2500.0 * math.sqrt(323.0), rel=1e-14)
+        assert_matches(static_esd_time(s, *qubits), want)
 
     def test_dephasing_value(self):
         sigma = 0.02 * OMEGA
-        res = closed_form_esd_time(EWLParams(0.9, INV_SQRT2), *pair(0.0, sigma))
-        assert res * sigma == pytest.approx(math.sqrt(math.log(18.0)), rel=1e-14)
+        s, qubits = EWLParams(0.9, INV_SQRT2), pair(0.0, sigma)
+        want = esd_time_dephasing(s, qubits[0])
+        assert want * sigma == pytest.approx(math.sqrt(math.log(18.0)), rel=1e-14)
+        assert_matches(static_esd_time(s, *qubits), want)
+
+    @pytest.mark.parametrize("theta, closed_form", [(math.pi / 2, esd_time_optimal),
+                                                    (0.0, esd_time_dephasing)],
+                             ids=["optimal", "dephasing"])
+    def test_search_matches_the_closed_form(self, theta, closed_form):
+        # the paper's formulas gate the search over the purity range, three
+        # amplitudes and the static noise from 1e-5 to 0.02 of the splitting
+        for ratio in (1e-5, 1e-3, 0.02):
+            qubits = pair(theta, ratio * OMEGA)
+            for a2 in (0.1, 0.5, 0.9):
+                a = math.sqrt(a2)
+                for r in np.linspace(critical_purity(a), 1.0, 12)[1:-1].tolist() + [0.9999]:
+                    s = EWLParams(r, a)
+                    assert_matches(static_esd_time(s, *qubits), closed_form(s, qubits[0]))
 
     def test_concurrence_vanishes_at_root(self):
         s = EWLParams(0.9, INV_SQRT2)
-        for theta in (math.pi / 2, 0.0):
+        for theta, closed_form in ((math.pi / 2, esd_time_optimal), (0.0, esd_time_dephasing)):
             qubits = pair(theta, 0.02 * OMEGA)
-            t = closed_form_esd_time(s, *qubits)
-            assert adiabatic_concurrence(t, *qubits, s) <= 1e-9 * 0.85
+            assert adiabatic_concurrence(closed_form(s, qubits[0]), *qubits, s) <= 1e-9 * 0.85
+            t = static_esd_time(s, *qubits)
+            c = adiabatic_concurrence(np.array([1.0 - ESD_RELATIVE_TOL, 1.0 + ESD_RELATIVE_TOL]) * t,
+                                      *qubits, s)
+            assert c[0] > 0.0 >= c[1]
 
     def test_optimal_point_outlives_dephasing(self):
         # dimensionless comparison at sigma/omega = 0.02
         s = EWLParams(0.9, INV_SQRT2)
-        t_opt = closed_form_esd_time(s, *pair(math.pi / 2, 0.02 * OMEGA)) * OMEGA
-        t_deph = closed_form_esd_time(s, *pair(0.0, 0.02 * OMEGA)) * OMEGA
+        t_opt = static_esd_time(s, *pair(math.pi / 2, 0.02 * OMEGA)) * OMEGA
+        t_deph = static_esd_time(s, *pair(0.0, 0.02 * OMEGA)) * OMEGA
         assert t_opt > t_deph
 
     def test_no_static_noise_never_disentangles(self):
@@ -179,11 +222,25 @@ class TestClosedFormEsdTimes:
                 assert static_esd_time(s, *pair(theta, 0.0)) == want
 
     def test_time_past_float_range_is_not_found(self):
-        # omega / sigma^2 overflows at sigma = 1e-150, and sigma^2 underflows
-        # to 0 at 1e-170: no zero was found, which is no proven never
+        # at theta = fl(pi/2), cos(theta) = 6.1e-17 ends the curve near
+        # omega t = 1.36e327 at sigma = 1e-300; at theta = 0 sqrt(ln 18) / sigma
+        # lies near 3.4e323 s: no zero below the float cap, which is no never
         s = EWLParams(0.9, INV_SQRT2)
-        for theta, sigma in ((math.pi / 2, 1e-150), (math.pi / 2, 1e-170), (0.0, 5e-324)):
-            assert math.isnan(closed_form_esd_time(s, *pair(theta, sigma)))
+        for theta, sigma in ((math.pi / 2, 1e-300), (0.0, 5e-324)):
+            assert math.isnan(static_esd_time(s, *pair(theta, sigma)))
+
+    def test_cosine_term_ends_the_curve_where_the_closed_form_overflows(self):
+        # omega / sigma^2 overflows at sigma = 1e-150 and sigma^2 underflows at
+        # 1e-170, while at theta = fl(pi/2) the offset's cos(theta) = 6.1e-17
+        # dephases the qubits as theta = 0 would at cos(theta) sigma: at r = 0.5
+        # the curve ends near omega t = 1.36e177 and 1.36e197
+        s = EWLParams(0.5, INV_SQRT2)
+        for sigma, omega_t in ((1e-150, 1.36e177), (1e-170, 1.36e197)):
+            qubits = pair(math.pi / 2, sigma)
+            t = static_esd_time(s, *qubits)
+            assert t * OMEGA == pytest.approx(omega_t, rel=0.01)
+            assert_matches(t, esd_time_dephasing(s, replace(qubits[0], sigma=math.cos(math.pi / 2)
+                                                            * sigma)))
 
     def test_never_entangled_below_threshold(self):
         assert static_esd_time(EWLParams(0.2, INV_SQRT2), *pair(math.pi / 2, 2.0e9)) == 0.0
@@ -200,30 +257,21 @@ class TestClosedFormEsdTimes:
                 above = above + [math.nextafter(above[-1], 2.0)]
             cases += [(r, a2) for r in below + above[1:] if r <= 1.0]
         p = params(0.0)
-        optimal, dephasing = pair(math.pi / 2, 2.0e9), pair(0.0, 2.0e9)
+        optimal, dephasing = params(math.pi / 2, 0.02), params(0.0, 0.02)
         for r, a2 in cases:
             s = EWLParams(r, math.sqrt(a2))
             separable = adiabatic_concurrence(0.0, p, p, s) == 0.0
             # neither pair relaxes, so the rule reads them alike
-            proven = proven_esd_time(s, *optimal, OFF)
+            proven = proven_esd_time(s, optimal, optimal, OFF)
             assert (proven == math.inf) == (r == 1.0 and s.ab_mod > 0.0), (r, a2)
             assert (proven == 0.0) == separable, (r, a2)
-            if proven is None:  # both radicands are non-negative where the rule leaves off
-                assert closed_form_esd_time(s, *optimal) >= 0.0, (r, a2)
-                assert closed_form_esd_time(s, *dephasing) >= 0.0, (r, a2)
-
-    def test_no_closed_form_outside_its_domain(self):
-        # unequal qubits, or a common angle other than 0 and pi/2
-        s = EWLParams(0.9, INV_SQRT2)
-        a, _ = pair(math.pi / 2, 2.0e9)
-        assert closed_form_esd_time(s, a, replace(a, sigma=2.5e9)) is None
-        for theta in (0.3, math.pi):
-            assert closed_form_esd_time(s, *pair(theta, 2.0e9)) is None
-
-    def test_optimal_point_holds_within_its_tolerance(self):
-        s = EWLParams(0.9, INV_SQRT2)
-        near = closed_form_esd_time(s, *pair(math.pi / 2 + 1e-13, 2.0e9))
-        assert near is not None and near == closed_form_esd_time(s, *pair(math.pi / 2, 2.0e9))
+            if proven is None:
+                # C(0) > 0 means K(0) = fl(r |ab|) - sqrt(fl(1 - r)^2 / 16) > 0, and
+                # in binary floating point sqrt(x*x) is x, so fl(r |ab|) > fl(1 - r) / 4;
+                # rounding the quotient is monotone, so ratio >= 1/4 and both
+                # radicands, 16 ratio^2 - 1 and ln(4 ratio), are non-negative
+                assert esd_time_optimal(s, optimal) >= 0.0, (r, a2)
+                assert esd_time_dephasing(s, dephasing) >= 0.0, (r, a2)
 
 
 class TestParams:
@@ -247,9 +295,8 @@ class TestParams:
         assert [w.filename for w in record] == [__file__]
         assert z == 1.0
 
-    def test_the_closed_form_warns_about_strong_noise(self):
+    def test_the_static_sweep_warns_about_strong_noise(self):
         qubits = pair(math.pi / 2, 0.5 * OMEGA)
-        with pytest.warns(UserWarning, match="static-path treatment degrades") as record:
-            t = closed_form_esd_time(EWLParams(0.9, INV_SQRT2), *qubits)
-        assert [w.filename for w in record] == [__file__]
+        with pytest.warns(UserWarning, match="static-path treatment degrades"):
+            t = static_esd_time(EWLParams(0.9, INV_SQRT2), *qubits)
         assert t > 0.0

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -7,18 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from esdlab.adiabatic import (
-    AdiabaticParams,
-    adiabatic_concurrence,
-    closed_form_esd_time,
-)
+from esdlab import analysis
+from esdlab.adiabatic import AdiabaticParams, adiabatic_concurrence
 from esdlab.analysis import find_crossing_time, sweep
 from esdlab.constants import ESD_RELATIVE_TOL
 from esdlab.errors import ParameterError
 from esdlab.markov import QuantumNoiseParams, interplay_concurrence, proven_esd_time
 from esdlab.states import EWLParams
 
-from _oracles import bisect_first_zero
+from _oracles import bisect_first_zero, esd_time_dephasing, esd_time_optimal, ppt_min_eigenvalue
 
 OMEGA = 1.0e11
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -31,9 +29,9 @@ def qubit(theta, ratio=0.02):
 
 
 def _searched_curves():
-    """(curve, t_max) of both closed-form cases, and of fig2's four searched
-    columns at a few r: interplay and quantum noise only, each flavor, on
-    fig2's qubits, quantum noise, |a|^2 = 0.5 and horizon omega t = 2e7."""
+    """(curve, t_max) of both closed-form cases, and of fig2's interplay and
+    quantum-noise-only columns at a few r, each flavor, on fig2's qubits,
+    quantum noise and |a|^2 = 0.5, with horizon omega t = 2e7."""
     opt, deph = qubit(math.pi / 2), qubit(0.0)
     curves = {
         "optimal": (lambda t: adiabatic_concurrence(t, opt, opt, EWLParams(0.9, INV_SQRT2)),
@@ -70,7 +68,7 @@ class TestFindEsdTime:
         s = EWLParams(0.9, INV_SQRT2)
         fn = lambda t: adiabatic_concurrence(t, p, p, s)
         res = find_crossing_time(fn, 1.0e6 / OMEGA)
-        want = closed_form_esd_time(s, p, p)
+        want = esd_time_optimal(s, p)
         assert type(res) is float and type(want) is float
         assert res != want  # a search, not the closed form
         assert abs(res - want) <= 1e-9 * want
@@ -80,7 +78,7 @@ class TestFindEsdTime:
         s = EWLParams(0.7, 0.6)
         fn = lambda t: adiabatic_concurrence(t, p, p, s)
         res = find_crossing_time(fn, 10.0 / p.sigma)
-        want = closed_form_esd_time(s, p, p)
+        want = esd_time_dephasing(s, p)
         assert abs(res - want) <= 1e-9 * want
 
     def test_constant_curve_never_crosses(self):
@@ -189,28 +187,28 @@ class TestSweep:
         p = qubit(math.pi / 2)
         grid = [0.5, 0.6, 0.7, 0.8, 0.9]
         states = [EWLParams(r, INV_SQRT2) for r in grid]
-        times = sweep(states, p, p, OFF, t_max=1.0e7 / OMEGA)
+        times = sweep(states, p, p, OFF)
         assert times.shape == (2, len(grid)) and times.dtype == float
         assert np.all(np.diff(times[0]) > 0.0)
-        # the closed form, bit for bit, in grid order
-        assert times[0].tolist() == [
-            closed_form_esd_time(EWLParams(r, INV_SQRT2), p, p) for r in grid
-        ]
+        # the paper's closed form, to the search's tolerance, in grid order
+        for s, t in zip(states, times[0]):
+            want = esd_time_optimal(s, p)
+            assert abs(t - want) <= ESD_RELATIVE_TOL * want
 
     def test_pure_state_row_infinite(self):
         p = qubit(math.pi / 2)
-        times = sweep([EWLParams(1.0, INV_SQRT2)], p, p, OFF, t_max=1.0e7 / OMEGA)
+        times = sweep([EWLParams(1.0, INV_SQRT2)], p, p, OFF)
         assert times.tolist() == [[math.inf], [math.inf]]
 
     def test_zero_amplitude_row_never_entangled(self):
         p = qubit(math.pi / 2)
-        times = sweep([EWLParams(0.9, 0.0)], p, p, OFF, t_max=1.0e6 / OMEGA)
+        times = sweep([EWLParams(0.9, 0.0)], p, p, OFF)
         assert times.tolist() == [[0.0], [0.0]]
 
     def test_interplay_flavor_ordering(self):
         p = qubit(math.pi / 2)
         states = [EWLParams(r, INV_SQRT2) for r in (0.91, 0.95, 1.0)]
-        phi, psi = sweep(states, p, p, QN, t_max=1.0e7 / OMEGA)
+        phi, psi = sweep(states, p, p, QN)
         assert np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))
         assert np.all(phi >= psi)
 
@@ -219,35 +217,35 @@ class TestSweep:
         # or for a symmetric pair away from theta = 0 and pi/2
         p = qubit(0.3)
         detuned = replace(p, omega=1.2 * OMEGA, sigma=1.2 * p.sigma)
-        t_max = 1.0e6 / OMEGA
         states = [EWLParams(r, INV_SQRT2) for r in (0.6, 0.8, 0.95)]
         for ad_b in (detuned, p):
-            times = sweep(states, p, ad_b, OFF, t_max=t_max)
+            times = sweep(states, p, ad_b, OFF)
             for s, (phi, psi) in zip(states, times.T):
-                want = find_crossing_time(
-                    lambda t: adiabatic_concurrence(t, p, ad_b, s), t_max
-                )
-                assert phi == want and psi == want
-                assert math.isfinite(want)
+                curve = lambda t: adiabatic_concurrence(t, p, ad_b, s)
+                assert phi == psi and math.isfinite(phi)
+                assert_brackets_root(curve, phi)
+                want = find_crossing_time(curve, 1.0e6 / OMEGA)
+                assert abs(phi - want) <= ESD_RELATIVE_TOL * want
 
     def test_quantum_noise_off_takes_the_static_path(self):
-        # s_white = 0 leaves the static noise alone, which has a closed form,
-        # and a switched-off channel on quiet qubits is a proven never
+        # s_white = 0 leaves the static noise alone, one curve for both
+        # flavors, and a switched-off channel on quiet qubits is a proven never
         p = qubit(math.pi / 2)
-        states, t_max = [EWLParams(0.6, INV_SQRT2), EWLParams(0.9, INV_SQRT2)], 1.0e6 / OMEGA
-        for s, (phi, psi) in zip(states, sweep(states, p, p, OFF, t_max).T):
-            # bit equality with the closed form, which a search misses by >= 2e-12
-            assert phi == psi == closed_form_esd_time(s, p, p)
+        states = [EWLParams(0.6, INV_SQRT2), EWLParams(0.9, INV_SQRT2)]
+        for s, (phi, psi) in zip(states, sweep(states, p, p, OFF).T):
+            want = esd_time_optimal(s, p)
+            assert phi == psi and abs(phi - want) <= ESD_RELATIVE_TOL * want
+            assert_brackets_root(lambda t: adiabatic_concurrence(t, p, p, s), phi)
         quiet = replace(p, sigma=0.0)
-        assert np.all(sweep(states, quiet, quiet, OFF, t_max) == math.inf)
-        # and so is a detuned pair, which has no closed form to say so
+        assert np.all(sweep(states, quiet, quiet, OFF) == math.inf)
+        # and so is a detuned pair
         detuned = replace(quiet, omega=1.2 * OMEGA)
-        assert np.all(sweep(states, quiet, detuned, OFF, t_max) == math.inf)
+        assert np.all(sweep(states, quiet, detuned, OFF) == math.inf)
 
     def test_rejects_an_empty_state_list(self):
         p = qubit(math.pi / 2)
         with pytest.raises(ParameterError, match="at least one state"):
-            sweep([], p, p, OFF, t_max=1.0)
+            sweep([], p, p, OFF)
 
     def test_quantum_only_phi_disentangles_at_20_mK(self):
         # p1 = 2.6e-17 at 20 mK; a p1 rounded to 0 left rho_33 empty, and phi
@@ -255,9 +253,67 @@ class TestSweep:
         quiet = replace(qubit(math.pi / 2), sigma=0.0)
         cold = QuantumNoiseParams(s_white=2.0e6, temperature=0.02)
         s = EWLParams(0.9, INV_SQRT2)
-        phi, _ = sweep([s], quiet, quiet, cold, t_max=2.0e7 / OMEGA)[:, 0]
+        phi, _ = sweep([s], quiet, quiet, cold)[:, 0]
         assert phi * OMEGA == pytest.approx(3.63e6, rel=1e-2)
         assert_brackets_root(lambda t: interplay_concurrence(t, s, quiet, quiet, cold), phi)
+
+
+def spy(monkeypatch, name):
+    """Record each array of times that ``sweep`` passes to the curve ``name``."""
+    seen, curve = [], getattr(analysis, name)
+
+    def recording(*args):
+        seen.append(np.array(args[0]))
+        return curve(*args)
+
+    monkeypatch.setattr(analysis, name, recording)
+    return seen
+
+
+def float_cap(omega):
+    """The largest t whose omega t is finite."""
+    t = sys.float_info.max / max(omega, 1.0)
+    return math.nextafter(t, 0.0) if math.isinf(omega * t) else t
+
+
+class TestHorizon:
+    """Each curve sets its own search horizon: t = 1/omega_a, then 10^3 times
+    the last, up to the first t where the curve is at or below zero."""
+
+    @pytest.mark.parametrize("name, qn", [("adiabatic_concurrence", OFF),
+                                          ("interplay_concurrence", QN)])
+    @pytest.mark.parametrize("r", [0.34, 0.6, 0.99])
+    def test_each_curve_sets_its_own_horizon(self, monkeypatch, name, qn, r):
+        p = qubit(math.pi / 2)
+        s = EWLParams(r, INV_SQRT2)
+        seen = spy(monkeypatch, name)
+        got = sweep([s], p, p, qn)[0, 0]
+        # one time per step, then the search's scan
+        n = next(k for k, t in enumerate(seen) if t.size > 1)
+        horizon = [1.0 / OMEGA]
+        while len(horizon) < n:
+            horizon.append(horizon[-1] * 1.0e3)
+        assert [t.tolist() for t in seen[:n]] == [[t] for t in horizon]
+        assert seen[n].size == 10_001 and seen[n][-1] == horizon[-1]
+        # the curve is positive at every step but the last, where the search runs
+        if qn is OFF:
+            curve = lambda t: adiabatic_concurrence(t, p, p, s)
+        else:
+            curve = lambda t: interplay_concurrence(t, s, p, p, qn)
+        values = curve(np.array(horizon))
+        assert np.all(values[:-1] > 0.0) and values[-1] <= 0.0
+        assert got == find_crossing_time(curve, horizon[-1])
+
+    @pytest.mark.parametrize("omega", [OMEGA, 0.5])
+    def test_a_curve_positive_at_the_float_cap_is_nan(self, monkeypatch, omega):
+        # sigma t stays below 1e-15 up to the cap, so the gaussian has not moved
+        p = AdiabaticParams(omega=omega, theta=0.0, sigma=5e-324)
+        seen = spy(monkeypatch, "adiabatic_concurrence")
+        got = sweep([EWLParams(0.9, INV_SQRT2)], p, p, OFF)
+        assert np.isnan(got).all()
+        last = seen[-1][0]
+        assert last == float_cap(omega)
+        assert math.isfinite(omega * last) and math.isinf(omega * math.nextafter(last, math.inf))
 
 
 # fig4's pair: qubit B 20% above qubit A, with the same relative noise
@@ -284,7 +340,7 @@ class TestProvenNever:
     def test_static_noise_never_ends_a_pure_state(self, theta_a, theta_b, same_angle, detuned,
                                                   ratio, a2):
         ad_a, ad_b = qubits(theta_a, theta_a if same_angle else theta_b, detuned, ratio)
-        times = sweep([EWLParams(1.0, math.sqrt(a2))], ad_a, ad_b, OFF, t_max=1.0e7 / OMEGA)
+        times = sweep([EWLParams(1.0, math.sqrt(a2))], ad_a, ad_b, OFF)
         assert times.tolist() == [[math.inf], [math.inf]]
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -297,9 +353,8 @@ class TestProvenNever:
         ad_a, ad_b = qubits(0.0, 0.0, detuned, ratio)
         qn = QuantumNoiseParams(s_white=s_white, temperature=temperature)
         s = EWLParams(1.0, math.sqrt(a2))
-        t_max = 1.0e9 / OMEGA
-        interplay = sweep([s], ad_a, ad_b, qn, t_max)
-        quantum = sweep([s], replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0), qn, t_max)
+        interplay = sweep([s], ad_a, ad_b, qn)
+        quantum = sweep([s], replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0), qn)
         assert interplay.tolist() == quantum.tolist() == [[math.inf], [math.inf]]
 
     def test_relaxation_fills_the_populations(self):
@@ -308,7 +363,7 @@ class TestProvenNever:
         p = qubit(0.7)
         s = EWLParams(1.0, INV_SQRT2)
         assert proven_esd_time(s, p, p, QN) is None
-        phi, psi = sweep([s], p, p, QN, t_max=5.0e3 / OMEGA)[:, 0]
+        phi, psi = sweep([s], p, p, QN)[:, 0]
         assert phi * OMEGA == pytest.approx(259.1, rel=1e-3)
         assert psi * OMEGA == pytest.approx(175.7, rel=1e-3)
         for flavor, t in (("phi", phi), ("psi", psi)):
@@ -323,3 +378,46 @@ class TestProvenNever:
         s = EWLParams(1.0, INV_SQRT2)
         assert proven_esd_time(s, p, p, frozen) == math.inf
         assert proven_esd_time(replace(s, flavor="psi"), p, p, frozen) is None
+
+
+class TestEveryCell:
+    """Every cell of ``sweep`` is the proven 0.0 or inf, or a sign change of
+    its curve at t(1 -/+ ESD_RELATIVE_TOL) that the Peres-Horodecki test of
+    the composed channel confirms, or nan where its curve is still positive
+    at the largest t whose omega_a t is finite."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(theta_a=ANGLES, theta_b=ANGLES, same_angle=st.booleans(), detuned=st.booleans(),
+           ratio=st.floats(0.0, 0.1), r=st.floats(0.0, 1.0), a2=st.floats(0.0, 1.0),
+           s_white=st.one_of(st.just(0.0), st.floats(1.0e3, 1.0e9)),
+           temperature=st.floats(0.01, 10.0))
+    # the default `esd` sweep's ends: quantum noise alone wrote nan at horizon omega t = 5e3
+    @example(theta_a=math.pi / 2, theta_b=0.0, same_angle=True, detuned=False, ratio=0.0,
+             r=0.5, a2=0.5, s_white=2.0e6, temperature=0.04)
+    @example(theta_a=math.pi / 2, theta_b=0.0, same_angle=True, detuned=False, ratio=0.0,
+             r=0.99, a2=0.5, s_white=2.0e6, temperature=0.04)
+    # fig4's detuned static pair, which had no closed form
+    @example(theta_a=math.pi / 2, theta_b=0.0, same_angle=True, detuned=True, ratio=0.02,
+             r=0.99, a2=0.5, s_white=0.0, temperature=0.04)
+    def test_every_cell_is_proven_or_a_sign_change(self, theta_a, theta_b, same_angle, detuned,
+                                                   ratio, r, a2, s_white, temperature):
+        ad_a, ad_b = qubits(theta_a, theta_a if same_angle else theta_b, detuned, ratio)
+        qn = QuantumNoiseParams(s_white=s_white, temperature=temperature)
+        s = EWLParams(r, math.sqrt(a2))
+        for flavor, t in zip(("phi", "psi"), sweep([s], ad_a, ad_b, qn)[:, 0]):
+            sf = replace(s, flavor=flavor)
+            proven = proven_esd_time(sf, ad_a, ad_b, qn)
+            if proven is not None:
+                assert t == proven
+                continue
+            if s_white == 0.0:
+                curve = lambda t: adiabatic_concurrence(t, ad_a, ad_b, sf)
+            else:
+                curve = lambda t: interplay_concurrence(t, sf, ad_a, ad_b, qn)
+            if math.isnan(t):
+                assert curve(np.array([float_cap(OMEGA)]))[0] > 0.0
+                continue
+            assert 0.0 < t <= float_cap(OMEGA)
+            assert_brackets_root(curve, t)
+            assert ppt_min_eigenvalue(t * (1.0 - ESD_RELATIVE_TOL), sf, ad_a, ad_b, qn) < 0.0
+            assert ppt_min_eigenvalue(t * (1.0 + ESD_RELATIVE_TOL), sf, ad_a, ad_b, qn) >= 0.0

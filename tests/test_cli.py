@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
 
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from esdlab import cli
 from esdlab.cli import _BOUNDS, DEFAULT_CONFIG, build_parser, main
 from esdlab.constants import ESD_RELATIVE_TOL
+
+from _oracles import ppt_min_eigenvalue
 
 SMALL_MC = {"sim": {"trajectories": 8, "samples": 5, "fluctuators": 5}}
 
@@ -147,12 +150,14 @@ class TestEsd:
         assert cols["omega_t_esd_psi"] == cols["omega_t_esd_quantum_psi"]
 
     @pytest.mark.parametrize("qubit", [
-        {"sigma_rad_s": 1e-150},  # omega / sigma^2 overflows to inf
-        {"sigma_rad_s": 1e-170},  # sigma^2 underflows to 0 and the division raises
-        {"sigma_rad_s": 1e-300, "theta_rad": 0.0},  # finite seconds, inf in omega_t
+        # cos(fl(pi/2)) = 6.1e-17 ends the curve near omega t = 1.4e327
+        {"sigma_rad_s": 1e-300},
+        # cos(fl(pi/2)) sigma underflows to 0, and the curve never moves
+        {"sigma_rad_s": 5e-324},
+        {"sigma_rad_s": 1e-300, "theta_rad": 0.0},  # sigma t stays below 1e-3
     ], ids=["optimal-overflow", "optimal-underflow", "dephasing-omega-t"])
     def test_static_time_past_float_range_is_nan(self, tmp_path, qubit):
-        # a closed-form time past float range is no proven never
+        # a curve still positive at the largest omega t in float range is no proven never
         cfg = {"qubit_a": qubit, "qubit_b": qubit}
         out = tmp_path / "esd.csv"
         argv = ["esd", "--config", write_config(tmp_path, cfg), "--sweep", "r",
@@ -161,18 +166,17 @@ class TestEsd:
         header, rows = read_csv(out)
         assert [row[header.index("omega_t_esd_adiabatic")] for row in rows] == ["nan", "nan"]
 
-    @pytest.mark.parametrize("theta, t_max_omega, never", [
-        (0.0, 5.0e3, ["omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic"]),
-        (0.0, 1.0e9, ["omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic",
-                      "omega_t_esd_quantum_phi", "omega_t_esd_quantum_psi"]),
-        (0.7, 5.0e3, ["omega_t_esd_adiabatic"]),
-    ], ids=["dephasing", "dephasing-long", "theta-0.7"])
-    def test_pure_state_that_nothing_ends_is_never(self, tmp_path, theta, t_max_omega, never):
+    @pytest.mark.parametrize("theta, never", [
+        (0.0, ["omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic",
+               "omega_t_esd_quantum_phi", "omega_t_esd_quantum_psi"]),
+        (0.7, ["omega_t_esd_adiabatic"]),
+    ], ids=["dephasing", "theta-0.7"])
+    def test_pure_state_that_nothing_ends_is_never(self, tmp_path, theta, never):
         # a search read the underflow of the coherence as a zero and wrote
         # omega t = 1363.7 (theta = 0) or 1867.1 (theta = 0.7); at theta = 0.7
         # the relaxation fills the facing populations, and the interplay ends
         qubit = {"theta_rad": theta}
-        cfg = {"qubit_a": qubit, "qubit_b": qubit, "sim": {"t_max_omega": t_max_omega}}
+        cfg = {"qubit_a": qubit, "qubit_b": qubit}
         out = tmp_path / "esd.csv"
         argv = ["esd", "--config", write_config(tmp_path, cfg), "--sweep", "r",
                 "--from", "0.99", "--to", "1.0", "--points", "2", "--out", str(out)]
@@ -187,17 +191,49 @@ class TestEsd:
             assert float(pure["omega_t_esd_phi"]) == pytest.approx(259.150, rel=1e-5)
             assert float(pure["omega_t_esd_psi"]) == pytest.approx(175.747, rel=1e-5)
 
-    def test_search_that_reaches_t_max_writes_nan(self, tmp_path):
-        # at the default t_max quantum noise alone kills no state of this
-        # sweep; that is not found, which inf (never) would overstate
+    def test_default_sweep_writes_no_nan(self, tmp_path):
+        # quantum noise alone ends every state of this sweep, past the
+        # omega t = 5e3 of the default config that the search once stopped at
         out = tmp_path / "esd.csv"
-        argv = ["esd", "--sweep", "r", "--from", "0.5", "--to", "0.99", "--points", "3",
+        argv = ["esd", "--sweep", "r", "--from", "0.5", "--to", "0.99", "--points", "4",
                 "--out", str(out)]
         assert main(argv) == 0
         header, rows = read_csv(out)
-        cols = dict(zip(header, zip(*rows)))
-        assert cols["omega_t_esd_quantum_phi"] == cols["omega_t_esd_quantum_psi"] == ("nan",) * 3
-        assert "inf" not in {cell for row in rows for cell in row}
+        cells = np.array(rows, dtype=float)[:, 1:]
+        assert np.all(np.isfinite(cells)) and np.all(cells > 0.0)
+        quantum = cells[:, [header.index("omega_t_esd_quantum_phi") - 1,
+                            header.index("omega_t_esd_quantum_psi") - 1]]
+        assert np.all(quantum > DEFAULT_CONFIG["sim"]["t_max_omega"])
+
+    def test_fig2_cells_pass_the_peres_horodecki_test(self, tmp_path):
+        # each finite cell of fig2's 60 rows: the composed channel's state is
+        # entangled at t(1 - tol) and separable at t(1 + tol)
+        assert main(["figure", "fig2", "--outdir", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "fig2.csv")
+        cfg = cli.load_config("fig2", None)
+        ad_a, ad_b = cli._closed_form_qubits(cfg)
+        qn = cli._quantum_from(cfg)
+        quiet = (replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0))
+        channels = {
+            "omega_t_esd_phi": ("phi", (ad_a, ad_b), qn),
+            "omega_t_esd_psi": ("psi", (ad_a, ad_b), qn),
+            "omega_t_esd_adiabatic": ("phi", (ad_a, ad_b), replace(qn, s_white=0.0)),
+            "omega_t_esd_quantum_phi": ("phi", quiet, qn),
+            "omega_t_esd_quantum_psi": ("psi", quiet, qn),
+        }
+        checked = 0
+        for row in rows:
+            for name, (flavor, qubits, noise) in channels.items():
+                cell = float(row[header.index(name)])
+                assert cell > 0.0 and not math.isnan(cell), (row[0], name)
+                if math.isinf(cell):
+                    continue
+                s = cli._state_from(cfg, r=float(row[0]), flavor=flavor)
+                t = cell / ad_a.omega
+                assert ppt_min_eigenvalue(t * (1.0 - ESD_RELATIVE_TOL), s, *qubits, noise) < 0.0
+                assert ppt_min_eigenvalue(t * (1.0 + ESD_RELATIVE_TOL), s, *qubits, noise) >= 0.0
+                checked += 1
+        assert checked == 60 * 5
 
 
 @pytest.mark.filterwarnings("error::UserWarning")

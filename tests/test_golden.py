@@ -213,12 +213,11 @@ def test_esd_cells_hold_the_computed_times(name):
     config, over, lo, hi = ESD_RUNS[name]
     cfg = load_config("fig2", config and str(GOLDEN / "config" / f"{config}.json"))
     state, ad_a, ad_b, qn = library_params(cfg)
-    t_max = cfg["sim"]["t_max_omega"] / ad_a.omega
     grid = np.linspace(lo, hi, 5).tolist()
     states = [replace(state, r=v) if over == "r" else replace(state, a=math.sqrt(v)) for v in grid]
     quiet_a, quiet_b = replace(ad_a, sigma=0.0), replace(ad_b, sigma=0.0)
     both, static, quantum = (
-        sweep(states, a, b, noise, t_max)
+        sweep(states, a, b, noise)
         for a, b, noise in ((ad_a, ad_b, qn), (ad_a, ad_b, replace(qn, s_white=0.0)),
                             (quiet_a, quiet_b, qn))
     )

@@ -90,6 +90,16 @@ class TestGibbsPopulations:
         with pytest.raises(ParameterError):
             gibbs_populations(1.0, -1.0)
 
+    @pytest.mark.parametrize("omega, temperature", [
+        (math.nan, 0.04), (OMEGA, math.nan),  # returned (nan, nan)
+        (math.inf, 0.04),  # returned (1.0, 0.0)
+        (OMEGA, math.inf), (1.0, math.inf),  # returned (0.5, 0.5)
+        (-math.inf, 0.04), (OMEGA, -math.inf), (0.0, 0.04), (OMEGA, 0.0),
+    ])
+    def test_rejects_arguments_that_are_not_positive_and_finite(self, omega, temperature):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            gibbs_populations(omega, temperature)
+
 
 class TestSingleQubitMap:
     def test_identity_at_t0(self):

@@ -101,6 +101,7 @@ TRACED_RUNS = {
     "mc_static": ["figure", "fig4b", "--config", "{cfg}", "--outdir", "{out}"],
     "psd_1f": ["psd", "--realizations", "100", "--t-max-s", "1e-4", "--sample-hz", "1e6",
                "--out", "{out}/psd.csv"],
+    "esd_sweep": ["figure", "fig2", "--outdir", "{out}"],
 }
 
 
