@@ -166,17 +166,20 @@ class TestEsd:
         header, rows = read_csv(out)
         assert [row[header.index("omega_t_esd_adiabatic")] for row in rows] == ["nan", "nan"]
 
-    @pytest.mark.parametrize("theta, never", [
-        (0.0, ["omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic",
-               "omega_t_esd_quantum_phi", "omega_t_esd_quantum_psi"]),
-        (0.7, ["omega_t_esd_adiabatic"]),
-    ], ids=["dephasing", "theta-0.7"])
-    def test_pure_state_that_nothing_ends_is_never(self, tmp_path, theta, never):
+    @pytest.mark.parametrize("theta, t_max_omega, never", [
+        (0.0, 5.0e3, ["omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic",
+                      "omega_t_esd_quantum_phi", "omega_t_esd_quantum_psi"]),
+        (0.0, 1.0e9, ["omega_t_esd_phi", "omega_t_esd_psi", "omega_t_esd_adiabatic",
+                      "omega_t_esd_quantum_phi", "omega_t_esd_quantum_psi"]),
+        (0.7, 5.0e3, ["omega_t_esd_adiabatic"]),
+    ], ids=["dephasing", "dephasing-long", "theta-0.7"])
+    def test_pure_state_that_nothing_ends_is_never(self, tmp_path, theta, t_max_omega, never):
         # a search read the underflow of the coherence as a zero and wrote
         # omega t = 1363.7 (theta = 0) or 1867.1 (theta = 0.7); at theta = 0.7
-        # the relaxation fills the facing populations, and the interplay ends
+        # the relaxation fills the facing populations, and the interplay ends.
+        # esd reads no sim.t_max_omega: a short and a long one give the same cells
         qubit = {"theta_rad": theta}
-        cfg = {"qubit_a": qubit, "qubit_b": qubit}
+        cfg = {"qubit_a": qubit, "qubit_b": qubit, "sim": {"t_max_omega": t_max_omega}}
         out = tmp_path / "esd.csv"
         argv = ["esd", "--config", write_config(tmp_path, cfg), "--sweep", "r",
                 "--from", "0.99", "--to", "1.0", "--points", "2", "--out", str(out)]
